@@ -23,6 +23,7 @@ from pathlib import Path
 
 from . import analytics
 from .cluster import ClusterError, ClusterSpec, Instant, Throttled
+from .kernels import DEFAULT_TILE_ROWS
 from .mllm import (ActivationPolicy, ModelParams, OpCounter, ToyMllmConfig,
                    TOY_CONFIG, max_frames_under_budget, measured_activation_bytes,
                    mllm_backward, mllm_forward)
@@ -93,8 +94,23 @@ def _workload_from_args(args, default_n: int | None = None) -> tuple[analytics.W
     return w, d_model
 
 
+def _numeric_working_set(strategy: str, s_q: int, s_kv: int, h: int, d: int,
+                         tile_rows: int, upcast: bool, backward: bool) -> int:
+    """Elements a numeric run allocates at its peak, summed over workers:
+    the inputs, their float64 copies when the dtype is narrower, the outputs
+    and gradients (held by the workers, then gathered), and the score-shaped
+    scratch. The forward kernel keeps three [h, rows, tile] arrays per worker
+    (scores, shifted scores, exponent), more than the backward's two; on
+    `single` the dense forward keeps those three at full [h, S_Q, S_KV]."""
+    q, kv = h * s_q * d, h * s_kv * d
+    inputs = q + 2 * kv + (q if backward else 0)
+    outputs = q + h * s_q + (q + 2 * kv if backward else 0)
+    score_cols = s_kv if strategy == StrategyKind.SINGLE.value else min(tile_rows, s_kv)
+    return inputs * (2 if upcast else 1) + 2 * outputs + 3 * h * s_q * score_cols
+
+
 def cmd_run(args) -> int:
-    _require_positive(args, ["sq", "skv", "h", "d", "bandwidth"])
+    _require_positive(args, ["sq", "skv", "h", "d", "bandwidth", "tile_rows"])
     if args.mode == "accounting-only":
         w, _ = _workload_from_args(args, default_n=args.n)
         report = analytics.volume_report(w)
@@ -111,7 +127,8 @@ def cmd_run(args) -> int:
         s_q, s_kv, h, d = args.sq, args.skv, args.h, args.d
         n = args.n or 1
     dtype = dtype_from_name(args.dtype or "f64")
-    total_elems = h * d * (2 * s_q + 2 * s_kv)
+    total_elems = _numeric_working_set(args.strategy, s_q, s_kv, h, d, args.tile_rows,
+                                       upcast=args.dtype == "f32", backward=args.backward)
     if total_elems > MAX_NUMERIC_ELEMENTS:
         raise ValueError(f"numeric mode would materialize {total_elems} elements; "
                          f"use --mode accounting-only for workloads of this size")
@@ -311,7 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--scale", type=float, default=None,
                        help="score scale (default 1/sqrt(d))")
-    p_run.add_argument("--tile-rows", type=int, default=64)
+    p_run.add_argument("--tile-rows", type=int, default=DEFAULT_TILE_ROWS,
+                       help="KV rows per kernel tile, forward and backward")
     p_run.add_argument("--transport", choices=["instant", "throttled"],
                        default="instant")
     p_run.add_argument("--bandwidth", type=float, default=None, help="bytes/second")

@@ -6,6 +6,12 @@ rounding of the f64 computation and the f64 path is directly comparable to
 the dense oracle. Softmax statistics travel as a single per-row logsumexp
 L = m + log(l); a row with L = -inf and O = 0 is the empty state and is the
 identity element of merge_states.
+
+The blockwise forward and the backward both walk the KV rows in tiles of
+tile_rows rows (DEFAULT_TILE_ROWS = 256). The backward recomputes P from the
+saved L tile by tile, as FlashAttention-2 does, so its scratch memory is
+O(h * rows * tile) instead of score-shaped; only the dense oracle builds the
+full [h, S_Q, S_KV] score matrix.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_TILE_ROWS = 64
+DEFAULT_TILE_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -171,11 +177,16 @@ def attention_row_stats(state: AttentionState, dO: np.ndarray) -> np.ndarray:
 
 def dense_attention_backward(Q: np.ndarray, K: np.ndarray, V: np.ndarray,
                              O: np.ndarray, L: np.ndarray, dO: np.ndarray,
-                             scale: float | None = None) -> GradientBundle:
+                             scale: float | None = None,
+                             tile_rows: int = DEFAULT_TILE_ROWS) -> GradientBundle:
     """Full softmax-attention backward from the saved forward stats.
 
     P = exp(scale QK^T - L); D = rowsum(dO * O); dV = P^T dO;
     dS = P * (dO V^T - D); dQ = scale dS K; dK = scale dS^T Q.
+
+    Runs blockwise_attention_backward on the whole KV range, so P is
+    recomputed from L one KV tile of tile_rows rows (default 256) at a time
+    and scratch memory is O(h * S_Q * tile), never the full score matrix.
     """
     validate_qkv(Q, K, V)
     if O.shape != Q.shape or dO.shape != Q.shape:
@@ -185,19 +196,27 @@ def dense_attention_backward(Q: np.ndarray, K: np.ndarray, V: np.ndarray,
     if scale is None:
         scale = default_scale(Q.shape[2])
     D = np.sum(dO.astype(np.float64, copy=False) * O.astype(np.float64, copy=False), axis=2)
-    dQ, dK, dV = blockwise_attention_backward(Q, K, V, L, D, dO, scale)
+    dQ, dK, dV = blockwise_attention_backward(Q, K, V, L, D, dO, scale, tile_rows)
     return GradientBundle(dQ=dQ, dK=dK, dV=dV)
 
 
 def blockwise_attention_backward(Q_block: np.ndarray, K_block: np.ndarray,
                                  V_block: np.ndarray, L_full: np.ndarray,
                                  D_full: np.ndarray, dO_block: np.ndarray,
-                                 scale: float | None = None):
+                                 scale: float | None = None,
+                                 tile_rows: int = DEFAULT_TILE_ROWS):
     """Additive gradient contributions of one (Q block, KV block) pair.
 
     L_full and D_full must be the final forward statistics for these query
     rows, taken over all KV blocks; summing the returned (dQ+, dK+, dV+)
     over every KV block reproduces the dense backward.
+
+    The KV block is walked in tiles of at most tile_rows rows (default 256),
+    as in the FlashAttention-2 backward: each tile recomputes
+    P = exp(scale Q K_t^T - L) from the saved L, writes dV_t = P^T dO and
+    dK_t = scale dS^T Q into its own output rows, and adds scale dS K_t to
+    dQ. Scratch memory is O(h * rows * tile): two [h, rows, tile] buffers,
+    reused by every tile.
     """
     validate_qkv(Q_block, K_block, V_block)
     if dO_block.shape != Q_block.shape:
@@ -206,22 +225,43 @@ def blockwise_attention_backward(Q_block: np.ndarray, K_block: np.ndarray,
         raise ValueError(f"L/D shapes {L_full.shape}/{D_full.shape} != {Q_block.shape[:2]}")
     if scale is None:
         scale = default_scale(Q_block.shape[2])
+    if tile_rows < 1:
+        raise ValueError(f"tile_rows must be >= 1, got {tile_rows}")
     out_dt = _out_dtype(Q_block, K_block, V_block)
-    Qf = Q_block.astype(np.float64, copy=False)
+    h, s_q, d = Q_block.shape
+    s_kv = K_block.shape[1]
+    Qs = scale * Q_block.astype(np.float64, copy=False)
     Kf = K_block.astype(np.float64, copy=False)
     Vf = V_block.astype(np.float64, copy=False)
     dOf = dO_block.astype(np.float64, copy=False)
-    Lf = L_full.astype(np.float64, copy=False)
-    Df = D_full.astype(np.float64, copy=False)
+    L = L_full.astype(np.float64, copy=False)[..., None]
+    D = D_full.astype(np.float64, copy=False)[..., None]
+    tile = max(1, min(tile_rows, s_kv))
 
-    S = scale * (Qf @ Kf.transpose(0, 2, 1))
-    P = np.exp(S - Lf[..., None])
-    dV = P.transpose(0, 2, 1) @ dOf
-    dP = dOf @ Vf.transpose(0, 2, 1)
-    dS = P * (dP - Df[..., None])
-    dQ = scale * (dS @ Kf)
-    dK = scale * (dS.transpose(0, 2, 1) @ Qf)
-    return dQ.astype(out_dt), dK.astype(out_dt), dV.astype(out_dt)
+    # flat buffers, so a short last tile still gets a contiguous [h, s_q, rows]
+    # view: matmul into a strided view misses the BLAS path
+    p_buf = np.empty(h * s_q * tile)
+    ds_buf = np.empty(h * s_q * tile)
+    dQ = np.zeros((h, s_q, d))
+    dK = np.empty((h, s_kv, d))
+    dV = np.empty((h, s_kv, d))
+    for t0 in range(0, s_kv, tile):
+        t1 = min(t0 + tile, s_kv)
+        Kt = Kf[:, t0:t1]
+        P = p_buf[:h * s_q * (t1 - t0)].reshape(h, s_q, t1 - t0)
+        dS = ds_buf[:P.size].reshape(P.shape)
+        np.matmul(Qs, Kt.transpose(0, 2, 1), out=P)
+        P -= L
+        np.exp(P, out=P)
+        np.matmul(P.transpose(0, 2, 1), dOf, out=dV[:, t0:t1])
+        np.matmul(dOf, Vf[:, t0:t1].transpose(0, 2, 1), out=dS)
+        dS -= D
+        dS *= P
+        dQ += dS @ Kt
+        np.matmul(dS.transpose(0, 2, 1), Qs, out=dK[:, t0:t1])
+    dQ *= scale
+    return (dQ.astype(out_dt, copy=False), dK.astype(out_dt, copy=False),
+            dV.astype(out_dt, copy=False))
 
 
 def project(x: np.ndarray, W: np.ndarray, heads: int) -> np.ndarray:

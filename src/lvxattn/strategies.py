@@ -234,6 +234,7 @@ def lvx_forward(ctx: WorkerContext, shards: ShardSpec, q_block: np.ndarray,
 def lvx_backward(ctx: WorkerContext, shards: ShardSpec, q_block: np.ndarray,
                  k_block: np.ndarray, v_block: np.ndarray, state: AttentionState,
                  do_block: np.ndarray, scale: float,
+                 tile_rows: int = DEFAULT_TILE_ROWS,
                  trace: RoundTrace | None = None):
     """Query-rotation backward: the tuple (Q, dO, L, D, dQ-accumulator) of each
     block rotates once around the ring; every worker adds its K/V block's
@@ -256,7 +257,7 @@ def lvx_backward(ctx: WorkerContext, shards: ShardSpec, q_block: np.ndarray,
         q_j, do_j, l_j, d_j, dq_j = tup
         t0 = time.perf_counter()
         dq_c, dk_c, dv_c = blockwise_attention_backward(q_j, k_block, v_block,
-                                                        l_j, d_j, do_j, scale)
+                                                        l_j, d_j, do_j, scale, tile_rows)
         compute_s = time.perf_counter() - t0
         dk_local += dk_c
         dv_local += dv_c
@@ -314,6 +315,7 @@ def ring_forward(ctx: WorkerContext, shards: ShardSpec, q_block: np.ndarray,
 def ring_backward(ctx: WorkerContext, shards: ShardSpec, q_block: np.ndarray,
                   k_block: np.ndarray, v_block: np.ndarray, state: AttentionState,
                   do_block: np.ndarray, scale: float,
+                  tile_rows: int = DEFAULT_TILE_ROWS,
                   trace: RoundTrace | None = None):
     """KV-rotation backward: (K, V, dK, dV) rotate together for n-1 shifts while
     dQ accumulates locally; an epilogue hop returns each (dK, dV) pair to its
@@ -330,7 +332,8 @@ def ring_backward(ctx: WorkerContext, shards: ShardSpec, q_block: np.ndarray,
     for r in range(n):
         t0 = time.perf_counter()
         dq_c, dk_c, dv_c = blockwise_attention_backward(q_block, k_cur, v_cur,
-                                                        state.L, d_own, do_block, scale)
+                                                        state.L, d_own, do_block, scale,
+                                                        tile_rows)
         compute_s = time.perf_counter() - t0
         dq += dq_c
         dk_cur = dk_cur + dk_c
@@ -402,6 +405,7 @@ def head_parallel_forward(ctx: WorkerContext, shards: ShardSpec, q_block: np.nda
 
 def head_parallel_backward(ctx: WorkerContext, shards: ShardSpec, saved,
                            do_block: np.ndarray, scale: float,
+                           tile_rows: int = DEFAULT_TILE_ROWS,
                            trace: RoundTrace | None = None):
     """Mirror image of the forward: all-to-all dO to head sharding, local dense
     backward on owned heads, all-to-all dQ/dK/dV back to sequence sharding."""
@@ -415,7 +419,8 @@ def head_parallel_backward(ctx: WorkerContext, shards: ShardSpec, saved,
     do_full = np.concatenate([c[0] for c in received], axis=1)
 
     t0 = time.perf_counter()
-    gb = dense_attention_backward(q_full, k_full, v_full, st.O, st.L, do_full, scale)
+    gb = dense_attention_backward(q_full, k_full, v_full, st.O, st.L, do_full, scale,
+                                  tile_rows)
     compute_s = time.perf_counter() - t0
 
     out_chunks = [[gb.dQ[:, qa:qb], gb.dK[:, ka:kb], gb.dV[:, ka:kb]]
@@ -468,6 +473,8 @@ def run_distributed(strategy, Q: np.ndarray, K: np.ndarray, V: np.ndarray,
         raise ValueError(f"dO shape {dO.shape} != Q shape {Q.shape}")
     if scale is None:
         scale = default_scale(d)
+    if tile_rows < 1:
+        raise ValueError(f"tile_rows must be >= 1, got {tile_rows}")
     if strategy is StrategyKind.SINGLE and spec.n != 1:
         raise ValueError("single-worker strategy requires n=1")
     if strategy is StrategyKind.HEAD_PARALLEL and h % spec.n != 0:
@@ -499,15 +506,18 @@ def run_distributed(strategy, Q: np.ndarray, K: np.ndarray, V: np.ndarray,
         btrace = RoundTrace(strategy=strategy.value, phase="backward")
         if strategy is StrategyKind.SINGLE:
             t0 = time.perf_counter()
-            gb = dense_attention_backward(Q, K, V, state.O, state.L, dO, scale)
+            gb = dense_attention_backward(Q, K, V, state.O, state.L, dO, scale, tile_rows)
             btrace.add_round(time.perf_counter() - t0, 0.0, {})
             grads = (gb.dQ, gb.dK, gb.dV)
         elif strategy is StrategyKind.LVX:
-            grads = lvx_backward(ctx, shards, q_i, k_i, v_i, state, do_i, scale, btrace)
+            grads = lvx_backward(ctx, shards, q_i, k_i, v_i, state, do_i, scale,
+                                 tile_rows, btrace)
         elif strategy is StrategyKind.RING:
-            grads = ring_backward(ctx, shards, q_i, k_i, v_i, state, do_i, scale, btrace)
+            grads = ring_backward(ctx, shards, q_i, k_i, v_i, state, do_i, scale,
+                                  tile_rows, btrace)
         else:
-            grads = head_parallel_backward(ctx, shards, saved, do_i, scale, btrace)
+            grads = head_parallel_backward(ctx, shards, saved, do_i, scale,
+                                           tile_rows, btrace)
         return _WorkerOut(state=state, grads=grads, trace_forward=ftrace,
                           trace_backward=btrace)
 

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from lvxattn import volumes
+from lvxattn import cli, volumes
 from lvxattn.cli import main
 from lvxattn.tensorio import load_tensor, seeded_random_tensor, store_tensor
 
@@ -84,6 +84,25 @@ class TestRun:
 
     def test_numeric_production_scale_refused(self, capsys):
         rc = run_cli("run", "--preset", "video-mme-llama3v", "--n", "16")
+        assert rc == 2
+        assert "accounting-only" in capsys.readouterr().err
+
+    def test_tile_rows_below_one_is_usage_error(self, tmp_path, capsys):
+        rc = run_cli("run", "--strategy", "lvx", "--n", "2", "--sq", "4",
+                     "--skv", "4", "--h", "1", "--d", "2", "--tile-rows", "0",
+                     "--out-dir", str(tmp_path))
+        assert rc == 2
+        assert "--tile-rows must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "o.lvxt").exists()
+
+    def test_score_matrix_counted_before_tensors_built(self, monkeypatch, capsys):
+        # the inputs are 4e5 elements; single's dense score matrix is 1e10
+        def no_tensor(*args, **kwargs):
+            raise AssertionError("tensor built")
+
+        monkeypatch.setattr(cli, "seeded_random_tensor", no_tensor)
+        rc = run_cli("run", "--strategy", "single", "--sq", "100000",
+                     "--skv", "100000", "--h", "1", "--d", "1")
         assert rc == 2
         assert "accounting-only" in capsys.readouterr().err
 

@@ -215,6 +215,102 @@ class TestDenseBackward:
             assert max_norm_error(grad, fd) <= 1e-5
 
 
+def untiled_backward_reference(Q, K, V, L, D, dO, scale):
+    """The backward kernel before tiling: full score-shaped S, P, dP and dS,
+    all in float64. Kept here only as the reference for the tiled kernel."""
+    Qf, Kf, Vf, dOf = (t.astype(np.float64) for t in (Q, K, V, dO))
+    S = scale * (Qf @ Kf.transpose(0, 2, 1))
+    P = np.exp(S - L.astype(np.float64)[..., None])
+    dV = P.transpose(0, 2, 1) @ dOf
+    dP = dOf @ Vf.transpose(0, 2, 1)
+    dS = P * (dP - D.astype(np.float64)[..., None])
+    return scale * (dS @ Kf), scale * (dS.transpose(0, 2, 1) @ Qf), dV
+
+
+def backward_block_inputs(s_q, s_kv, seed, h=2, d=4):
+    """Q, one KV block of s_kv rows, dO, and the final L and D taken over that
+    block plus three more KV rows, as a distributed backward sees them. One
+    spare query row is drawn and dropped, so s_q may be 0."""
+    Q, K, V = rand_qkv(h, s_q + 1, s_kv + 3, d, seed=seed)
+    dO = seeded_random_tensor(seed, (h, s_q + 1, d), stream=3)
+    st = dense_attention(Q, K, V)
+    D = np.sum(dO * st.O, axis=2)
+    return (Q[:, :s_q], K[:, :s_kv], V[:, :s_kv], st.L[:, :s_q], D[:, :s_q],
+            dO[:, :s_q])
+
+
+def _tiled_backward_cases():
+    """S_KV in {1, t-1, t, t+1, 3t+5} for each tile t, and a tile above S_KV."""
+    cases = set()
+    for t in (1, 7, 256):
+        for s_kv in (1, t - 1, t, t + 1, 3 * t + 5):
+            cases.add((s_kv, t))
+            cases.add((s_kv, s_kv + 1))
+    return sorted(cases)
+
+
+class TestTiledBackward:
+    @pytest.mark.parametrize("s_kv,tile_rows", _tiled_backward_cases())
+    def test_matches_untiled_reference_f64(self, s_kv, tile_rows):
+        Q, K, V, L, D, dO = backward_block_inputs(5, s_kv, seed=40 + s_kv)
+        scale = 1.0 / math.sqrt(Q.shape[2])
+        got = blockwise_attention_backward(Q, K, V, L, D, dO, scale, tile_rows)
+        ref = untiled_backward_reference(Q, K, V, L, D, dO, scale)
+        for g, r in zip(got, ref):
+            assert g.dtype == np.float64 and g.shape == r.shape
+            assert max_norm_error(g, r) <= 1e-12
+
+    @pytest.mark.parametrize("s_kv,tile_rows", [(1, 7), (6, 7), (8, 7), (26, 7),
+                                                (773, 256), (300, 1000)])
+    def test_f32_matches_f64_reference(self, s_kv, tile_rows):
+        Q, K, V, L, D, dO = backward_block_inputs(6, s_kv, seed=41)
+        Q32, K32, V32, L32, D32, dO32 = (t.astype(np.float32) for t in (Q, K, V, L, D, dO))
+        got = blockwise_attention_backward(Q32, K32, V32, L32, D32, dO32, 0.5, tile_rows)
+        ref = untiled_backward_reference(*(t.astype(np.float64) for t in
+                                           (Q32, K32, V32, L32, D32, dO32)), 0.5)
+        for g, r in zip(got, ref):
+            assert g.dtype == np.float32
+            assert max_norm_error(g, r) <= 1e-4
+
+    @pytest.mark.parametrize("tile_rows", [1, 7, 256])
+    def test_zero_query_rows(self, tile_rows):
+        Q, K, V, L, D, dO = backward_block_inputs(0, 10, seed=42)
+        dq, dk, dv = blockwise_attention_backward(Q, K, V, L, D, dO, tile_rows=tile_rows)
+        assert dq.shape == (2, 0, 4)
+        assert dk.shape == dv.shape == (2, 10, 4)
+        assert np.all(dk == 0) and np.all(dv == 0)
+
+    @pytest.mark.parametrize("tile_rows", [1, 7, 256])
+    def test_zero_kv_rows(self, tile_rows):
+        Q, K, V, L, D, dO = backward_block_inputs(5, 0, seed=43)
+        dq, dk, dv = blockwise_attention_backward(Q, K, V, L, D, dO, tile_rows=tile_rows)
+        assert np.all(dq == 0) and dq.shape == Q.shape
+        assert dk.shape == dv.shape == (2, 0, 4)
+
+    def test_tile_size_does_not_change_results(self):
+        Q, K, V, L, D, dO = backward_block_inputs(9, 533, seed=44)
+        base = blockwise_attention_backward(Q, K, V, L, D, dO, tile_rows=533)
+        for tile_rows in (1, 7, 64, 256, 10_000):
+            got = blockwise_attention_backward(Q, K, V, L, D, dO, tile_rows=tile_rows)
+            for g, b in zip(got, base):
+                assert max_norm_error(g, b) <= 1e-12
+
+    def test_repeated_calls_bit_identical(self):
+        Q, K, V, L, D, dO = backward_block_inputs(9, 600, seed=45)
+        a = blockwise_attention_backward(Q, K, V, L, D, dO, tile_rows=7)
+        b = blockwise_attention_backward(Q, K, V, L, D, dO, tile_rows=7)
+        for x, y in zip(a, b):
+            assert x.tobytes() == y.tobytes()
+
+    def test_tile_rows_below_one_rejected(self):
+        Q, K, V, L, D, dO = backward_block_inputs(3, 4, seed=46)
+        st = dense_attention(Q, K, V)
+        with pytest.raises(ValueError, match="tile_rows"):
+            blockwise_attention_backward(Q, K, V, L, D, dO, tile_rows=0)
+        with pytest.raises(ValueError, match="tile_rows"):
+            dense_attention_backward(Q, K, V, st.O, st.L, dO, tile_rows=-1)
+
+
 class TestProjection:
     def test_identity_weight_is_reshape(self):
         x = seeded_random_tensor(26, (5, 6))

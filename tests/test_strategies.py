@@ -1,7 +1,9 @@
+import inspect
+
 import numpy as np
 import pytest
 
-from lvxattn import volumes
+from lvxattn import strategies, volumes
 from lvxattn.cluster import ClusterSpec, spawn_cluster
 from lvxattn.kernels import dense_attention, dense_attention_backward
 from lvxattn.strategies import (ShardSpec, lvx_forward, partition_rows,
@@ -234,6 +236,39 @@ class TestErrors:
         Q, K, V, _ = rand_problem(1, 2, 2, 2, seed=19)
         with pytest.raises(ValueError):
             run_distributed("bogus", Q, K, V, spec=ClusterSpec(1))
+
+    def test_tile_rows_below_one_rejected_before_spawn(self, monkeypatch):
+        def no_spawn(*args, **kwargs):
+            raise AssertionError("workers spawned")
+
+        monkeypatch.setattr(strategies, "spawn_cluster", no_spawn)
+        Q, K, V, dO = rand_problem(2, 4, 4, 3, seed=21)
+        with pytest.raises(ValueError, match="tile_rows"):
+            run_distributed("lvx", Q, K, V, dO=dO, spec=ClusterSpec(2), tile_rows=0)
+
+
+@pytest.mark.parametrize("strategy,n", [("lvx", 2), ("ring", 2), ("head", 2), ("single", 1)])
+def test_tile_rows_reaches_every_kernel_call(monkeypatch, strategy, n):
+    seen = []
+    for name in ("blockwise_attention", "blockwise_attention_backward",
+                 "dense_attention_backward"):
+        original = getattr(strategies, name)
+
+        def spy(*args, _original=original, _name=name, **kwargs):
+            bound = inspect.signature(_original).bind(*args, **kwargs)
+            seen.append((_name, bound.arguments.get("tile_rows")))
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(strategies, name, spy)
+    Q, K, V, dO = rand_problem(2, 5, 11, 3, seed=22)
+    oracle = dense_attention(Q, K, V)
+    ob = dense_attention_backward(Q, K, V, oracle.O, oracle.L, dO)
+    res = run_distributed(strategy, Q, K, V, dO=dO, spec=ClusterSpec(n), tile_rows=3)
+    assert any(name.endswith("_backward") for name, _ in seen)
+    assert all(tile == 3 for _, tile in seen), seen
+    assert max_norm_error(res.grads.dQ, ob.dQ) <= 1e-12
+    assert max_norm_error(res.grads.dK, ob.dK) <= 1e-12
+    assert max_norm_error(res.grads.dV, ob.dV) <= 1e-12
 
 
 def test_repeated_runs_bit_identical():
