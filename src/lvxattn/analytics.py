@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass, replace
 
 from . import volumes
-from .strategies import partition_rows
+from .strategies import PROTOCOLS, partition_rows
 
 COMPUTE_BOUND = "compute"
 COMM_BOUND = "communication"
@@ -267,33 +267,19 @@ def volume_report(w: WorkloadSpec) -> dict:
     These equal the transport counters of a numeric run bit for bit."""
     q_sizes = [b - a for a, b in partition_rows(w.s_q, w.n)]
     kv_sizes = [b - a for a, b in partition_rows(w.s_kv, w.n)]
+    # every strategy that fits the worker count and sends anything at all
+    per_worker = {kind.value: {phase: volumes.bytes_by_worker(kind.value, phase, q_sizes,
+                                                              kv_sizes, w.h, w.d, w.elem_bytes)
+                               for phase in volumes.PHASES}
+                  for kind, protocol in PROTOCOLS.items()
+                  if protocol.fits(w.n, w.h) and volumes.HOPS[(kind.value, "forward")]}
     report = {
         "workload": {"s_q": w.s_q, "s_kv": w.s_kv, "h": w.h, "d": w.d,
                      "n": w.n, "elem_bytes": w.elem_bytes},
-        "per_worker_bytes": {
-            "lvx": {
-                "forward": volumes.lvx_forward_bytes_by_worker(q_sizes, w.h, w.d, w.elem_bytes),
-                "backward": volumes.lvx_backward_bytes_by_worker(q_sizes, w.h, w.d, w.elem_bytes),
-            },
-            "ring": {
-                "forward": volumes.ring_forward_bytes_by_worker(kv_sizes, w.h, w.d, w.elem_bytes),
-                "backward": volumes.ring_backward_bytes_by_worker(kv_sizes, w.h, w.d, w.elem_bytes),
-            },
-        },
-        "per_round_bytes": {
-            "lvx": {"forward": round_comm_bytes("lvx", "forward", w),
-                    "backward": round_comm_bytes("lvx", "backward", w)},
-            "ring": {"forward": round_comm_bytes("ring", "forward", w),
-                     "backward": round_comm_bytes("ring", "backward", w)},
-        },
+        "per_worker_bytes": per_worker,
+        "per_round_bytes": {s: {phase: round_comm_bytes(s, phase, w) for phase in volumes.PHASES}
+                            for s in ("lvx", "ring")},
     }
-    if w.h % w.n == 0:
-        report["per_worker_bytes"]["head"] = {
-            "forward": volumes.head_parallel_forward_bytes_by_worker(
-                q_sizes, kv_sizes, w.h, w.d, w.elem_bytes),
-            "backward": volumes.head_parallel_backward_bytes_by_worker(
-                q_sizes, kv_sizes, w.h, w.d, w.elem_bytes),
-        }
     ratio = lvx_ring_forward_volume_ratio(w)
     report["lvx_ring_forward_volume_ratio"] = ratio
     report["lvx_ring_forward_volume_ratio_rounded"] = round(ratio, 4)

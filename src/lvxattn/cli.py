@@ -27,7 +27,7 @@ from .kernels import DEFAULT_TILE_ROWS
 from .mllm import (ActivationPolicy, ModelParams, OpCounter, ToyMllmConfig,
                    TOY_CONFIG, max_frames_under_budget, measured_activation_bytes,
                    mllm_backward, mllm_forward)
-from .strategies import StrategyKind, run_distributed
+from .strategies import PROTOCOLS, StrategyKind, run_distributed
 from .tensorio import (dtype_from_name, load_tensor, seeded_random_tensor,
                        store_tensor)
 from .verify import SUITES, run_suite
@@ -110,7 +110,7 @@ def _numeric_working_set(strategy: str, s_q: int, s_kv: int, h: int, d: int,
 
 
 def cmd_run(args) -> int:
-    _require_positive(args, ["sq", "skv", "h", "d", "bandwidth", "tile_rows"])
+    _require_positive(args, ["n", "sq", "skv", "h", "d", "bandwidth", "tile_rows"])
     if args.mode == "accounting-only":
         w, _ = _workload_from_args(args, default_n=args.n)
         report = analytics.volume_report(w)
@@ -125,7 +125,7 @@ def cmd_run(args) -> int:
             if getattr(args, name) is None:
                 raise ValueError(f"--{name} is required in numeric mode")
         s_q, s_kv, h, d = args.sq, args.skv, args.h, args.d
-        n = args.n or 1
+        n = args.n if args.n is not None else 1
     dtype = dtype_from_name(args.dtype or "f64")
     total_elems = _numeric_working_set(args.strategy, s_q, s_kv, h, d, args.tile_rows,
                                        upcast=args.dtype == "f32", backward=args.backward)
@@ -315,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run one distributed attention problem")
-    p_run.add_argument("--strategy", choices=[s.value for s in StrategyKind],
+    p_run.add_argument("--strategy", choices=[kind.value for kind in PROTOCOLS],
                        default="lvx")
     p_run.add_argument("--n", type=int, default=None, help="worker count")
     p_run.add_argument("--sq", type=int, default=None, help="query rows S_Q")

@@ -24,9 +24,6 @@ import numpy as np
 DEFAULT_TIMEOUT_SECONDS = 30.0
 TIMEOUT_ENV_VAR = "LVX_TIMEOUT_SECS"
 
-_RING_TAG_BASE = 1 << 40
-_A2A_TAG_BASE = 1 << 41
-
 
 class ClusterError(RuntimeError):
     pass
@@ -225,8 +222,8 @@ class Cluster:
 
 
 class WorkerContext:
-    """Per-worker handle: point-to-point send/recv plus ring and all-to-all
-    collectives. send is non-blocking (buffered); recv blocks until the
+    """Per-worker handle: point-to-point send/recv plus an all-to-all
+    collective. send is non-blocking (buffered); recv blocks until the
     matching (src, tag) message arrives, FIFO per (src, tag). A worker may
     hold one outstanding send, one outstanding recv, and local compute at
     the same time."""
@@ -234,8 +231,6 @@ class WorkerContext:
     def __init__(self, cluster: Cluster, rank: int):
         self.cluster = cluster
         self.rank = rank
-        self._ring_gen = 0
-        self._a2a_gen = 0
         self._next_tag = 0
 
     @property
@@ -263,22 +258,13 @@ class WorkerContext:
     def recv(self, src: int, tag: int) -> Message:
         return self.cluster.recv(self.rank, src, tag)
 
-    def ring_shift(self, payload, meta=None) -> Message:
-        """Send to successor, receive the predecessor's payload. Collective;
-        n = 1 is loopback. Composing it n times restores the original."""
-        tag = _RING_TAG_BASE + self._ring_gen
-        self._ring_gen += 1
-        self.send(self.successor, tag, payload, meta=meta)
-        return self.recv(self.predecessor, tag)
-
     def all_to_all(self, chunks: list) -> list:
         """Deliver chunk w to worker w; returns the n received payloads ordered
         by source id. The self-chunk never touches the transport."""
         if len(chunks) != self.n:
             raise ClusterError(f"worker {self.rank}: all_to_all expects {self.n} chunks, "
                                f"got {len(chunks)}")
-        tag = _A2A_TAG_BASE + self._a2a_gen
-        self._a2a_gen += 1
+        tag = self.collective_tag()
         for dst in range(self.n):
             if dst != self.rank:
                 self.send(dst, tag, chunks[dst])

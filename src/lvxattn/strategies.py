@@ -13,6 +13,11 @@ Four strategies, all exact:
           head count to be divisible by the worker count.
   single  the dense reference path on one worker.
 
+Each strategy is one `Protocol` record in PROTOCOLS: its forward and backward
+bodies, which share one signature, and the worker-count rule; the messages
+they send are its rows of the hop table in `volumes`. `run_distributed`,
+the verify suites, the accounting-only report and the CLI all read PROTOCOLS.
+
 Row partitions may be uneven (sizes differ by at most one); rotated blocks
 carry their block id and row range as message metadata and every receive
 checks them, so a protocol bug fails loudly instead of corrupting results.
@@ -23,6 +28,7 @@ tensors.
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -159,11 +165,15 @@ class RoundTrace:
         }
 
 
-def _counted(ctx: WorkerContext, dst: int, arrays: dict[str, np.ndarray]) -> dict[str, int]:
-    # transport counts payload bytes only for off-worker messages
-    if dst == ctx.rank:
-        return {cls: 0 for cls in arrays}
-    return {cls: int(a.nbytes) for cls, a in arrays.items()}
+def _sent(ctx: WorkerContext, classes, messages) -> dict[str, int]:
+    """Payload bytes per tensor class over (dst, arrays) messages, the arrays
+    in `classes` order; the transport counts nothing for loopback."""
+    out = dict.fromkeys(classes, 0)
+    for dst, arrays in messages:
+        if dst != ctx.rank:
+            for cls, a in zip(classes, arrays):
+                out[cls] += int(a.nbytes)
+    return out
 
 
 def _expect_block(msg_meta: dict | None, key: str, block: int, where: str) -> None:
@@ -198,11 +208,11 @@ def lvx_forward(ctx: WorkerContext, shards: ShardSpec, q_block: np.ndarray,
     for r in range(n):
         j = (i - r) % n
         j_next = (i - r - 1) % n
-        ctx.send(ctx.successor, tags + r, [send_state.O, send_state.L, q_send],
+        payload = [send_state.O, send_state.L, q_send]
+        ctx.send(ctx.successor, tags + r, payload,
                  meta={"state_block": send_block, "state_rows": shards.q_ranges[send_block],
                        "q_block": q_send_block, "q_rows": shards.q_ranges[q_send_block]})
-        sent = _counted(ctx, ctx.successor,
-                        {"O": send_state.O, "L": send_state.L, "Q": q_send})
+        sent = _sent(ctx, ("O", "L", "Q"), [(ctx.successor, payload)])
         t0 = time.perf_counter()
         delta = blockwise_attention(q_cur, k_block, v_block, scale, tile_rows)
         compute_s = time.perf_counter() - t0
@@ -217,9 +227,10 @@ def lvx_forward(ctx: WorkerContext, shards: ShardSpec, q_block: np.ndarray,
         q_send = q_cur = msg.payload[2]
         q_send_block = j_next
 
-    ctx.send(ctx.successor, tags + n, [send_state.O, send_state.L],
+    payload = [send_state.O, send_state.L]
+    ctx.send(ctx.successor, tags + n, payload,
              meta={"state_block": send_block, "state_rows": shards.q_ranges[send_block]})
-    epi_sent = _counted(ctx, ctx.successor, {"O": send_state.O, "L": send_state.L})
+    epi_sent = _sent(ctx, ("O", "L"), [(ctx.successor, payload)])
     msg = ctx.recv(ctx.predecessor, tags + n)
     _expect_block(msg.meta, "state_block", i, f"worker {i} epilogue")
     if msg.meta.get("state_rows") != shards.q_ranges[i]:
@@ -261,11 +272,9 @@ def lvx_backward(ctx: WorkerContext, shards: ShardSpec, q_block: np.ndarray,
         compute_s = time.perf_counter() - t0
         dk_local += dk_c
         dv_local += dv_c
-        dq_j = dq_j + dq_c
-        ctx.send(ctx.successor, tags + r, [q_j, do_j, l_j, d_j, dq_j],
-                 meta={"block": j, "rows": shards.q_ranges[j]})
-        sent = _counted(ctx, ctx.successor,
-                        {"Q": q_j, "dO": do_j, "L": l_j, "D": d_j, "dQ": dq_j})
+        payload = [q_j, do_j, l_j, d_j, dq_j + dq_c]
+        ctx.send(ctx.successor, tags + r, payload, meta={"block": j, "rows": shards.q_ranges[j]})
+        sent = _sent(ctx, ("Q", "dO", "L", "D", "dQ"), [(ctx.successor, payload)])
         msg = ctx.recv(ctx.predecessor, tags + r)
         _expect_block(msg.meta, "block", (i - r - 1) % n, f"worker {i} backward round {r}")
         if trace is not None:
@@ -295,7 +304,7 @@ def ring_forward(ctx: WorkerContext, shards: ShardSpec, q_block: np.ndarray,
         if r < n - 1:
             ctx.send(ctx.successor, tags + r, [k_cur, v_cur],
                      meta={"block": blk, "rows": shards.kv_ranges[blk]})
-            sent = _counted(ctx, ctx.successor, {"K": k_cur, "V": v_cur})
+            sent = _sent(ctx, ("K", "V"), [(ctx.successor, [k_cur, v_cur])])
         t0 = time.perf_counter()
         delta = blockwise_attention(q_block, k_cur, v_cur, scale, tile_rows)
         compute_s = time.perf_counter() - t0
@@ -341,10 +350,10 @@ def ring_backward(ctx: WorkerContext, shards: ShardSpec, q_block: np.ndarray,
         sent = {}
         comm_s = 0.0
         if r < n - 1:
-            ctx.send(ctx.successor, tags + r, [k_cur, v_cur, dk_cur, dv_cur],
+            payload = [k_cur, v_cur, dk_cur, dv_cur]
+            ctx.send(ctx.successor, tags + r, payload,
                      meta={"block": blk, "rows": shards.kv_ranges[blk]})
-            sent = _counted(ctx, ctx.successor,
-                            {"K": k_cur, "V": v_cur, "dK": dk_cur, "dV": dv_cur})
+            sent = _sent(ctx, ("K", "V", "dK", "dV"), [(ctx.successor, payload)])
             msg = ctx.recv(ctx.predecessor, tags + r)
             _expect_block(msg.meta, "block", (i - r - 1) % n, f"worker {i} backward round {r}")
             k_cur, v_cur, dk_cur, dv_cur = msg.payload
@@ -355,7 +364,7 @@ def ring_backward(ctx: WorkerContext, shards: ShardSpec, q_block: np.ndarray,
     # dk_cur/dv_cur now belong to block i+1; send them home
     ctx.send(ctx.successor, tags + n - 1, [dk_cur, dv_cur],
              meta={"block": blk, "rows": shards.kv_ranges[blk]})
-    epi_sent = _counted(ctx, ctx.successor, {"dK": dk_cur, "dV": dv_cur})
+    epi_sent = _sent(ctx, ("dK", "dV"), [(ctx.successor, [dk_cur, dv_cur])])
     msg = ctx.recv(ctx.predecessor, tags + n - 1)
     _expect_block(msg.meta, "block", i, f"worker {i} backward epilogue")
     if trace is not None:
@@ -364,57 +373,57 @@ def ring_backward(ctx: WorkerContext, shards: ShardSpec, q_block: np.ndarray,
     return dq, msg.payload[0], msg.payload[1]
 
 
+@dataclass(frozen=True)
+class _HeadSplitState(AttentionState):
+    """Own rows of O and L plus the head-split, full-sequence Q, K, V and
+    state that the head-parallel backward reuses."""
+
+    saved: tuple
+
+
 def head_parallel_forward(ctx: WorkerContext, shards: ShardSpec, q_block: np.ndarray,
                           k_block: np.ndarray, v_block: np.ndarray, scale: float,
                           tile_rows: int = DEFAULT_TILE_ROWS,
-                          trace: RoundTrace | None = None):
+                          trace: RoundTrace | None = None) -> AttentionState:
     """All-to-all from sequence sharding to head sharding, local attention on
-    the owned heads over the full sequence, all-to-all back. Returns the own
-    sequence shard's state plus the head-sharded tensors saved for backward."""
-    n, i = ctx.n, ctx.rank
-    h = q_block.shape[0]
-    if h % n != 0:
-        raise ValueError(f"head count {h} not divisible by workers {n}")
-    hpw = h // n
+    the owned heads over the full sequence, all-to-all back."""
+    n = ctx.n
+    hpw = q_block.shape[0] // n
 
-    chunks = [[q_block[w * hpw:(w + 1) * hpw],
-               k_block[w * hpw:(w + 1) * hpw],
+    chunks = [[q_block[w * hpw:(w + 1) * hpw], k_block[w * hpw:(w + 1) * hpw],
                v_block[w * hpw:(w + 1) * hpw]] for w in range(n)]
-    gather_bytes = sum(sum(int(a.nbytes) for a in chunks[w])
-                       for w in range(n) if w != i)
+    sent = _sent(ctx, ("Q", "K", "V"), enumerate(chunks))
     received = ctx.all_to_all(chunks)
-    q_full = np.concatenate([c[0] for c in received], axis=1)
-    k_full = np.concatenate([c[1] for c in received], axis=1)
-    v_full = np.concatenate([c[2] for c in received], axis=1)
+    q_full, k_full, v_full = (np.concatenate([c[t] for c in received], axis=1)
+                              for t in range(3))
 
     t0 = time.perf_counter()
     st = blockwise_attention(q_full, k_full, v_full, scale, tile_rows)
     compute_s = time.perf_counter() - t0
 
     out_chunks = [[st.O[:, a:b], st.L[:, a:b]] for a, b in shards.q_ranges]
-    scatter_bytes = sum(sum(int(a.nbytes) for a in out_chunks[w])
-                        for w in range(n) if w != i)
+    sent.update(_sent(ctx, ("O", "L"), enumerate(out_chunks)))
     received = ctx.all_to_all(out_chunks)
-    o_i = np.concatenate([c[0] for c in received], axis=0)
-    l_i = np.concatenate([c[1] for c in received], axis=0)
     if trace is not None:
-        trace.add_round(compute_s, 0.0,
-                        {"QKV_gather": gather_bytes, "OL_scatter": scatter_bytes})
-    return AttentionState(O=o_i, L=l_i), (q_full, k_full, v_full, st)
+        trace.add_round(compute_s, 0.0, sent)
+    return _HeadSplitState(O=np.concatenate([c[0] for c in received], axis=0),
+                           L=np.concatenate([c[1] for c in received], axis=0),
+                           saved=(q_full, k_full, v_full, st))
 
 
-def head_parallel_backward(ctx: WorkerContext, shards: ShardSpec, saved,
+def head_parallel_backward(ctx: WorkerContext, shards: ShardSpec, q_block: np.ndarray,
+                           k_block: np.ndarray, v_block: np.ndarray, state: _HeadSplitState,
                            do_block: np.ndarray, scale: float,
                            tile_rows: int = DEFAULT_TILE_ROWS,
                            trace: RoundTrace | None = None):
     """Mirror image of the forward: all-to-all dO to head sharding, local dense
     backward on owned heads, all-to-all dQ/dK/dV back to sequence sharding."""
-    n, i = ctx.n, ctx.rank
-    q_full, k_full, v_full, st = saved
+    n = ctx.n
+    q_full, k_full, v_full, st = state.saved
     hpw = q_full.shape[0]
 
     chunks = [[do_block[w * hpw:(w + 1) * hpw]] for w in range(n)]
-    gather_bytes = sum(int(chunks[w][0].nbytes) for w in range(n) if w != i)
+    sent = _sent(ctx, ("dO",), enumerate(chunks))
     received = ctx.all_to_all(chunks)
     do_full = np.concatenate([c[0] for c in received], axis=1)
 
@@ -425,16 +434,72 @@ def head_parallel_backward(ctx: WorkerContext, shards: ShardSpec, saved,
 
     out_chunks = [[gb.dQ[:, qa:qb], gb.dK[:, ka:kb], gb.dV[:, ka:kb]]
                   for (qa, qb), (ka, kb) in zip(shards.q_ranges, shards.kv_ranges)]
-    scatter_bytes = sum(sum(int(a.nbytes) for a in out_chunks[w])
-                        for w in range(n) if w != i)
+    sent.update(_sent(ctx, ("dQ", "dK", "dV"), enumerate(out_chunks)))
     received = ctx.all_to_all(out_chunks)
-    dq_i = np.concatenate([c[0] for c in received], axis=0)
-    dk_i = np.concatenate([c[1] for c in received], axis=0)
-    dv_i = np.concatenate([c[2] for c in received], axis=0)
     if trace is not None:
-        trace.add_round(compute_s, 0.0,
-                        {"dO_gather": gather_bytes, "grad_scatter": scatter_bytes})
-    return dq_i, dk_i, dv_i
+        trace.add_round(compute_s, 0.0, sent)
+    return tuple(np.concatenate([c[t] for c in received], axis=0) for t in range(3))
+
+
+def single_forward(ctx: WorkerContext, shards: ShardSpec, q_block: np.ndarray,
+                   k_block: np.ndarray, v_block: np.ndarray, scale: float,
+                   tile_rows: int = DEFAULT_TILE_ROWS,
+                   trace: RoundTrace | None = None) -> AttentionState:
+    """The dense reference on the one worker, which holds every row."""
+    t0 = time.perf_counter()
+    state = dense_attention(q_block, k_block, v_block, scale)
+    if trace is not None:
+        trace.add_round(time.perf_counter() - t0, 0.0, {})
+    return state
+
+
+def single_backward(ctx: WorkerContext, shards: ShardSpec, q_block: np.ndarray,
+                    k_block: np.ndarray, v_block: np.ndarray, state: AttentionState,
+                    do_block: np.ndarray, scale: float,
+                    tile_rows: int = DEFAULT_TILE_ROWS,
+                    trace: RoundTrace | None = None):
+    t0 = time.perf_counter()
+    gb = dense_attention_backward(q_block, k_block, v_block, state.O, state.L, do_block,
+                                  scale, tile_rows)
+    if trace is not None:
+        trace.add_round(time.perf_counter() - t0, 0.0, {})
+    return gb.dQ, gb.dK, gb.dV
+
+
+@dataclass(frozen=True)
+class Protocol:
+    """One strategy: its per-worker forward and backward bodies (both
+    collective over all n workers) and its worker-count rule, which returns
+    why a (workers, heads) pair is refused or None. Its messages are the hop
+    table rows `volumes.HOPS[(kind, phase)]`."""
+
+    forward: Callable
+    backward: Callable
+    refusal: Callable[[int, int], str | None]
+
+    def fits(self, n: int, h: int) -> bool:
+        return self.refusal(n, h) is None
+
+    def check(self, n: int, h: int) -> None:
+        reason = self.refusal(n, h)
+        if reason is not None:
+            raise ValueError(reason)
+
+
+def _any_workers(n: int, h: int) -> None:
+    return None
+
+
+PROTOCOLS = {
+    StrategyKind.LVX: Protocol(lvx_forward, lvx_backward, _any_workers),
+    StrategyKind.RING: Protocol(ring_forward, ring_backward, _any_workers),
+    StrategyKind.HEAD_PARALLEL: Protocol(
+        head_parallel_forward, head_parallel_backward,
+        lambda n, h: None if h % n == 0 else f"head count {h} not divisible by workers {n}"),
+    StrategyKind.SINGLE: Protocol(
+        single_forward, single_backward,
+        lambda n, h: None if n == 1 else f"single-worker strategy requires n=1, got n={n}"),
+}
 
 
 @dataclass
@@ -450,7 +515,8 @@ class RunResult:
 
 @dataclass
 class _WorkerOut:
-    state: AttentionState
+    O: np.ndarray
+    L: np.ndarray
     grads: tuple | None
     trace_forward: RoundTrace
     trace_backward: RoundTrace | None
@@ -465,6 +531,7 @@ def run_distributed(strategy, Q: np.ndarray, K: np.ndarray, V: np.ndarray,
     """Scatter Q/K/V by rows, run the strategy collectively, gather the full
     O, L (and gradients when dO is given) with transport stats and traces."""
     strategy = StrategyKind(strategy)
+    protocol = PROTOCOLS[strategy]
     spec = spec or ClusterSpec(1)
     validate_qkv(Q, K, V)
     h, s_q, d = Q.shape
@@ -473,12 +540,11 @@ def run_distributed(strategy, Q: np.ndarray, K: np.ndarray, V: np.ndarray,
         raise ValueError(f"dO shape {dO.shape} != Q shape {Q.shape}")
     if scale is None:
         scale = default_scale(d)
+    if not np.isfinite(scale):
+        raise ValueError(f"scale must be finite, got {scale}")
     if tile_rows < 1:
         raise ValueError(f"tile_rows must be >= 1, got {tile_rows}")
-    if strategy is StrategyKind.SINGLE and spec.n != 1:
-        raise ValueError("single-worker strategy requires n=1")
-    if strategy is StrategyKind.HEAD_PARALLEL and h % spec.n != 0:
-        raise ValueError(f"head count {h} not divisible by workers {spec.n}")
+    protocol.check(spec.n, h)
     shards = ShardSpec.balanced(s_q, s_kv, spec.n)
 
     def body(ctx: WorkerContext) -> _WorkerOut:
@@ -487,38 +553,13 @@ def run_distributed(strategy, Q: np.ndarray, K: np.ndarray, V: np.ndarray,
         ka, kb = shards.kv_ranges[i]
         q_i, k_i, v_i = Q[:, qa:qb], K[:, ka:kb], V[:, ka:kb]
         ftrace = RoundTrace(strategy=strategy.value, phase="forward")
-        saved = None
-        t0 = time.perf_counter()
-        if strategy is StrategyKind.SINGLE:
-            state = dense_attention(Q, K, V, scale)
-            ftrace.add_round(time.perf_counter() - t0, 0.0, {})
-        elif strategy is StrategyKind.LVX:
-            state = lvx_forward(ctx, shards, q_i, k_i, v_i, scale, tile_rows, ftrace)
-        elif strategy is StrategyKind.RING:
-            state = ring_forward(ctx, shards, q_i, k_i, v_i, scale, tile_rows, ftrace)
-        else:
-            state, saved = head_parallel_forward(ctx, shards, q_i, k_i, v_i,
-                                                 scale, tile_rows, ftrace)
-        if dO is None:
-            return _WorkerOut(state=state, grads=None, trace_forward=ftrace,
-                              trace_backward=None)
-        do_i = dO[:, qa:qb]
-        btrace = RoundTrace(strategy=strategy.value, phase="backward")
-        if strategy is StrategyKind.SINGLE:
-            t0 = time.perf_counter()
-            gb = dense_attention_backward(Q, K, V, state.O, state.L, dO, scale, tile_rows)
-            btrace.add_round(time.perf_counter() - t0, 0.0, {})
-            grads = (gb.dQ, gb.dK, gb.dV)
-        elif strategy is StrategyKind.LVX:
-            grads = lvx_backward(ctx, shards, q_i, k_i, v_i, state, do_i, scale,
-                                 tile_rows, btrace)
-        elif strategy is StrategyKind.RING:
-            grads = ring_backward(ctx, shards, q_i, k_i, v_i, state, do_i, scale,
-                                  tile_rows, btrace)
-        else:
-            grads = head_parallel_backward(ctx, shards, saved, do_i, scale,
-                                           tile_rows, btrace)
-        return _WorkerOut(state=state, grads=grads, trace_forward=ftrace,
+        state = protocol.forward(ctx, shards, q_i, k_i, v_i, scale, tile_rows, ftrace)
+        grads = btrace = None
+        if dO is not None:
+            btrace = RoundTrace(strategy=strategy.value, phase="backward")
+            grads = protocol.backward(ctx, shards, q_i, k_i, v_i, state, dO[:, qa:qb],
+                                      scale, tile_rows, btrace)
+        return _WorkerOut(O=state.O, L=state.L, grads=grads, trace_forward=ftrace,
                           trace_backward=btrace)
 
     run = spawn_cluster(ClusterSpec(spec.n, spec.transport), body, timeout=timeout)
@@ -527,31 +568,25 @@ def run_distributed(strategy, Q: np.ndarray, K: np.ndarray, V: np.ndarray,
     out_dt = np.result_type(Q, K, V)
     o_full = np.zeros((h, s_q, d), dtype=out_dt)
     l_full = np.zeros((h, s_q), dtype=out_dt)
-    if strategy is StrategyKind.SINGLE:
-        o_full, l_full = outs[0].state.O, outs[0].state.L
-    else:
-        for i, out in enumerate(outs):
-            qa, qb = shards.q_ranges[i]
-            if out.state.O.shape[1] != qb - qa:
-                raise ClusterError(f"worker {i} returned {out.state.O.shape[1]} rows, "
-                                   f"expected {qb - qa}")
-            o_full[:, qa:qb] = out.state.O
-            l_full[:, qa:qb] = out.state.L
+    for i, out in enumerate(outs):
+        qa, qb = shards.q_ranges[i]
+        if out.O.shape[1] != qb - qa:
+            raise ClusterError(f"worker {i} returned {out.O.shape[1]} rows, "
+                               f"expected {qb - qa}")
+        o_full[:, qa:qb] = out.O
+        l_full[:, qa:qb] = out.L
 
     grads = None
     if dO is not None:
-        if strategy is StrategyKind.SINGLE:
-            dq, dk, dv = outs[0].grads
-        else:
-            dq = np.zeros((h, s_q, d), dtype=out_dt)
-            dk = np.zeros((h, s_kv, d), dtype=out_dt)
-            dv = np.zeros((h, s_kv, d), dtype=out_dt)
-            for i, out in enumerate(outs):
-                qa, qb = shards.q_ranges[i]
-                ka, kb = shards.kv_ranges[i]
-                dq[:, qa:qb] = out.grads[0]
-                dk[:, ka:kb] = out.grads[1]
-                dv[:, ka:kb] = out.grads[2]
+        dq = np.zeros((h, s_q, d), dtype=out_dt)
+        dk = np.zeros((h, s_kv, d), dtype=out_dt)
+        dv = np.zeros((h, s_kv, d), dtype=out_dt)
+        for i, out in enumerate(outs):
+            qa, qb = shards.q_ranges[i]
+            ka, kb = shards.kv_ranges[i]
+            dq[:, qa:qb] = out.grads[0]
+            dk[:, ka:kb] = out.grads[1]
+            dv[:, ka:kb] = out.grads[2]
         grads = GradientBundle(dQ=dq, dK=dk, dV=dv)
 
     return RunResult(O=o_full, L=l_full, grads=grads, stats=run.stats,

@@ -21,7 +21,7 @@ from .kernels import (dense_attention, dense_attention_backward, project,
 from .mllm import (ActivationPolicy, ModelParams, OpCounter, ToyMllmConfig,
                    TOY_CONFIG, max_frames_under_budget, mllm_backward,
                    mllm_forward, projection_flops)
-from .strategies import StrategyKind, run_distributed
+from .strategies import PROTOCOLS, StrategyKind, run_distributed
 from .tensorio import seeded_random_tensor
 
 EXACTNESS_SHAPES = [(5, 7), (8, 8), (3, 16), (16, 3)]
@@ -69,12 +69,7 @@ def max_norm_error(actual: np.ndarray, expected: np.ndarray) -> float:
 
 
 def strategies_for(n: int, h: int) -> list[StrategyKind]:
-    out = [StrategyKind.LVX, StrategyKind.RING]
-    if h % n == 0:
-        out.append(StrategyKind.HEAD_PARALLEL)
-    if n == 1:
-        out.append(StrategyKind.SINGLE)
-    return out
+    return [kind for kind, protocol in PROTOCOLS.items() if protocol.fits(n, h)]
 
 
 def iter_exactness_configs():
@@ -225,19 +220,9 @@ def gradients_suite() -> list[Check]:
 
 def expected_bytes_by_worker(strategy: StrategyKind, phase: str, q_sizes, kv_sizes,
                              h: int, d: int, elem_bytes: int) -> list[int]:
-    if strategy is StrategyKind.SINGLE:
-        return [0]
-    if strategy is StrategyKind.LVX:
-        fn = (volumes.lvx_forward_bytes_by_worker if phase == "forward"
-              else volumes.lvx_backward_bytes_by_worker)
-        return fn(q_sizes, h, d, elem_bytes)
-    if strategy is StrategyKind.RING:
-        fn = (volumes.ring_forward_bytes_by_worker if phase == "forward"
-              else volumes.ring_backward_bytes_by_worker)
-        return fn(kv_sizes, h, d, elem_bytes)
-    fn = (volumes.head_parallel_forward_bytes_by_worker if phase == "forward"
-          else volumes.head_parallel_backward_bytes_by_worker)
-    return fn(q_sizes, kv_sizes, h, d, elem_bytes)
+    strategy = StrategyKind(strategy)
+    PROTOCOLS[strategy].check(len(q_sizes), h)
+    return volumes.bytes_by_worker(strategy.value, phase, q_sizes, kv_sizes, h, d, elem_bytes)
 
 
 def volumes_suite() -> list[Check]:
@@ -267,9 +252,9 @@ def volumes_suite() -> list[Check]:
             name = (f"volumes/{strategy.value}/n{n}/h{h}/sq{s_q}-skv{s_kv}/"
                     f"{np.dtype(dtype).name}")
             checks.append(Check(name=name, error=float(mismatch), tolerance=0.0))
-            if strategy is not StrategyKind.SINGLE:
-                w = WorkloadSpec(s_q=s_q, s_kv=s_kv, h=h, d=d, n=n, elem_bytes=b)
-                pred = volume_report(w)["per_worker_bytes"][strategy.value]
+            w = WorkloadSpec(s_q=s_q, s_kv=s_kv, h=h, d=d, n=n, elem_bytes=b)
+            pred = volume_report(w)["per_worker_bytes"].get(strategy.value)
+            if pred is not None:
                 model_mismatch = 0 if (pred["forward"] == fwd and pred["backward"] == bwd) else 1
                 checks.append(Check(name=name + "/model", error=float(model_mismatch),
                                     tolerance=0.0))

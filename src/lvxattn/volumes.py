@@ -1,162 +1,121 @@
 """Closed-form communication volumes for the distributed attention protocols.
 
 This module is the single place that pins down which tensor classes travel in
-each protocol round, so the analytic cost model and the byte counters measured
-by the transport cannot drift apart. All functions count tensor payload bytes
-only, matching the transport's accounting, and return 0 for n = 1 because
-loopback delivery is free.
+each protocol round, so the analytic cost model, the accounting-only report
+and the byte counters measured by the transport cannot drift apart. Counts
+are tensor payload bytes only, matching the transport's accounting, and a
+message a worker addresses to itself costs 0 because loopback delivery is
+free (so every count is 0 for n = 1).
 
-Per-worker closed forms (b = element bytes, |q_j| / |kv_j| = rows of block j,
-all indices mod n):
+`HOPS[(strategy, phase)]` lists the messages of one protocol phase. A hop
+carries its tensor `classes`; each class row holds h*d elements (Q, K, V, O
+and the gradients) or h elements (the L and D row statistics). Its rows are
+those of one block along its `axis`: |q_j| or |kv_j| for block j, indices
+mod n, b bytes per element. On worker i the hop fires as its `when` says:
 
-  query-rotation forward, worker i, round r = 0..n-1:
-      (|q_{i-r+1}| * (h*d + h) + |q_{i-r}| * h*d) * b      (O, L of the block
-      finished last round plus the Q block in flight)
-    epilogue hop:  |q_{i+1}| * (h*d + h) * b               (O, L going home)
+  ROUND     in ring round r = 0..n-1 (0..n-2 with `skips_last_round`) it sends
+            block i-r+offset to the successor
+  EPILOGUE  once after the rounds, sending block i+offset to the successor
+  OWN       an all-to-all in round 0: to every other worker, worker i's own
+            rows of h/n heads
+  PEER      an all-to-all in round 0: to every other worker w, w's rows of
+            h/n heads
 
-  query-rotation backward, round r = 0..n-1:
-      |q_{i-r}| * (3*h*d + 2*h) * b                        (Q, dO, dQ + L, D)
-    the round n-1 send doubles as the homecoming hop.
-
-  kv-rotation forward, shift r = 0..n-2:
-      |kv_{i-r}| * 2*h*d * b                               (K, V)
-
-  kv-rotation backward, shift r = 0..n-2:
-      |kv_{i-r}| * 4*h*d * b                               (K, V, dK, dV)
-    epilogue hop:  |kv_{i+1}| * 2*h*d * b                  (dK, dV going home)
-
-  head-parallel forward (h/n heads per worker):
-      gather:   (n-1) * (|q_i| + 2*|kv_i|) * (h/n) * d * b
-      scatter:  sum_{w != i} |q_w| * (h/n) * (d + 1) * b   (O rows plus L)
-
-  head-parallel backward:
-      gather:   (n-1) * |q_i| * (h/n) * d * b              (dO)
-      scatter:  sum_{w != i} (|q_w| + 2*|kv_w|) * (h/n) * d * b
+So query rotation forward sends (|q_{i-r+1}| (h*d + h) + |q_{i-r}| h*d) b in
+round r (the O, L just finished plus the Q in flight) and |q_{i+1}| (h*d + h) b
+home in its epilogue; head parallelism gathers (n-1) (|q_i| + 2 |kv_i|) (h/n) d b
+and scatters sum_{w != i} |q_w| (h/n) (d + 1) b forward.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
+ROUND, EPILOGUE, OWN, PEER = "round", "epilogue", "own", "peer"
+PHASES = ("forward", "backward")
+
 # Elements per block row for each message class, as (hd_factor, h_factor):
-# row elements = hd_factor * h * d + h_factor * h.
+# row elements = hd_factor * heads * d + h_factor * heads.
 CLASS_ROW_ELEMS = {
     "Q": (1, 0), "O": (1, 0), "dO": (1, 0), "dQ": (1, 0),
     "K": (1, 0), "V": (1, 0), "dK": (1, 0), "dV": (1, 0),
     "L": (0, 1), "D": (0, 1),
 }
 
-# Tensor classes in one rotated message, per (strategy, pass).
-ROUND_PAYLOAD = {
-    ("lvx", "forward"): ("O", "L", "Q"),
-    ("lvx", "backward"): ("Q", "dO", "L", "D", "dQ"),
-    ("ring", "forward"): ("K", "V"),
-    ("ring", "backward"): ("K", "V", "dK", "dV"),
-}
-EPILOGUE_PAYLOAD = {
-    ("lvx", "forward"): ("O", "L"),
-    ("lvx", "backward"): (),
-    ("ring", "forward"): (),
-    ("ring", "backward"): ("dK", "dV"),
+
+@dataclass(frozen=True)
+class Hop:
+    classes: tuple[str, ...]
+    axis: str                       # "q" or "kv"
+    when: str                       # ROUND, EPILOGUE, OWN or PEER
+    offset: int = 0
+    skips_last_round: bool = False
+
+
+HOPS = {
+    ("lvx", "forward"): (Hop(("O", "L"), "q", ROUND, offset=1), Hop(("Q",), "q", ROUND),
+                         Hop(("O", "L"), "q", EPILOGUE, offset=1)),
+    # the round n-1 send doubles as the homecoming hop
+    ("lvx", "backward"): (Hop(("Q", "dO", "L", "D", "dQ"), "q", ROUND),),
+    ("ring", "forward"): (Hop(("K", "V"), "kv", ROUND, skips_last_round=True),),
+    ("ring", "backward"): (Hop(("K", "V", "dK", "dV"), "kv", ROUND, skips_last_round=True),
+                           Hop(("dK", "dV"), "kv", EPILOGUE, offset=1)),
+    ("head", "forward"): (Hop(("Q",), "q", OWN), Hop(("K", "V"), "kv", OWN),
+                          Hop(("O", "L"), "q", PEER)),
+    ("head", "backward"): (Hop(("dO",), "q", OWN), Hop(("dQ",), "q", PEER),
+                           Hop(("dK", "dV"), "kv", PEER)),
+    ("single", "forward"): (),
+    ("single", "backward"): (),
 }
 
 
-def class_row_elems(cls: str, h: int, d: int) -> int:
+def class_row_elems(cls: str, heads: int, d: int) -> int:
     hd, hf = CLASS_ROW_ELEMS[cls]
-    return hd * h * d + hf * h
+    return hd * heads * d + hf * heads
 
 
-def payload_elems(classes, rows: int, h: int, d: int) -> int:
-    return rows * sum(class_row_elems(c, h, d) for c in classes)
-
-
-def lvx_forward_bytes_by_worker(q_sizes, h: int, d: int, elem_bytes: int) -> list[int]:
+def sent_by_class(strategy: str, phase: str, i: int, r: int | None, q_sizes, kv_sizes,
+                  h: int, d: int, elem_bytes: int) -> dict[str, int]:
+    """Bytes per tensor class that worker i sends in round r, or in the
+    epilogue when r is None; only the classes of hops that fire appear."""
     n = len(q_sizes)
-    if n == 1:
-        return [0]
-    out = []
-    for i in range(n):
-        total = 0
-        for r in range(n):
-            j = (i - r) % n
-            j_prev = (i - r + 1) % n
-            total += payload_elems(("O", "L"), q_sizes[j_prev], h, d)
-            total += payload_elems(("Q",), q_sizes[j], h, d)
-        total += payload_elems(EPILOGUE_PAYLOAD[("lvx", "forward")], q_sizes[(i + 1) % n], h, d)
-        out.append(total * elem_bytes)
+    sizes = {"q": q_sizes, "kv": kv_sizes}
+    out = {}
+    for hop in HOPS[(strategy, phase)]:
+        rows = sizes[hop.axis]
+        if hop.when == ROUND and r is not None and r < n - hop.skips_last_round:
+            messages = [((i + 1) % n, rows[(i - r + hop.offset) % n], h)]
+        elif hop.when == EPILOGUE and r is None:
+            messages = [((i + 1) % n, rows[(i + hop.offset) % n], h)]
+        elif hop.when in (OWN, PEER) and r == 0:
+            messages = [(w, rows[i if hop.when == OWN else w], h // n) for w in range(n)]
+        else:
+            continue
+        for cls in hop.classes:
+            out[cls] = elem_bytes * sum(rows_sent * class_row_elems(cls, heads, d)
+                                        for dst, rows_sent, heads in messages if dst != i)
     return out
 
 
-def lvx_backward_bytes_by_worker(q_sizes, h: int, d: int, elem_bytes: int) -> list[int]:
+def bytes_by_worker(strategy: str, phase: str, q_sizes, kv_sizes, h: int, d: int,
+                    elem_bytes: int) -> list[int]:
+    """Total payload bytes each worker sends in one phase, rounds plus epilogue."""
     n = len(q_sizes)
-    if n == 1:
-        return [0]
-    per_row = sum(class_row_elems(c, h, d) for c in ROUND_PAYLOAD[("lvx", "backward")])
-    total = per_row * sum(q_sizes) * elem_bytes   # every block forwarded exactly once
-    return [total] * n
-
-
-def ring_forward_bytes_by_worker(kv_sizes, h: int, d: int, elem_bytes: int) -> list[int]:
-    n = len(kv_sizes)
-    if n == 1:
-        return [0]
-    per_row = sum(class_row_elems(c, h, d) for c in ROUND_PAYLOAD[("ring", "forward")])
-    out = []
-    for i in range(n):
-        total = sum(kv_sizes[(i - r) % n] for r in range(n - 1)) * per_row
-        out.append(total * elem_bytes)
-    return out
-
-
-def ring_backward_bytes_by_worker(kv_sizes, h: int, d: int, elem_bytes: int) -> list[int]:
-    n = len(kv_sizes)
-    if n == 1:
-        return [0]
-    per_row = sum(class_row_elems(c, h, d) for c in ROUND_PAYLOAD[("ring", "backward")])
-    epi_row = sum(class_row_elems(c, h, d) for c in EPILOGUE_PAYLOAD[("ring", "backward")])
-    out = []
-    for i in range(n):
-        total = sum(kv_sizes[(i - r) % n] for r in range(n - 1)) * per_row
-        total += kv_sizes[(i + 1) % n] * epi_row
-        out.append(total * elem_bytes)
-    return out
-
-
-def head_parallel_forward_bytes_by_worker(q_sizes, kv_sizes, h: int, d: int,
-                                          elem_bytes: int) -> list[int]:
-    n = len(q_sizes)
-    if n == 1:
-        return [0]
-    if h % n != 0:
-        raise ValueError(f"head count {h} not divisible by workers {n}")
-    hpw = h // n
-    out = []
-    for i in range(n):
-        gather = (n - 1) * (q_sizes[i] + 2 * kv_sizes[i]) * hpw * d
-        scatter = sum(q_sizes[w] for w in range(n) if w != i) * hpw * (d + 1)
-        out.append((gather + scatter) * elem_bytes)
-    return out
-
-
-def head_parallel_backward_bytes_by_worker(q_sizes, kv_sizes, h: int, d: int,
-                                           elem_bytes: int) -> list[int]:
-    n = len(q_sizes)
-    if n == 1:
-        return [0]
-    if h % n != 0:
-        raise ValueError(f"head count {h} not divisible by workers {n}")
-    hpw = h // n
-    out = []
-    for i in range(n):
-        gather = (n - 1) * q_sizes[i] * hpw * d
-        scatter = sum(q_sizes[w] + 2 * kv_sizes[w] for w in range(n) if w != i) * hpw * d
-        out.append((gather + scatter) * elem_bytes)
-    return out
+    return [sum(sum(sent_by_class(strategy, phase, i, r, q_sizes, kv_sizes, h, d,
+                                  elem_bytes).values())
+                for r in [*range(n), None])
+            for i in range(n)]
 
 
 def round_model_elems(strategy: str, phase: str, s_q: float, s_kv: float,
                       n: int, h: int, d: int) -> float:
-    """Steady-state per-round element count with even S/n shards, as the cost
-    model uses it. Rotated row count is S_Q/n for query rotation and S_KV/n
-    for kv rotation."""
-    classes = ROUND_PAYLOAD[(strategy, phase)]
-    rows = (s_q if strategy == "lvx" else s_kv) / n
-    return rows * sum(class_row_elems(c, h, d) for c in classes)
+    """Steady-state per-round element count of the ROUND hops with even S/n
+    shards, as the cost model uses it: S_Q/n rows per q-axis block and
+    S_KV/n per kv-axis block."""
+    row_elems = {}
+    for hop in HOPS[(strategy, phase)]:
+        if hop.when == ROUND:
+            row_elems[hop.axis] = (row_elems.get(hop.axis, 0)
+                                   + sum(class_row_elems(c, h, d) for c in hop.classes))
+    rows = {"q": s_q / n, "kv": s_kv / n}
+    return sum(rows[axis] * elems for axis, elems in row_elems.items())

@@ -34,9 +34,9 @@ class TestRun:
         for name in ("o", "l", "dq", "dk", "dv"):
             assert (tmp_path / f"{name}.lvxt").exists()
         stats = json.loads((tmp_path / "stats.json").read_text())
-        kv_sizes = [4, 4]
-        expected = (volumes.ring_forward_bytes_by_worker(kv_sizes, 2, 3, 8)[0]
-                    + volumes.ring_backward_bytes_by_worker(kv_sizes, 2, 3, 8)[0])
+        q_sizes, kv_sizes = [3, 3], [4, 4]
+        expected = (volumes.bytes_by_worker("ring", "forward", q_sizes, kv_sizes, 2, 3, 8)[0]
+                    + volumes.bytes_by_worker("ring", "backward", q_sizes, kv_sizes, 2, 3, 8)[0])
         assert stats["per_worker_bytes_sent"] == [expected, expected]
 
     def test_deterministic_outputs(self, tmp_path):
@@ -93,6 +93,22 @@ class TestRun:
                      "--out-dir", str(tmp_path))
         assert rc == 2
         assert "--tile-rows must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "o.lvxt").exists()
+
+    def test_zero_workers_is_usage_error(self, tmp_path, capsys):
+        rc = run_cli("run", "--strategy", "lvx", "--n", "0", "--sq", "4",
+                     "--skv", "4", "--h", "1", "--d", "2", "--out-dir", str(tmp_path))
+        assert rc == 2
+        assert "--n must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "stats.json").exists()
+
+    @pytest.mark.parametrize("scale", ["inf", "-inf", "nan"])
+    def test_non_finite_scale_is_usage_error(self, tmp_path, capsys, scale):
+        rc = run_cli("run", "--strategy", "lvx", "--n", "2", "--sq", "4",
+                     "--skv", "4", "--h", "1", "--d", "2", f"--scale={scale}",
+                     "--out-dir", str(tmp_path))
+        assert rc == 2
+        assert "scale must be finite" in capsys.readouterr().err
         assert not (tmp_path / "o.lvxt").exists()
 
     def test_score_matrix_counted_before_tensors_built(self, monkeypatch, capsys):

@@ -32,7 +32,8 @@ def test_throttled_modeled_time_formula():
     payload = np.zeros(125_000, dtype=np.float64)   # 1 MB
 
     def body(ctx):
-        ctx.ring_shift([payload])
+        ctx.send(ctx.successor, 0, [payload])
+        ctx.recv(ctx.predecessor, 0)
 
     res = spawn_cluster(ClusterSpec(4, Throttled(bandwidth=1e9, latency=1e-3)), body)
     for i in range(4):
@@ -48,7 +49,8 @@ def test_throttled_recv_not_earlier_than_modeled():
 
     def body(ctx):
         start = time.monotonic()
-        ctx.ring_shift([payload])
+        ctx.send(ctx.successor, 0, [payload])
+        ctx.recv(ctx.predecessor, 0)
         return time.monotonic() - start
 
     res = spawn_cluster(ClusterSpec(2, Throttled(bandwidth=bandwidth)), body)
@@ -95,7 +97,8 @@ def test_fifo_per_src_tag_stream():
 
 def test_ring_shift_rotation():
     def body(ctx):
-        return int(ctx.ring_shift([np.array([ctx.rank])]).payload[0][0])
+        ctx.send(ctx.successor, 0, [np.array([ctx.rank])])
+        return int(ctx.recv(ctx.predecessor, 0).payload[0][0])
 
     res = spawn_cluster(ClusterSpec(3), body)
     assert res.results == [2, 0, 1]
@@ -103,7 +106,8 @@ def test_ring_shift_rotation():
 
 def test_ring_shift_loopback():
     def body(ctx):
-        return int(ctx.ring_shift([np.array([99])]).payload[0][0])
+        ctx.send(ctx.successor, 0, [np.array([99])])
+        return int(ctx.recv(ctx.predecessor, 0).payload[0][0])
 
     res = spawn_cluster(ClusterSpec(1), body)
     assert res.results == [99]
@@ -115,8 +119,9 @@ def test_ring_shift_n_times_is_identity():
 
     def body(ctx):
         value = np.array([ctx.rank * 100])
-        for _ in range(n):
-            value = ctx.ring_shift([value]).payload[0]
+        for step in range(n):
+            ctx.send(ctx.successor, step, [value])
+            value = ctx.recv(ctx.predecessor, step).payload[0]
         return int(value[0])
 
     res = spawn_cluster(ClusterSpec(n), body)
@@ -218,8 +223,9 @@ def test_throttled_validation():
 def test_instant_results_independent_of_scheduling():
     def body(ctx):
         total = np.zeros(4)
-        for _ in range(5):
-            got = ctx.ring_shift([np.full(4, float(ctx.rank))])
+        for step in range(5):
+            ctx.send(ctx.successor, step, [np.full(4, float(ctx.rank))])
+            got = ctx.recv(ctx.predecessor, step)
             total = total + got.payload[0]
         return total.tobytes()
 

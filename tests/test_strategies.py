@@ -136,7 +136,8 @@ class TestVolumes:
         res = run_distributed("lvx", Q, K, V, spec=ClusterSpec(n))
         for i in range(n):
             assert res.stats.bytes_sent_by(i) == expected
-        assert volumes.lvx_forward_bytes_by_worker([q] * n, h, d, b) == [expected] * n
+        assert volumes.bytes_by_worker("lvx", "forward", [q] * n, [s_kv // n] * n,
+                                       h, d, b) == [expected] * n
 
     def test_ring_even_shards_match_spec_formula(self):
         n, h, d, b = 3, 2, 5, 8
@@ -152,8 +153,9 @@ class TestVolumes:
         n, h, d, b = 3, 2, 4, 8
         Q, K, V, dO = rand_problem(h, 5, 7, d, seed=9)
         res = run_distributed("lvx", Q, K, V, dO=dO, spec=ClusterSpec(n))
-        fwd = volumes.lvx_forward_bytes_by_worker(res.shards.q_sizes, h, d, b)
-        bwd = volumes.lvx_backward_bytes_by_worker(res.shards.q_sizes, h, d, b)
+        q_sizes, kv_sizes = res.shards.q_sizes, res.shards.kv_sizes
+        fwd = volumes.bytes_by_worker("lvx", "forward", q_sizes, kv_sizes, h, d, b)
+        bwd = volumes.bytes_by_worker("lvx", "backward", q_sizes, kv_sizes, h, d, b)
         for i in range(n):
             assert res.stats.bytes_sent_by(i) == fwd[i] + bwd[i]
             assert res.traces_forward[i].total_sent_bytes() == fwd[i]
@@ -166,10 +168,27 @@ class TestVolumes:
         assert np.all(res.grads.dQ == 0)
         assert np.all(res.grads.dK == 0)
         assert np.all(res.grads.dV == 0)
-        fwd = volumes.lvx_forward_bytes_by_worker(res.shards.q_sizes, h, d, b)
-        bwd = volumes.lvx_backward_bytes_by_worker(res.shards.q_sizes, h, d, b)
+        q_sizes, kv_sizes = res.shards.q_sizes, res.shards.kv_sizes
+        fwd = volumes.bytes_by_worker("lvx", "forward", q_sizes, kv_sizes, h, d, b)
+        bwd = volumes.bytes_by_worker("lvx", "backward", q_sizes, kv_sizes, h, d, b)
         for i in range(n):
             assert res.stats.bytes_sent_by(i) == fwd[i] + bwd[i]
+
+    def test_head_even_shards_match_spec_formula(self):
+        n, h, d, b = 3, 6, 5, 8
+        s_q, s_kv = 6, 9
+        q, kv, hpw = [s_q // n] * n, [s_kv // n] * n, h // n
+        Q, K, V, dO = rand_problem(h, s_q, s_kv, d, seed=24)
+        res = run_distributed("head", Q, K, V, dO=dO, spec=ClusterSpec(n))
+        for i in range(n):
+            others = [w for w in range(n) if w != i]
+            fwd = ((n - 1) * (q[i] + 2 * kv[i]) * hpw * d * b
+                   + sum(q[w] for w in others) * hpw * (d + 1) * b)
+            bwd = ((n - 1) * q[i] * hpw * d * b
+                   + sum(q[w] + 2 * kv[w] for w in others) * hpw * d * b)
+            assert res.traces_forward[i].total_sent_bytes() == fwd
+            assert res.traces_backward[i].total_sent_bytes() == bwd
+            assert res.stats.bytes_sent_by(i) == fwd + bwd
 
     def test_per_round_volume_ordering_when_kv_larger(self):
         # steady-state per-round volume: query rotation ships less than kv
@@ -216,6 +235,29 @@ class TestTraces:
             assert record.sent_bytes_by_class["L"] * d == record.sent_bytes_by_class["O"]
 
 
+@pytest.mark.parametrize("strategy", ["lvx", "ring", "head"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("s_q,s_kv", [(5, 7), (2, 9), (9, 2)])
+def test_every_round_matches_hop_table(strategy, n, s_q, s_kv):
+    # uneven shards; (2, 9) leaves an empty query shard at n=3, (9, 2) an empty kv shard
+    h, d = 6, 3
+    Q, K, V, dO = rand_problem(h, s_q, s_kv, d, seed=25)
+    for dtype in (np.float64, np.float32):
+        b = np.dtype(dtype).itemsize
+        res = run_distributed(strategy, *(t.astype(dtype) for t in (Q, K, V)),
+                              dO=dO.astype(dtype), spec=ClusterSpec(n))
+        sizes = (res.shards.q_sizes, res.shards.kv_sizes)
+        for phase, traces in (("forward", res.traces_forward),
+                              ("backward", res.traces_backward)):
+            for i, trace in enumerate(traces):
+                assert trace.num_rounds == (1 if strategy == "head" else n)
+                for record in trace.rounds:
+                    assert record.sent_bytes_by_class == volumes.sent_by_class(
+                        strategy, phase, i, record.index, *sizes, h, d, b), (phase, i)
+                assert trace.epilogue_bytes_by_class == volumes.sent_by_class(
+                    strategy, phase, i, None, *sizes, h, d, b), (phase, i)
+
+
 class TestErrors:
     def test_head_divisibility(self):
         Q, K, V, _ = rand_problem(4, 6, 6, 3, seed=16)
@@ -245,6 +287,17 @@ class TestErrors:
         Q, K, V, dO = rand_problem(2, 4, 4, 3, seed=21)
         with pytest.raises(ValueError, match="tile_rows"):
             run_distributed("lvx", Q, K, V, dO=dO, spec=ClusterSpec(2), tile_rows=0)
+
+
+    @pytest.mark.parametrize("scale", [np.inf, -np.inf, np.nan])
+    def test_non_finite_scale_rejected_before_spawn(self, monkeypatch, scale):
+        def no_spawn(*args, **kwargs):
+            raise AssertionError("workers spawned")
+
+        monkeypatch.setattr(strategies, "spawn_cluster", no_spawn)
+        Q, K, V, dO = rand_problem(2, 4, 4, 3, seed=26)
+        with pytest.raises(ValueError, match="scale must be finite"):
+            run_distributed("lvx", Q, K, V, dO=dO, spec=ClusterSpec(2), scale=scale)
 
 
 @pytest.mark.parametrize("strategy,n", [("lvx", 2), ("ring", 2), ("head", 2), ("single", 1)])
