@@ -12,8 +12,8 @@ from .analytics import (HardwareSpec, RegimeReport, WorkloadSpec, classify_regim
                         get_preset, memory_cross_attention, round_times, speedup,
                         speedup_closed_form, sweep, volume_report,
                         workload_from_video)
-from .cluster import (ClusterSpec, Instant, Message, Throttled, TransportStats,
-                      WorkerContext, spawn_cluster)
+from .cluster import (ClusterSpec, Instant, Message, RoundTrace, Throttled,
+                      TransportStats, WorkerContext, spawn_cluster)
 from .kernels import (AttentionState, GradientBundle, blockwise_attention,
                       blockwise_attention_backward, dense_attention,
                       dense_attention_backward, empty_state, merge_states,
@@ -21,8 +21,7 @@ from .kernels import (AttentionState, GradientBundle, blockwise_attention,
 from .mllm import (ActivationPolicy, MemoryLedger, ModelParams, ToyMllmConfig,
                    analytic_ledger, max_frames_under_budget, mllm_backward,
                    mllm_forward)
-from .strategies import (RoundTrace, ShardSpec, StrategyKind, partition_rows,
-                         run_distributed)
+from .strategies import ShardSpec, StrategyKind, partition_rows, run_distributed
 from .tensorio import load_tensor, seeded_random_tensor, store_tensor
 
 __version__ = "0.1.0"

@@ -71,7 +71,7 @@ def _require_positive(args, names) -> None:
             raise ValueError(f"--{name.replace('_', '-')} must be positive, got {value}")
 
 
-def _workload_from_args(args, default_n: int | None = None) -> tuple[analytics.WorkloadSpec, int]:
+def _workload_from_args(args) -> tuple[analytics.WorkloadSpec, int]:
     """Resolve preset/flags into a WorkloadSpec plus a d_model for the memory
     block (preset value, --d-model, or h*d)."""
     elem_bytes = args.elem_bytes
@@ -87,7 +87,7 @@ def _workload_from_args(args, default_n: int | None = None) -> tuple[analytics.W
         if missing:
             raise ValueError(f"missing flags without --preset: "
                              f"{', '.join('--' + m for m in missing)}")
-        n = args.n if args.n is not None else (default_n or 1)
+        n = args.n if args.n is not None else 1
         w = analytics.WorkloadSpec(s_q=args.sq, s_kv=args.skv, h=args.h, d=args.d,
                                    n=n, elem_bytes=elem_bytes or 2)
         d_model = d_model_flag or (w.h * w.d)
@@ -111,21 +111,12 @@ def _numeric_working_set(strategy: str, s_q: int, s_kv: int, h: int, d: int,
 
 def cmd_run(args) -> int:
     _require_positive(args, ["n", "sq", "skv", "h", "d", "bandwidth", "tile_rows"])
+    w, _ = _workload_from_args(args)
     if args.mode == "accounting-only":
-        w, _ = _workload_from_args(args, default_n=args.n)
-        report = analytics.volume_report(w)
-        _write_json(report, args.stats)
+        _write_json(analytics.volume_report(w), args.stats)
         return 0
 
-    if args.preset:
-        w, _ = _workload_from_args(args, default_n=args.n)
-        s_q, s_kv, h, d, n = w.s_q, w.s_kv, w.h, w.d, w.n
-    else:
-        for name in ("sq", "skv", "h", "d"):
-            if getattr(args, name) is None:
-                raise ValueError(f"--{name} is required in numeric mode")
-        s_q, s_kv, h, d = args.sq, args.skv, args.h, args.d
-        n = args.n if args.n is not None else 1
+    s_q, s_kv, h, d, n = w.s_q, w.s_kv, w.h, w.d, w.n
     dtype = dtype_from_name(args.dtype or "f64")
     total_elems = _numeric_working_set(args.strategy, s_q, s_kv, h, d, args.tile_rows,
                                        upcast=args.dtype == "f32", backward=args.backward)

@@ -5,19 +5,26 @@ shared state and are internally synchronized. Tensors in payloads are passed
 by reference and treated as immutable, except where a protocol explicitly
 hands ownership of an accumulator downstream.
 
-Byte accounting counts tensor payload bytes only (no framing, no metadata),
-and only for src != dst: loopback delivery is free. The throttled transport
-delays delivery in wall-clock time by latency + bytes/bandwidth per message,
+Payloads map tensor class names ("Q", "dK", ...) to arrays. Byte accounting
+counts tensor payload bytes only (no framing, no metadata), and only for
+src != dst: loopback delivery is free. The throttled transport delays
+delivery in wall-clock time by latency + bytes/bandwidth per message,
 serialized per directed link, so a blocked recv really waits.
+
+The transport is the one accounting path: each worker context adds the bytes
+per class that `Cluster.send` counted, and the modeled time of the messages
+it receives, to its open round, so protocol round traces and the link
+counters cannot disagree.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -59,8 +66,8 @@ class Throttled:
     def __post_init__(self):
         if not self.bandwidth > 0:
             raise ValueError(f"bandwidth must be positive, got {self.bandwidth}")
-        if self.latency < 0:
-            raise ValueError(f"latency must be nonnegative, got {self.latency}")
+        if not (math.isfinite(self.latency) and self.latency >= 0):
+            raise ValueError(f"latency must be finite and nonnegative, got {self.latency}")
 
 
 @dataclass(frozen=True)
@@ -122,13 +129,9 @@ class Message:
     src: int
     dst: int
     tag: int
-    payload: list[np.ndarray]
+    payload: dict[str, np.ndarray]
     meta: dict | None = None
     modeled_seconds: float = 0.0
-
-
-def payload_nbytes(payload) -> int:
-    return sum(int(np.asarray(a).nbytes) for a in payload)
 
 
 class _Mailbox:
@@ -167,14 +170,18 @@ class Cluster:
     def aborted(self) -> bool:
         return self.first_failure is not None
 
-    def send(self, src: int, dst: int, tag: int, payload, meta=None) -> None:
+    def send(self, src: int, dst: int, tag: int, payload: dict, meta=None) -> dict[str, int]:
+        """Queue a payload keyed by tensor class for dst; returns the bytes
+        per class that the transport counted, 0 for each class on loopback."""
         self._check_rank("send dst", dst)
-        payload = list(payload)
-        nbytes = payload_nbytes(payload)
+        payload = dict(payload)
+        sizes = {cls: int(np.asarray(a).nbytes) for cls, a in payload.items()}
+        nbytes = sum(sizes.values())
         now = time.monotonic()
         if src == dst:
             arrival = now
             modeled = 0.0
+            sizes = dict.fromkeys(sizes, 0)
         elif isinstance(self.transport, Throttled):
             per_msg = self.transport.latency + nbytes / self.transport.bandwidth
             with self._link_lock:
@@ -190,6 +197,7 @@ class Cluster:
         msg = Message(src=src, dst=dst, tag=tag, payload=payload, meta=meta,
                       modeled_seconds=modeled)
         self._mailboxes[dst].put((src, tag), (arrival, msg))
+        return sizes
 
     def recv(self, rank: int, src: int, tag: int) -> Message:
         self._check_rank("recv src", src)
@@ -221,17 +229,78 @@ class Cluster:
             raise ClusterError(f"{what} {rank} out of range for {self.n} workers")
 
 
+@dataclass
+class RoundRecord:
+    index: int
+    compute_seconds: float      # measured kernel wall time
+    comm_seconds: float         # modeled time of the messages received
+    sent_bytes_by_class: dict[str, int]
+
+    @property
+    def sent_bytes(self) -> int:
+        return sum(self.sent_bytes_by_class.values())
+
+
+@dataclass
+class RoundTrace:
+    strategy: str
+    phase: str
+    rounds: list[RoundRecord] = field(default_factory=list)
+    epilogue_bytes_by_class: dict[str, int] = field(default_factory=dict)
+    epilogue_comm_seconds: float = 0.0
+
+    @property
+    def num_rounds(self) -> int:
+        return len(self.rounds)
+
+    @property
+    def num_shifts(self) -> int:
+        return sum(1 for r in self.rounds if r.sent_bytes > 0)
+
+    def total_sent_bytes(self) -> int:
+        return (sum(r.sent_bytes for r in self.rounds)
+                + sum(self.epilogue_bytes_by_class.values()))
+
+    def compute_only_seconds(self) -> float:
+        return sum(r.compute_seconds for r in self.rounds)
+
+    def modeled_overlapped_seconds(self) -> float:
+        """Per-round max(compute, comm), the overlapped round-time model."""
+        return sum(max(r.compute_seconds, r.comm_seconds) for r in self.rounds)
+
+    def as_dict(self) -> dict:
+        return {
+            "strategy": self.strategy,
+            "phase": self.phase,
+            "rounds": [
+                {"index": r.index, "compute_seconds": r.compute_seconds,
+                 "comm_seconds": r.comm_seconds, "sent_bytes": r.sent_bytes_by_class}
+                for r in self.rounds
+            ],
+            "epilogue_sent_bytes": self.epilogue_bytes_by_class,
+            "epilogue_comm_seconds": self.epilogue_comm_seconds,
+        }
+
+
 class WorkerContext:
     """Per-worker handle: point-to-point send/recv plus an all-to-all
     collective. send is non-blocking (buffered); recv blocks until the
     matching (src, tag) message arrives, FIFO per (src, tag). A worker may
     hold one outstanding send, one outstanding recv, and local compute at
-    the same time."""
+    the same time.
+
+    The context also keeps the worker's round trace. Every send adds the
+    bytes per class that the transport counted to the open round, every recv
+    the modeled seconds of its message, and every all-to-all its slowest
+    incoming message; `close_round` and `close_phase` end rounds and phases."""
 
     def __init__(self, cluster: Cluster, rank: int):
         self.cluster = cluster
         self.rank = rank
         self._next_tag = 0
+        self._rounds: list[RoundRecord] = []
+        self._sent: dict[str, int] = {}
+        self._waited = 0.0
 
     @property
     def n(self) -> int:
@@ -252,15 +321,22 @@ class WorkerContext:
         self._next_tag += span
         return base
 
-    def send(self, dst: int, tag: int, payload, meta=None) -> None:
-        self.cluster.send(self.rank, dst, tag, payload, meta=meta)
+    def _count(self, sizes: dict[str, int]) -> None:
+        for cls, nbytes in sizes.items():
+            self._sent[cls] = self._sent.get(cls, 0) + nbytes
+
+    def send(self, dst: int, tag: int, payload: dict, meta=None) -> None:
+        self._count(self.cluster.send(self.rank, dst, tag, payload, meta=meta))
 
     def recv(self, src: int, tag: int) -> Message:
-        return self.cluster.recv(self.rank, src, tag)
+        msg = self.cluster.recv(self.rank, src, tag)
+        self._waited += msg.modeled_seconds
+        return msg
 
     def all_to_all(self, chunks: list) -> list:
-        """Deliver chunk w to worker w; returns the n received payloads ordered
-        by source id. The self-chunk never touches the transport."""
+        """Deliver chunk w (a payload keyed by class) to worker w; returns the
+        n received payloads ordered by source id. The self-chunk never
+        touches the transport; its classes count 0 bytes."""
         if len(chunks) != self.n:
             raise ClusterError(f"worker {self.rank}: all_to_all expects {self.n} chunks, "
                                f"got {len(chunks)}")
@@ -268,13 +344,36 @@ class WorkerContext:
         for dst in range(self.n):
             if dst != self.rank:
                 self.send(dst, tag, chunks[dst])
+        self._count(dict.fromkeys(chunks[self.rank], 0))
         out = []
+        slowest = 0.0
         for src in range(self.n):
             if src == self.rank:
-                out.append(list(chunks[self.rank]))
+                out.append(dict(chunks[self.rank]))
             else:
-                out.append(self.recv(src, tag).payload)
+                msg = self.cluster.recv(self.rank, src, tag)
+                slowest = max(slowest, msg.modeled_seconds)
+                out.append(msg.payload)
+        self._waited += slowest
         return out
+
+    def close_round(self, compute_seconds: float) -> None:
+        """End the open round with its measured kernel seconds."""
+        self._rounds.append(RoundRecord(index=len(self._rounds),
+                                        compute_seconds=compute_seconds,
+                                        comm_seconds=self._waited,
+                                        sent_bytes_by_class=self._sent))
+        self._sent, self._waited = {}, 0.0
+
+    def close_phase(self, strategy: str, phase: str) -> RoundTrace:
+        """End a protocol phase, which began where the previous one ended (or
+        at the context's start): its closed rounds, with what is still open
+        as the epilogue."""
+        trace = RoundTrace(strategy=strategy, phase=phase, rounds=self._rounds,
+                           epilogue_bytes_by_class=self._sent,
+                           epilogue_comm_seconds=self._waited)
+        self._rounds, self._sent, self._waited = [], {}, 0.0
+        return trace
 
 
 @dataclass

@@ -239,6 +239,10 @@ def measured_activation_bytes(saved: SavedActivations) -> dict[str, int]:
     return out
 
 
+def projection_flops(rows: int, d_in: int, d_out: int) -> int:
+    return 2 * rows * d_in * d_out
+
+
 @dataclass
 class OpCounter:
     """Forward-direction projection work performed inside the backward pass."""
@@ -246,11 +250,7 @@ class OpCounter:
     projection_flops: int = 0
 
     def add_projection(self, rows: int, d_in: int, d_out: int) -> None:
-        self.projection_flops += 2 * rows * d_in * d_out
-
-
-def projection_flops(rows: int, d_in: int, d_out: int) -> int:
-    return 2 * rows * d_in * d_out
+        self.projection_flops += projection_flops(rows, d_in, d_out)
 
 
 @dataclass

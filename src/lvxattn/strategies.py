@@ -17,6 +17,9 @@ Each strategy is one `Protocol` record in PROTOCOLS: its forward and backward
 bodies, which share one signature, and the worker-count rule; the messages
 they send are its rows of the hop table in `volumes`. `run_distributed`,
 the verify suites, the accounting-only report and the CLI all read PROTOCOLS.
+A body only closes each round on its worker context with the kernel's
+measured seconds; the round's bytes and modeled wait come from the messages
+it sent and received (see `cluster.WorkerContext`).
 
 Row partitions may be uneven (sizes differ by at most one); rotated blocks
 carry their block id and row range as message metadata and every receive
@@ -29,13 +32,13 @@ from __future__ import annotations
 
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .cluster import (ClusterError, ClusterSpec, TransportStats, WorkerContext,
-                      spawn_cluster)
+from .cluster import (ClusterError, ClusterSpec, RoundTrace, TransportStats,
+                      WorkerContext, spawn_cluster)
 from .kernels import (DEFAULT_TILE_ROWS, AttentionState, GradientBundle,
                       attention_row_stats, blockwise_attention,
                       blockwise_attention_backward, default_scale,
@@ -105,77 +108,6 @@ class ShardSpec:
         return [b - a for a, b in self.kv_ranges]
 
 
-@dataclass
-class RoundRecord:
-    index: int
-    compute_seconds: float      # measured blockwise-kernel wall time
-    comm_seconds: float         # modeled time of the message waited on
-    sent_bytes_by_class: dict[str, int]
-
-    @property
-    def sent_bytes(self) -> int:
-        return sum(self.sent_bytes_by_class.values())
-
-
-@dataclass
-class RoundTrace:
-    strategy: str
-    phase: str
-    rounds: list[RoundRecord] = field(default_factory=list)
-    epilogue_bytes_by_class: dict[str, int] = field(default_factory=dict)
-    epilogue_comm_seconds: float = 0.0
-
-    def add_round(self, compute_seconds: float, comm_seconds: float,
-                  sent_bytes_by_class: dict[str, int]) -> None:
-        self.rounds.append(RoundRecord(index=len(self.rounds),
-                                       compute_seconds=compute_seconds,
-                                       comm_seconds=comm_seconds,
-                                       sent_bytes_by_class=sent_bytes_by_class))
-
-    @property
-    def num_rounds(self) -> int:
-        return len(self.rounds)
-
-    @property
-    def num_shifts(self) -> int:
-        return sum(1 for r in self.rounds if r.sent_bytes > 0)
-
-    def total_sent_bytes(self) -> int:
-        return (sum(r.sent_bytes for r in self.rounds)
-                + sum(self.epilogue_bytes_by_class.values()))
-
-    def compute_only_seconds(self) -> float:
-        return sum(r.compute_seconds for r in self.rounds)
-
-    def modeled_overlapped_seconds(self) -> float:
-        """Per-round max(compute, comm), the overlapped round-time model."""
-        return sum(max(r.compute_seconds, r.comm_seconds) for r in self.rounds)
-
-    def as_dict(self) -> dict:
-        return {
-            "strategy": self.strategy,
-            "phase": self.phase,
-            "rounds": [
-                {"index": r.index, "compute_seconds": r.compute_seconds,
-                 "comm_seconds": r.comm_seconds, "sent_bytes": r.sent_bytes_by_class}
-                for r in self.rounds
-            ],
-            "epilogue_sent_bytes": self.epilogue_bytes_by_class,
-            "epilogue_comm_seconds": self.epilogue_comm_seconds,
-        }
-
-
-def _sent(ctx: WorkerContext, classes, messages) -> dict[str, int]:
-    """Payload bytes per tensor class over (dst, arrays) messages, the arrays
-    in `classes` order; the transport counts nothing for loopback."""
-    out = dict.fromkeys(classes, 0)
-    for dst, arrays in messages:
-        if dst != ctx.rank:
-            for cls, a in zip(classes, arrays):
-                out[cls] += int(a.nbytes)
-    return out
-
-
 def _expect_block(msg_meta: dict | None, key: str, block: int, where: str) -> None:
     if msg_meta is None or msg_meta.get(key) != block:
         got = None if msg_meta is None else msg_meta.get(key)
@@ -184,8 +116,7 @@ def _expect_block(msg_meta: dict | None, key: str, block: int, where: str) -> No
 
 def lvx_forward(ctx: WorkerContext, shards: ShardSpec, q_block: np.ndarray,
                 k_block: np.ndarray, v_block: np.ndarray, scale: float,
-                tile_rows: int = DEFAULT_TILE_ROWS,
-                trace: RoundTrace | None = None) -> AttentionState:
+                tile_rows: int = DEFAULT_TILE_ROWS) -> AttentionState:
     """Query-rotation forward for one worker; collective over all n.
 
     Round r: send the state finished last round (block i-r+1) together with
@@ -202,51 +133,38 @@ def lvx_forward(ctx: WorkerContext, shards: ShardSpec, q_block: np.ndarray,
 
     send_block = (i + 1) % n
     send_state = empty_state(h, shards.q_sizes[send_block], d, dtype)
-    q_send_block = i
-    q_send = q_block
     q_cur = q_block
     for r in range(n):
         j = (i - r) % n
         j_next = (i - r - 1) % n
-        payload = [send_state.O, send_state.L, q_send]
-        ctx.send(ctx.successor, tags + r, payload,
+        ctx.send(ctx.successor, tags + r, {"O": send_state.O, "L": send_state.L, "Q": q_cur},
                  meta={"state_block": send_block, "state_rows": shards.q_ranges[send_block],
-                       "q_block": q_send_block, "q_rows": shards.q_ranges[q_send_block]})
-        sent = _sent(ctx, ("O", "L", "Q"), [(ctx.successor, payload)])
+                       "q_block": j, "q_rows": shards.q_ranges[j]})
         t0 = time.perf_counter()
         delta = blockwise_attention(q_cur, k_block, v_block, scale, tile_rows)
         compute_s = time.perf_counter() - t0
         msg = ctx.recv(ctx.predecessor, tags + r)
         _expect_block(msg.meta, "state_block", j, f"worker {i} round {r}")
         _expect_block(msg.meta, "q_block", j_next, f"worker {i} round {r}")
-        recv_state = AttentionState(O=msg.payload[0], L=msg.payload[1])
-        merged = merge_states(recv_state, delta)
-        if trace is not None:
-            trace.add_round(compute_s, msg.modeled_seconds, sent)
-        send_state, send_block = merged, j
-        q_send = q_cur = msg.payload[2]
-        q_send_block = j_next
+        recv_state = AttentionState(O=msg.payload["O"], L=msg.payload["L"])
+        send_state, send_block = merge_states(recv_state, delta), j
+        q_cur = msg.payload["Q"]
+        ctx.close_round(compute_s)
 
-    payload = [send_state.O, send_state.L]
-    ctx.send(ctx.successor, tags + n, payload,
+    ctx.send(ctx.successor, tags + n, {"O": send_state.O, "L": send_state.L},
              meta={"state_block": send_block, "state_rows": shards.q_ranges[send_block]})
-    epi_sent = _sent(ctx, ("O", "L"), [(ctx.successor, payload)])
     msg = ctx.recv(ctx.predecessor, tags + n)
     _expect_block(msg.meta, "state_block", i, f"worker {i} epilogue")
     if msg.meta.get("state_rows") != shards.q_ranges[i]:
         raise ClusterError(f"worker {i} epilogue: rows {msg.meta.get('state_rows')} "
                            f"!= own range {shards.q_ranges[i]}")
-    if trace is not None:
-        trace.epilogue_bytes_by_class = epi_sent
-        trace.epilogue_comm_seconds = msg.modeled_seconds
-    return AttentionState(O=msg.payload[0], L=msg.payload[1])
+    return AttentionState(O=msg.payload["O"], L=msg.payload["L"])
 
 
 def lvx_backward(ctx: WorkerContext, shards: ShardSpec, q_block: np.ndarray,
                  k_block: np.ndarray, v_block: np.ndarray, state: AttentionState,
                  do_block: np.ndarray, scale: float,
-                 tile_rows: int = DEFAULT_TILE_ROWS,
-                 trace: RoundTrace | None = None):
+                 tile_rows: int = DEFAULT_TILE_ROWS):
     """Query-rotation backward: the tuple (Q, dO, L, D, dQ-accumulator) of each
     block rotates once around the ring; every worker adds its K/V block's
     contribution, accumulating dK/dV locally and dQ into the tuple. The round
@@ -257,7 +175,8 @@ def lvx_backward(ctx: WorkerContext, shards: ShardSpec, q_block: np.ndarray,
     tags = ctx.collective_tag(n)
 
     d_own = attention_row_stats(state, do_block).astype(dtype)
-    tup = [q_block, do_block, state.L, d_own, np.zeros_like(q_block)]
+    tup = {"Q": q_block, "dO": do_block, "L": state.L, "D": d_own,
+           "dQ": np.zeros_like(q_block)}
     blk = i
     dk_local = np.zeros_like(k_block)
     dv_local = np.zeros_like(v_block)
@@ -265,31 +184,27 @@ def lvx_backward(ctx: WorkerContext, shards: ShardSpec, q_block: np.ndarray,
         j = (i - r) % n
         if blk != j:
             raise ClusterError(f"worker {i} backward round {r}: holding block {blk}, expected {j}")
-        q_j, do_j, l_j, d_j, dq_j = tup
         t0 = time.perf_counter()
-        dq_c, dk_c, dv_c = blockwise_attention_backward(q_j, k_block, v_block,
-                                                        l_j, d_j, do_j, scale, tile_rows)
+        dq_c, dk_c, dv_c = blockwise_attention_backward(tup["Q"], k_block, v_block, tup["L"],
+                                                        tup["D"], tup["dO"], scale, tile_rows)
         compute_s = time.perf_counter() - t0
         dk_local += dk_c
         dv_local += dv_c
-        payload = [q_j, do_j, l_j, d_j, dq_j + dq_c]
-        ctx.send(ctx.successor, tags + r, payload, meta={"block": j, "rows": shards.q_ranges[j]})
-        sent = _sent(ctx, ("Q", "dO", "L", "D", "dQ"), [(ctx.successor, payload)])
+        ctx.send(ctx.successor, tags + r, {**tup, "dQ": tup["dQ"] + dq_c},
+                 meta={"block": j, "rows": shards.q_ranges[j]})
         msg = ctx.recv(ctx.predecessor, tags + r)
         _expect_block(msg.meta, "block", (i - r - 1) % n, f"worker {i} backward round {r}")
-        if trace is not None:
-            trace.add_round(compute_s, msg.modeled_seconds, sent)
-        tup = list(msg.payload)
+        tup = msg.payload
         blk = msg.meta["block"]
+        ctx.close_round(compute_s)
     if blk != i:
         raise ClusterError(f"worker {i} backward: final tuple is block {blk}, expected {i}")
-    return tup[4], dk_local, dv_local
+    return tup["dQ"], dk_local, dv_local
 
 
 def ring_forward(ctx: WorkerContext, shards: ShardSpec, q_block: np.ndarray,
                  k_block: np.ndarray, v_block: np.ndarray, scale: float,
-                 tile_rows: int = DEFAULT_TILE_ROWS,
-                 trace: RoundTrace | None = None) -> AttentionState:
+                 tile_rows: int = DEFAULT_TILE_ROWS) -> AttentionState:
     """KV-rotation forward: Q/O/L stay resident, (K, V) blocks shift n-1 times;
     each round's shift overlaps the blockwise kernel on the block in hand."""
     n, i = ctx.n, ctx.rank
@@ -298,34 +213,27 @@ def ring_forward(ctx: WorkerContext, shards: ShardSpec, q_block: np.ndarray,
     tags = ctx.collective_tag(max(n - 1, 1))
 
     state = empty_state(h, rows, d, dtype)
-    k_cur, v_cur, blk = k_block, v_block, i
+    kv, blk = {"K": k_block, "V": v_block}, i
     for r in range(n):
-        sent = {}
         if r < n - 1:
-            ctx.send(ctx.successor, tags + r, [k_cur, v_cur],
+            ctx.send(ctx.successor, tags + r, kv,
                      meta={"block": blk, "rows": shards.kv_ranges[blk]})
-            sent = _sent(ctx, ("K", "V"), [(ctx.successor, [k_cur, v_cur])])
         t0 = time.perf_counter()
-        delta = blockwise_attention(q_block, k_cur, v_cur, scale, tile_rows)
+        delta = blockwise_attention(q_block, kv["K"], kv["V"], scale, tile_rows)
         compute_s = time.perf_counter() - t0
         state = merge_states(state, delta)
-        comm_s = 0.0
         if r < n - 1:
             msg = ctx.recv(ctx.predecessor, tags + r)
             _expect_block(msg.meta, "block", (i - r - 1) % n, f"worker {i} round {r}")
-            k_cur, v_cur = msg.payload
-            blk = msg.meta["block"]
-            comm_s = msg.modeled_seconds
-        if trace is not None:
-            trace.add_round(compute_s, comm_s, sent)
+            kv, blk = msg.payload, msg.meta["block"]
+        ctx.close_round(compute_s)
     return state
 
 
 def ring_backward(ctx: WorkerContext, shards: ShardSpec, q_block: np.ndarray,
                   k_block: np.ndarray, v_block: np.ndarray, state: AttentionState,
                   do_block: np.ndarray, scale: float,
-                  tile_rows: int = DEFAULT_TILE_ROWS,
-                  trace: RoundTrace | None = None):
+                  tile_rows: int = DEFAULT_TILE_ROWS):
     """KV-rotation backward: (K, V, dK, dV) rotate together for n-1 shifts while
     dQ accumulates locally; an epilogue hop returns each (dK, dV) pair to its
     owner. Returns (dQ_i, dK_i, dV_i)."""
@@ -335,42 +243,30 @@ def ring_backward(ctx: WorkerContext, shards: ShardSpec, q_block: np.ndarray,
 
     d_own = attention_row_stats(state, do_block).astype(dtype)
     dq = np.zeros_like(q_block)
-    k_cur, v_cur, blk = k_block, v_block, i
-    dk_cur = np.zeros_like(k_block)
-    dv_cur = np.zeros_like(v_block)
+    kv = {"K": k_block, "V": v_block, "dK": np.zeros_like(k_block),
+          "dV": np.zeros_like(v_block)}
+    blk = i
     for r in range(n):
         t0 = time.perf_counter()
-        dq_c, dk_c, dv_c = blockwise_attention_backward(q_block, k_cur, v_cur,
+        dq_c, dk_c, dv_c = blockwise_attention_backward(q_block, kv["K"], kv["V"],
                                                         state.L, d_own, do_block, scale,
                                                         tile_rows)
         compute_s = time.perf_counter() - t0
         dq += dq_c
-        dk_cur = dk_cur + dk_c
-        dv_cur = dv_cur + dv_c
-        sent = {}
-        comm_s = 0.0
+        kv = {**kv, "dK": kv["dK"] + dk_c, "dV": kv["dV"] + dv_c}
         if r < n - 1:
-            payload = [k_cur, v_cur, dk_cur, dv_cur]
-            ctx.send(ctx.successor, tags + r, payload,
+            ctx.send(ctx.successor, tags + r, kv,
                      meta={"block": blk, "rows": shards.kv_ranges[blk]})
-            sent = _sent(ctx, ("K", "V", "dK", "dV"), [(ctx.successor, payload)])
             msg = ctx.recv(ctx.predecessor, tags + r)
             _expect_block(msg.meta, "block", (i - r - 1) % n, f"worker {i} backward round {r}")
-            k_cur, v_cur, dk_cur, dv_cur = msg.payload
-            blk = msg.meta["block"]
-            comm_s = msg.modeled_seconds
-        if trace is not None:
-            trace.add_round(compute_s, comm_s, sent)
-    # dk_cur/dv_cur now belong to block i+1; send them home
-    ctx.send(ctx.successor, tags + n - 1, [dk_cur, dv_cur],
+            kv, blk = msg.payload, msg.meta["block"]
+        ctx.close_round(compute_s)
+    # kv's dK/dV now belong to block i+1; send them home
+    ctx.send(ctx.successor, tags + n - 1, {"dK": kv["dK"], "dV": kv["dV"]},
              meta={"block": blk, "rows": shards.kv_ranges[blk]})
-    epi_sent = _sent(ctx, ("dK", "dV"), [(ctx.successor, [dk_cur, dv_cur])])
     msg = ctx.recv(ctx.predecessor, tags + n - 1)
     _expect_block(msg.meta, "block", i, f"worker {i} backward epilogue")
-    if trace is not None:
-        trace.epilogue_bytes_by_class = epi_sent
-        trace.epilogue_comm_seconds = msg.modeled_seconds
-    return dq, msg.payload[0], msg.payload[1]
+    return dq, msg.payload["dK"], msg.payload["dV"]
 
 
 @dataclass(frozen=True)
@@ -381,88 +277,78 @@ class _HeadSplitState(AttentionState):
     saved: tuple
 
 
+def _gather(received: list[dict], cls: str, axis: int) -> np.ndarray:
+    return np.concatenate([c[cls] for c in received], axis=axis)
+
+
 def head_parallel_forward(ctx: WorkerContext, shards: ShardSpec, q_block: np.ndarray,
                           k_block: np.ndarray, v_block: np.ndarray, scale: float,
-                          tile_rows: int = DEFAULT_TILE_ROWS,
-                          trace: RoundTrace | None = None) -> AttentionState:
+                          tile_rows: int = DEFAULT_TILE_ROWS) -> AttentionState:
     """All-to-all from sequence sharding to head sharding, local attention on
     the owned heads over the full sequence, all-to-all back."""
     n = ctx.n
     hpw = q_block.shape[0] // n
 
-    chunks = [[q_block[w * hpw:(w + 1) * hpw], k_block[w * hpw:(w + 1) * hpw],
-               v_block[w * hpw:(w + 1) * hpw]] for w in range(n)]
-    sent = _sent(ctx, ("Q", "K", "V"), enumerate(chunks))
-    received = ctx.all_to_all(chunks)
-    q_full, k_full, v_full = (np.concatenate([c[t] for c in received], axis=1)
-                              for t in range(3))
+    received = ctx.all_to_all([{"Q": q_block[w * hpw:(w + 1) * hpw],
+                                "K": k_block[w * hpw:(w + 1) * hpw],
+                                "V": v_block[w * hpw:(w + 1) * hpw]} for w in range(n)])
+    q_full, k_full, v_full = (_gather(received, cls, 1) for cls in ("Q", "K", "V"))
 
     t0 = time.perf_counter()
     st = blockwise_attention(q_full, k_full, v_full, scale, tile_rows)
     compute_s = time.perf_counter() - t0
 
-    out_chunks = [[st.O[:, a:b], st.L[:, a:b]] for a, b in shards.q_ranges]
-    sent.update(_sent(ctx, ("O", "L"), enumerate(out_chunks)))
-    received = ctx.all_to_all(out_chunks)
-    if trace is not None:
-        trace.add_round(compute_s, 0.0, sent)
-    return _HeadSplitState(O=np.concatenate([c[0] for c in received], axis=0),
-                           L=np.concatenate([c[1] for c in received], axis=0),
+    received = ctx.all_to_all([{"O": st.O[:, a:b], "L": st.L[:, a:b]}
+                               for a, b in shards.q_ranges])
+    ctx.close_round(compute_s)
+    return _HeadSplitState(O=_gather(received, "O", 0), L=_gather(received, "L", 0),
                            saved=(q_full, k_full, v_full, st))
 
 
 def head_parallel_backward(ctx: WorkerContext, shards: ShardSpec, q_block: np.ndarray,
                            k_block: np.ndarray, v_block: np.ndarray, state: _HeadSplitState,
                            do_block: np.ndarray, scale: float,
-                           tile_rows: int = DEFAULT_TILE_ROWS,
-                           trace: RoundTrace | None = None):
+                           tile_rows: int = DEFAULT_TILE_ROWS):
     """Mirror image of the forward: all-to-all dO to head sharding, local dense
     backward on owned heads, all-to-all dQ/dK/dV back to sequence sharding."""
     n = ctx.n
     q_full, k_full, v_full, st = state.saved
     hpw = q_full.shape[0]
 
-    chunks = [[do_block[w * hpw:(w + 1) * hpw]] for w in range(n)]
-    sent = _sent(ctx, ("dO",), enumerate(chunks))
-    received = ctx.all_to_all(chunks)
-    do_full = np.concatenate([c[0] for c in received], axis=1)
+    received = ctx.all_to_all([{"dO": do_block[w * hpw:(w + 1) * hpw]} for w in range(n)])
+    do_full = _gather(received, "dO", 1)
 
     t0 = time.perf_counter()
     gb = dense_attention_backward(q_full, k_full, v_full, st.O, st.L, do_full, scale,
                                   tile_rows)
     compute_s = time.perf_counter() - t0
 
-    out_chunks = [[gb.dQ[:, qa:qb], gb.dK[:, ka:kb], gb.dV[:, ka:kb]]
-                  for (qa, qb), (ka, kb) in zip(shards.q_ranges, shards.kv_ranges)]
-    sent.update(_sent(ctx, ("dQ", "dK", "dV"), enumerate(out_chunks)))
-    received = ctx.all_to_all(out_chunks)
-    if trace is not None:
-        trace.add_round(compute_s, 0.0, sent)
-    return tuple(np.concatenate([c[t] for c in received], axis=0) for t in range(3))
+    received = ctx.all_to_all([{"dQ": gb.dQ[:, qa:qb], "dK": gb.dK[:, ka:kb],
+                                "dV": gb.dV[:, ka:kb]}
+                               for (qa, qb), (ka, kb) in zip(shards.q_ranges,
+                                                             shards.kv_ranges)])
+    ctx.close_round(compute_s)
+    return tuple(_gather(received, cls, 0) for cls in ("dQ", "dK", "dV"))
 
 
 def single_forward(ctx: WorkerContext, shards: ShardSpec, q_block: np.ndarray,
                    k_block: np.ndarray, v_block: np.ndarray, scale: float,
-                   tile_rows: int = DEFAULT_TILE_ROWS,
-                   trace: RoundTrace | None = None) -> AttentionState:
+                   tile_rows: int = DEFAULT_TILE_ROWS) -> AttentionState:
     """The dense reference on the one worker, which holds every row."""
     t0 = time.perf_counter()
     state = dense_attention(q_block, k_block, v_block, scale)
-    if trace is not None:
-        trace.add_round(time.perf_counter() - t0, 0.0, {})
+    ctx.close_round(time.perf_counter() - t0)
     return state
 
 
 def single_backward(ctx: WorkerContext, shards: ShardSpec, q_block: np.ndarray,
                     k_block: np.ndarray, v_block: np.ndarray, state: AttentionState,
                     do_block: np.ndarray, scale: float,
-                    tile_rows: int = DEFAULT_TILE_ROWS,
-                    trace: RoundTrace | None = None):
+                    tile_rows: int = DEFAULT_TILE_ROWS):
     t0 = time.perf_counter()
     gb = dense_attention_backward(q_block, k_block, v_block, state.O, state.L, do_block,
                                   scale, tile_rows)
-    if trace is not None:
-        trace.add_round(time.perf_counter() - t0, 0.0, {})
+    ctx.close_round(time.perf_counter() - t0)
     return gb.dQ, gb.dK, gb.dV
 
 
@@ -552,13 +438,13 @@ def run_distributed(strategy, Q: np.ndarray, K: np.ndarray, V: np.ndarray,
         qa, qb = shards.q_ranges[i]
         ka, kb = shards.kv_ranges[i]
         q_i, k_i, v_i = Q[:, qa:qb], K[:, ka:kb], V[:, ka:kb]
-        ftrace = RoundTrace(strategy=strategy.value, phase="forward")
-        state = protocol.forward(ctx, shards, q_i, k_i, v_i, scale, tile_rows, ftrace)
+        state = protocol.forward(ctx, shards, q_i, k_i, v_i, scale, tile_rows)
+        ftrace = ctx.close_phase(strategy.value, "forward")
         grads = btrace = None
         if dO is not None:
-            btrace = RoundTrace(strategy=strategy.value, phase="backward")
             grads = protocol.backward(ctx, shards, q_i, k_i, v_i, state, dO[:, qa:qb],
-                                      scale, tile_rows, btrace)
+                                      scale, tile_rows)
+            btrace = ctx.close_phase(strategy.value, "backward")
         return _WorkerOut(O=state.O, L=state.L, grads=grads, trace_forward=ftrace,
                           trace_backward=btrace)
 

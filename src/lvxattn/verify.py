@@ -227,7 +227,8 @@ def expected_bytes_by_worker(strategy: StrategyKind, phase: str, q_sizes, kv_siz
 
 def volumes_suite() -> list[Check]:
     """Transport byte counters equal the documented closed forms exactly (per
-    phase via the round traces, per worker via the link stats), and the
+    phase via the round traces, per worker via the link stats), every round
+    record and epilogue equals its hop-table entry class by class, and the
     accounting-only predictions equal the measured counters."""
     checks = []
     d = EXACTNESS_HEAD_DIM
@@ -252,6 +253,16 @@ def volumes_suite() -> list[Check]:
             name = (f"volumes/{strategy.value}/n{n}/h{h}/sq{s_q}-skv{s_kv}/"
                     f"{np.dtype(dtype).name}")
             checks.append(Check(name=name, error=float(mismatch), tolerance=0.0))
+            round_mismatch = 0
+            for phase, traces in (("forward", res.traces_forward),
+                                  ("backward", res.traces_backward)):
+                for i, trace in enumerate(traces):
+                    recorded = [(r.index, r.sent_bytes_by_class) for r in trace.rounds]
+                    for r, sent in recorded + [(None, trace.epilogue_bytes_by_class)]:
+                        round_mismatch += sent != volumes.sent_by_class(
+                            strategy.value, phase, i, r, q_sizes, kv_sizes, h, d, b)
+            checks.append(Check(name=name + "/rounds", error=float(round_mismatch),
+                                tolerance=0.0))
             w = WorkloadSpec(s_q=s_q, s_kv=s_kv, h=h, d=d, n=n, elem_bytes=b)
             pred = volume_report(w)["per_worker_bytes"].get(strategy.value)
             if pred is not None:

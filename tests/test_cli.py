@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from lvxattn import cli, volumes
+from lvxattn import cli, strategies, volumes
 from lvxattn.cli import main
 from lvxattn.tensorio import load_tensor, seeded_random_tensor, store_tensor
 
@@ -121,6 +121,19 @@ class TestRun:
                      "--skv", "100000", "--h", "1", "--d", "1")
         assert rc == 2
         assert "accounting-only" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("latency", ["nan", "inf"])
+    def test_non_finite_latency_is_usage_error(self, monkeypatch, tmp_path, capsys, latency):
+        def no_spawn(*args, **kwargs):
+            raise AssertionError("workers spawned")
+
+        monkeypatch.setattr(strategies, "spawn_cluster", no_spawn)
+        rc = run_cli("run", "--strategy", "lvx", "--n", "2", "--sq", "4",
+                     "--skv", "4", "--h", "1", "--d", "2", "--transport", "throttled",
+                     "--bandwidth", "1e9", "--latency", latency, "--out-dir", str(tmp_path))
+        assert rc == 2
+        assert "latency must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "stats.json").exists()
 
     def test_throttled_requires_bandwidth(self, capsys):
         rc = run_cli("run", "--strategy", "lvx", "--n", "2", "--sq", "4",

@@ -18,7 +18,7 @@ def test_ping_pong_counts_payload_bytes_only():
 
     def body(ctx):
         peer = 1 - ctx.rank
-        ctx.send(peer, 7, [data], meta={"note": "metadata is free"})
+        ctx.send(peer, 7, {0: data}, meta={"note": "metadata is free"})
         return ctx.recv(peer, 7).payload[0]
 
     res = spawn_cluster(ClusterSpec(2), body)
@@ -32,7 +32,7 @@ def test_throttled_modeled_time_formula():
     payload = np.zeros(125_000, dtype=np.float64)   # 1 MB
 
     def body(ctx):
-        ctx.send(ctx.successor, 0, [payload])
+        ctx.send(ctx.successor, 0, {0: payload})
         ctx.recv(ctx.predecessor, 0)
 
     res = spawn_cluster(ClusterSpec(4, Throttled(bandwidth=1e9, latency=1e-3)), body)
@@ -49,7 +49,7 @@ def test_throttled_recv_not_earlier_than_modeled():
 
     def body(ctx):
         start = time.monotonic()
-        ctx.send(ctx.successor, 0, [payload])
+        ctx.send(ctx.successor, 0, {0: payload})
         ctx.recv(ctx.predecessor, 0)
         return time.monotonic() - start
 
@@ -65,9 +65,9 @@ def test_send_is_buffered_nonblocking():
         if ctx.rank == 0:
             start = time.monotonic()
             for i in range(3):
-                ctx.send(1, 0, [np.array([i])])
+                ctx.send(1, 0, {0: np.array([i])})
             elapsed = time.monotonic() - start
-            ctx.send(1, 1, [np.array([elapsed])])
+            ctx.send(1, 1, {0: np.array([elapsed])})
             return None
         time.sleep(0.2)
         values = [int(ctx.recv(0, 0).payload[0][0]) for _ in range(3)]
@@ -84,8 +84,8 @@ def test_fifo_per_src_tag_stream():
     def body(ctx):
         if ctx.rank == 0:
             for i in range(3):
-                ctx.send(1, 0, [np.array([10 + i])])
-                ctx.send(1, 1, [np.array([20 + i])])
+                ctx.send(1, 0, {0: np.array([10 + i])})
+                ctx.send(1, 1, {0: np.array([20 + i])})
             return None
         a = [int(ctx.recv(0, 0).payload[0][0]) for _ in range(3)]
         b = [int(ctx.recv(0, 1).payload[0][0]) for _ in range(3)]
@@ -97,7 +97,7 @@ def test_fifo_per_src_tag_stream():
 
 def test_ring_shift_rotation():
     def body(ctx):
-        ctx.send(ctx.successor, 0, [np.array([ctx.rank])])
+        ctx.send(ctx.successor, 0, {0: np.array([ctx.rank])})
         return int(ctx.recv(ctx.predecessor, 0).payload[0][0])
 
     res = spawn_cluster(ClusterSpec(3), body)
@@ -106,7 +106,7 @@ def test_ring_shift_rotation():
 
 def test_ring_shift_loopback():
     def body(ctx):
-        ctx.send(ctx.successor, 0, [np.array([99])])
+        ctx.send(ctx.successor, 0, {0: np.array([99])})
         return int(ctx.recv(ctx.predecessor, 0).payload[0][0])
 
     res = spawn_cluster(ClusterSpec(1), body)
@@ -120,7 +120,7 @@ def test_ring_shift_n_times_is_identity():
     def body(ctx):
         value = np.array([ctx.rank * 100])
         for step in range(n):
-            ctx.send(ctx.successor, step, [value])
+            ctx.send(ctx.successor, step, {0: value})
             value = ctx.recv(ctx.predecessor, step).payload[0]
         return int(value[0])
 
@@ -130,7 +130,7 @@ def test_ring_shift_n_times_is_identity():
 
 def test_all_to_all_exchange():
     def body(ctx):
-        chunks = [[np.array([ctx.rank * 10 + dst])] for dst in range(2)]
+        chunks = [{0: np.array([ctx.rank * 10 + dst])} for dst in range(2)]
         got = ctx.all_to_all(chunks)
         return [int(g[0][0]) for g in got]
 
@@ -143,7 +143,7 @@ def test_all_to_all_bytes_exclude_self_chunk():
     chunk = np.zeros(10, dtype=np.float64)
 
     def body(ctx):
-        ctx.all_to_all([[chunk] for _ in range(3)])
+        ctx.all_to_all([{0: chunk} for _ in range(3)])
 
     res = spawn_cluster(ClusterSpec(3), body)
     for i in range(3):
@@ -153,7 +153,7 @@ def test_all_to_all_bytes_exclude_self_chunk():
 
 def test_all_to_all_single_worker_identity():
     def body(ctx):
-        return ctx.all_to_all([[np.array([5.0])]])
+        return ctx.all_to_all([{0: np.array([5.0])}])
 
     res = spawn_cluster(ClusterSpec(1), body)
     assert res.results[0][0][0][0] == 5.0
@@ -162,7 +162,7 @@ def test_all_to_all_single_worker_identity():
 
 def test_all_to_all_chunk_count_mismatch():
     def body(ctx):
-        ctx.all_to_all([[np.zeros(1)]] * 3)
+        ctx.all_to_all([{0: np.zeros(1)}] * 3)
 
     with pytest.raises(WorkerFailed, match="expects 2 chunks"):
         spawn_cluster(ClusterSpec(2), body)
@@ -216,6 +216,9 @@ def test_throttled_validation():
         Throttled(bandwidth=0.0)
     with pytest.raises(ValueError, match="latency"):
         Throttled(bandwidth=1.0, latency=-1.0)
+    for latency in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="latency"):
+            Throttled(bandwidth=1.0, latency=latency)
     with pytest.raises(ValueError, match="worker count"):
         ClusterSpec(0)
 
@@ -224,7 +227,7 @@ def test_instant_results_independent_of_scheduling():
     def body(ctx):
         total = np.zeros(4)
         for step in range(5):
-            ctx.send(ctx.successor, step, [np.full(4, float(ctx.rank))])
+            ctx.send(ctx.successor, step, {0: np.full(4, float(ctx.rank))})
             got = ctx.recv(ctx.predecessor, step)
             total = total + got.payload[0]
         return total.tobytes()

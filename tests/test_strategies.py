@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lvxattn import strategies, volumes
-from lvxattn.cluster import ClusterSpec, spawn_cluster
+from lvxattn.cluster import ClusterSpec, Throttled, spawn_cluster
 from lvxattn.kernels import dense_attention, dense_attention_backward
 from lvxattn.strategies import (ShardSpec, lvx_forward, partition_rows,
                                 run_distributed)
@@ -233,6 +233,16 @@ class TestTraces:
         for record in trace.rounds:
             assert set(record.sent_bytes_by_class) == {"O", "L", "Q"}
             assert record.sent_bytes_by_class["L"] * d == record.sent_bytes_by_class["O"]
+
+    def test_head_round_records_modeled_wait(self):
+        # n=2: each all-to-all has one incoming message, so the round's wait is
+        # the modeled time of the peer's link into this worker
+        Q, K, V, _ = rand_problem(2, 4, 64, 2, seed=27)
+        res = run_distributed("head", Q, K, V, spec=ClusterSpec(2, Throttled(bandwidth=1e5)))
+        for i, trace in enumerate(res.traces_forward):
+            (record,) = trace.rounds
+            assert record.comm_seconds != 0.0
+            assert record.comm_seconds == res.stats.link(1 - i, i).modeled_time_seconds
 
 
 @pytest.mark.parametrize("strategy", ["lvx", "ring", "head"])
