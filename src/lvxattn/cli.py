@@ -32,9 +32,9 @@ from .tensorio import (dtype_from_name, load_tensor, seeded_random_tensor,
                        store_tensor)
 from .verify import SUITES, run_suite
 
-# numeric mode refuses to materialize more elements than this; production-scale
-# workloads go through --mode accounting-only
-MAX_NUMERIC_ELEMENTS = 200_000_000
+# numeric mode refuses runs whose peak working set exceeds this many bytes;
+# production-scale workloads go through --mode accounting-only
+MAX_NUMERIC_BYTES = 1_600_000_000
 
 _ELEM_BYTES = {"f16": 2, "f32": 4, "f64": 8}
 
@@ -95,18 +95,31 @@ def _workload_from_args(args) -> tuple[analytics.WorkloadSpec, int]:
 
 
 def _numeric_working_set(strategy: str, s_q: int, s_kv: int, h: int, d: int,
-                         tile_rows: int, upcast: bool, backward: bool) -> int:
-    """Elements a numeric run allocates at its peak, summed over workers:
-    the inputs, their float64 copies when the dtype is narrower, the outputs
-    and gradients (held by the workers, then gathered), and the score-shaped
-    scratch. The forward kernel keeps three [h, rows, tile] arrays per worker
-    (scores, shifted scores, exponent), more than the backward's two; on
-    `single` the dense forward keeps those three at full [h, S_Q, S_KV]."""
-    q, kv = h * s_q * d, h * s_kv * d
+                         tile_rows: int, elem_bytes: int, backward: bool) -> int:
+    """Bytes a numeric run holds at its peak, summed over workers, as an upper
+    bound. Inputs and outputs take the run's element size; the kernels work in
+    float64, so copies of narrower inputs, kernel outputs and scratch take 8.
+
+    Counted: the inputs, their float64 copies, one more float64 buffer the
+    size of the largest input while an input is drawn or read from its file,
+    and on `head` the head-split copies the local kernel runs on; six O- and
+    L-shaped float64 arrays (the kernel's accumulator and its update, merge
+    temporaries, states in flight, the gathered copy); in the backward,
+    gradient accumulators at the element size plus two rounds of float64
+    kernel gradients (a round's outputs stay alive while the next round's
+    kernel runs); and four score-shaped float64 arrays (a tile's scores, its
+    shifted scores and exponent, and the next tile's scores being formed),
+    [h, S_Q, tile], or [h, S_Q, S_KV] on `single`."""
+    q, kv, rows = h * s_q * d, h * s_kv * d, h * s_q
+    wide = 8 if elem_bytes < 8 else 0
     inputs = q + 2 * kv + (q if backward else 0)
-    outputs = q + h * s_q + (q + 2 * kv if backward else 0)
+    total = inputs * (elem_bytes + wide) + max(q, kv) * 8 + 6 * (q + rows) * 8
+    if strategy == StrategyKind.HEAD_PARALLEL.value:
+        total += inputs * elem_bytes
+    if backward:
+        total += (q + 2 * kv) * (elem_bytes + 2 * 8)
     score_cols = s_kv if strategy == StrategyKind.SINGLE.value else min(tile_rows, s_kv)
-    return inputs * (2 if upcast else 1) + 2 * outputs + 3 * h * s_q * score_cols
+    return total + 4 * rows * score_cols * 8
 
 
 def cmd_run(args) -> int:
@@ -118,10 +131,10 @@ def cmd_run(args) -> int:
 
     s_q, s_kv, h, d, n = w.s_q, w.s_kv, w.h, w.d, w.n
     dtype = dtype_from_name(args.dtype or "f64")
-    total_elems = _numeric_working_set(args.strategy, s_q, s_kv, h, d, args.tile_rows,
-                                       upcast=args.dtype == "f32", backward=args.backward)
-    if total_elems > MAX_NUMERIC_ELEMENTS:
-        raise ValueError(f"numeric mode would materialize {total_elems} elements; "
+    total_bytes = _numeric_working_set(args.strategy, s_q, s_kv, h, d, args.tile_rows,
+                                       dtype.itemsize, backward=args.backward)
+    if total_bytes > MAX_NUMERIC_BYTES:
+        raise ValueError(f"numeric mode would hold {total_bytes} bytes at its peak; "
                          f"use --mode accounting-only for workloads of this size")
 
     if args.transport == "throttled":
@@ -136,7 +149,7 @@ def cmd_run(args) -> int:
             t = load_tensor(path)
             if t.shape != shape:
                 raise ValueError(f"{path}: shape {t.shape} != expected {shape}")
-            return t.astype(dtype)
+            return t.astype(dtype, copy=False)
         return seeded_random_tensor(args.seed, shape, dtype, stream=stream)
 
     Q = load_or_random(args.input_q, (h, s_q, d), 0)

@@ -55,6 +55,9 @@ class WorkerFailed(ClusterError):
 class Instant:
     """Zero-delay transport; modeled time is 0."""
 
+    def message_seconds(self, nbytes: int) -> float:
+        return 0.0
+
 
 @dataclass(frozen=True)
 class Throttled:
@@ -68,6 +71,9 @@ class Throttled:
             raise ValueError(f"bandwidth must be positive, got {self.bandwidth}")
         if not (math.isfinite(self.latency) and self.latency >= 0):
             raise ValueError(f"latency must be finite and nonnegative, got {self.latency}")
+
+    def message_seconds(self, nbytes: int) -> float:
+        return self.latency + nbytes / self.bandwidth
 
 
 @dataclass(frozen=True)
@@ -179,20 +185,14 @@ class Cluster:
         nbytes = sum(sizes.values())
         now = time.monotonic()
         if src == dst:
-            arrival = now
-            modeled = 0.0
+            arrival, modeled = now, 0.0
             sizes = dict.fromkeys(sizes, 0)
-        elif isinstance(self.transport, Throttled):
-            per_msg = self.transport.latency + nbytes / self.transport.bandwidth
+        else:
+            modeled = self.transport.message_seconds(nbytes)
             with self._link_lock:
                 depart = max(now, self._link_busy_until.get((src, dst), now))
-                arrival = depart + per_msg
+                arrival = depart + modeled
                 self._link_busy_until[(src, dst)] = arrival
-            modeled = per_msg
-            self.stats.record(src, dst, nbytes, modeled)
-        else:
-            arrival = now
-            modeled = 0.0
             self.stats.record(src, dst, nbytes, modeled)
         msg = Message(src=src, dst=dst, tag=tag, payload=payload, meta=meta,
                       modeled_seconds=modeled)
@@ -289,10 +289,11 @@ class WorkerContext:
     hold one outstanding send, one outstanding recv, and local compute at
     the same time.
 
-    The context also keeps the worker's round trace. Every send adds the
-    bytes per class that the transport counted to the open round, every recv
-    the modeled seconds of its message, and every all-to-all its slowest
-    incoming message; `close_round` and `close_phase` end rounds and phases."""
+    The context also keeps the worker's round trace. Every `compute` adds the
+    wall seconds of its kernel call to the open round, every send the bytes
+    per class that the transport counted, every recv the modeled seconds of
+    its message, and every all-to-all its slowest incoming message;
+    `close_round` and `close_phase` end rounds and phases."""
 
     def __init__(self, cluster: Cluster, rank: int):
         self.cluster = cluster
@@ -301,6 +302,7 @@ class WorkerContext:
         self._rounds: list[RoundRecord] = []
         self._sent: dict[str, int] = {}
         self._waited = 0.0
+        self._computed = 0.0
 
     @property
     def n(self) -> int:
@@ -357,13 +359,20 @@ class WorkerContext:
         self._waited += slowest
         return out
 
-    def close_round(self, compute_seconds: float) -> None:
-        """End the open round with its measured kernel seconds."""
+    def compute(self, kernel, *args):
+        """Run one kernel call and add its wall seconds to the open round."""
+        t0 = time.perf_counter()
+        out = kernel(*args)
+        self._computed += time.perf_counter() - t0
+        return out
+
+    def close_round(self) -> None:
+        """End the open round."""
         self._rounds.append(RoundRecord(index=len(self._rounds),
-                                        compute_seconds=compute_seconds,
+                                        compute_seconds=self._computed,
                                         comm_seconds=self._waited,
                                         sent_bytes_by_class=self._sent))
-        self._sent, self._waited = {}, 0.0
+        self._sent, self._waited, self._computed = {}, 0.0, 0.0
 
     def close_phase(self, strategy: str, phase: str) -> RoundTrace:
         """End a protocol phase, which began where the previous one ended (or
@@ -372,7 +381,7 @@ class WorkerContext:
         trace = RoundTrace(strategy=strategy, phase=phase, rounds=self._rounds,
                            epilogue_bytes_by_class=self._sent,
                            epilogue_comm_seconds=self._waited)
-        self._rounds, self._sent, self._waited = [], {}, 0.0
+        self._rounds, self._sent, self._waited, self._computed = [], {}, 0.0, 0.0
         return trace
 
 
@@ -383,12 +392,16 @@ class ClusterResult:
 
 
 def _resolve_timeout(timeout: float | None) -> float:
-    if timeout is not None:
-        return float(timeout)
-    env = os.environ.get(TIMEOUT_ENV_VAR)
-    if env:
-        return float(env)
-    return DEFAULT_TIMEOUT_SECONDS
+    """The recv timeout in seconds: the argument, else the environment
+    variable, else the default. It must be finite and positive."""
+    name = "timeout"
+    if timeout is None:
+        name = TIMEOUT_ENV_VAR
+        timeout = os.environ.get(TIMEOUT_ENV_VAR) or DEFAULT_TIMEOUT_SECONDS
+    value = float(timeout)
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive seconds, got {timeout!r}")
+    return value
 
 
 def spawn_cluster(spec: ClusterSpec, worker_body, timeout: float | None = None) -> ClusterResult:
@@ -405,15 +418,12 @@ def spawn_cluster(spec: ClusterSpec, worker_body, timeout: float | None = None) 
         except BaseException as exc:   # surfaced via WorkerFailed below
             cluster.fail(rank, exc)
 
-    if spec.n == 1:
-        run(0)
-    else:
-        threads = [threading.Thread(target=run, args=(rank,), name=f"lvx-worker-{rank}")
-                   for rank in range(spec.n)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+    threads = [threading.Thread(target=run, args=(rank,), name=f"lvx-worker-{rank}")
+               for rank in range(spec.n)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
     if cluster.first_failure is not None:
         rank, exc = cluster.first_failure
         raise WorkerFailed(rank, exc) from exc

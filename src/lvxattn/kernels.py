@@ -195,7 +195,7 @@ def dense_attention_backward(Q: np.ndarray, K: np.ndarray, V: np.ndarray,
         raise ValueError(f"L shape {L.shape} != {Q.shape[:2]}")
     if scale is None:
         scale = default_scale(Q.shape[2])
-    D = np.sum(dO.astype(np.float64, copy=False) * O.astype(np.float64, copy=False), axis=2)
+    D = attention_row_stats(AttentionState(O=O, L=L), dO)
     dQ, dK, dV = blockwise_attention_backward(Q, K, V, L, D, dO, scale, tile_rows)
     return GradientBundle(dQ=dQ, dK=dK, dV=dV)
 

@@ -37,6 +37,14 @@ class ActivationPolicy(str, Enum):
     RECOMPUTE_KV = "recompute"
 
 
+_INT_FIELDS = ("num_lm_blocks", "d_embed", "h", "d", "frames", "tokens_per_frame", "s_q")
+
+
+def _is_int(value) -> bool:
+    # JSON gives bool, float and str for what should be counts; all are refused
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ToyMllmConfig:
     num_lm_blocks: int
@@ -50,6 +58,15 @@ class ToyMllmConfig:
     dtype: str = "f32"
 
     def __post_init__(self):
+        for name in _INT_FIELDS:
+            if not _is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if not (isinstance(self.ca_positions, (list, tuple))
+                and all(_is_int(p) for p in self.ca_positions)):
+            raise ValueError(f"ca_positions must be a list of integers, "
+                             f"got {self.ca_positions!r}")
+        if not isinstance(self.dtype, str):
+            raise ValueError(f"dtype must be a name, got {self.dtype!r}")
         object.__setattr__(self, "ca_positions", tuple(self.ca_positions))
         if self.num_lm_blocks < 0:
             raise ValueError(f"num_lm_blocks must be >= 0, got {self.num_lm_blocks}")
@@ -85,6 +102,8 @@ class ToyMllmConfig:
     def from_dict(cls, data: dict) -> "ToyMllmConfig":
         fields = {"num_lm_blocks", "ca_positions", "d_embed", "h", "d",
                   "frames", "tokens_per_frame", "s_q", "dtype"}
+        if not isinstance(data, dict):
+            raise ValueError(f"config must be an object of fields, got {data!r}")
         unknown = set(data) - fields
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
@@ -150,14 +169,6 @@ class ModelParams:
                 w2=seeded_random_tensor(seed, (e, e), dt, w_scale, stream=next(stream)))
               for _ in range(config.num_lm_blocks)]
         return cls(ca=ca, lm=lm)
-
-    def total_bytes(self) -> int:
-        total = 0
-        for p in self.ca.values():
-            total += p.w_q.nbytes + p.w_k.nbytes + p.w_v.nbytes + p.w_o.nbytes
-        for p in self.lm:
-            total += p.w1.nbytes + p.w2.nbytes
-        return total
 
 
 @dataclass(frozen=True)

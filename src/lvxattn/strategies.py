@@ -17,9 +17,11 @@ Each strategy is one `Protocol` record in PROTOCOLS: its forward and backward
 bodies, which share one signature, and the worker-count rule; the messages
 they send are its rows of the hop table in `volumes`. `run_distributed`,
 the verify suites, the accounting-only report and the CLI all read PROTOCOLS.
-A body only closes each round on its worker context with the kernel's
-measured seconds; the round's bytes and modeled wait come from the messages
-it sent and received (see `cluster.WorkerContext`).
+A body runs its kernels through `ctx.compute` and closes each round on its
+worker context; the round's kernel seconds, bytes and modeled wait come from
+those calls and the messages it sent and received (see
+`cluster.WorkerContext`). Bodies pass the kernels by their module-level names,
+looked up at call time, so a wrapper installed on this module sees every call.
 
 Row partitions may be uneven (sizes differ by at most one); rotated blocks
 carry their block id and row range as message metadata and every receive
@@ -30,7 +32,6 @@ tensors.
 
 from __future__ import annotations
 
-import time
 from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
@@ -140,16 +141,14 @@ def lvx_forward(ctx: WorkerContext, shards: ShardSpec, q_block: np.ndarray,
         ctx.send(ctx.successor, tags + r, {"O": send_state.O, "L": send_state.L, "Q": q_cur},
                  meta={"state_block": send_block, "state_rows": shards.q_ranges[send_block],
                        "q_block": j, "q_rows": shards.q_ranges[j]})
-        t0 = time.perf_counter()
-        delta = blockwise_attention(q_cur, k_block, v_block, scale, tile_rows)
-        compute_s = time.perf_counter() - t0
+        delta = ctx.compute(blockwise_attention, q_cur, k_block, v_block, scale, tile_rows)
         msg = ctx.recv(ctx.predecessor, tags + r)
         _expect_block(msg.meta, "state_block", j, f"worker {i} round {r}")
         _expect_block(msg.meta, "q_block", j_next, f"worker {i} round {r}")
         recv_state = AttentionState(O=msg.payload["O"], L=msg.payload["L"])
         send_state, send_block = merge_states(recv_state, delta), j
         q_cur = msg.payload["Q"]
-        ctx.close_round(compute_s)
+        ctx.close_round()
 
     ctx.send(ctx.successor, tags + n, {"O": send_state.O, "L": send_state.L},
              meta={"state_block": send_block, "state_rows": shards.q_ranges[send_block]})
@@ -184,10 +183,9 @@ def lvx_backward(ctx: WorkerContext, shards: ShardSpec, q_block: np.ndarray,
         j = (i - r) % n
         if blk != j:
             raise ClusterError(f"worker {i} backward round {r}: holding block {blk}, expected {j}")
-        t0 = time.perf_counter()
-        dq_c, dk_c, dv_c = blockwise_attention_backward(tup["Q"], k_block, v_block, tup["L"],
-                                                        tup["D"], tup["dO"], scale, tile_rows)
-        compute_s = time.perf_counter() - t0
+        dq_c, dk_c, dv_c = ctx.compute(blockwise_attention_backward, tup["Q"], k_block,
+                                       v_block, tup["L"], tup["D"], tup["dO"], scale,
+                                       tile_rows)
         dk_local += dk_c
         dv_local += dv_c
         ctx.send(ctx.successor, tags + r, {**tup, "dQ": tup["dQ"] + dq_c},
@@ -196,7 +194,7 @@ def lvx_backward(ctx: WorkerContext, shards: ShardSpec, q_block: np.ndarray,
         _expect_block(msg.meta, "block", (i - r - 1) % n, f"worker {i} backward round {r}")
         tup = msg.payload
         blk = msg.meta["block"]
-        ctx.close_round(compute_s)
+        ctx.close_round()
     if blk != i:
         raise ClusterError(f"worker {i} backward: final tuple is block {blk}, expected {i}")
     return tup["dQ"], dk_local, dv_local
@@ -218,15 +216,13 @@ def ring_forward(ctx: WorkerContext, shards: ShardSpec, q_block: np.ndarray,
         if r < n - 1:
             ctx.send(ctx.successor, tags + r, kv,
                      meta={"block": blk, "rows": shards.kv_ranges[blk]})
-        t0 = time.perf_counter()
-        delta = blockwise_attention(q_block, kv["K"], kv["V"], scale, tile_rows)
-        compute_s = time.perf_counter() - t0
+        delta = ctx.compute(blockwise_attention, q_block, kv["K"], kv["V"], scale, tile_rows)
         state = merge_states(state, delta)
         if r < n - 1:
             msg = ctx.recv(ctx.predecessor, tags + r)
             _expect_block(msg.meta, "block", (i - r - 1) % n, f"worker {i} round {r}")
             kv, blk = msg.payload, msg.meta["block"]
-        ctx.close_round(compute_s)
+        ctx.close_round()
     return state
 
 
@@ -247,11 +243,8 @@ def ring_backward(ctx: WorkerContext, shards: ShardSpec, q_block: np.ndarray,
           "dV": np.zeros_like(v_block)}
     blk = i
     for r in range(n):
-        t0 = time.perf_counter()
-        dq_c, dk_c, dv_c = blockwise_attention_backward(q_block, kv["K"], kv["V"],
-                                                        state.L, d_own, do_block, scale,
-                                                        tile_rows)
-        compute_s = time.perf_counter() - t0
+        dq_c, dk_c, dv_c = ctx.compute(blockwise_attention_backward, q_block, kv["K"],
+                                       kv["V"], state.L, d_own, do_block, scale, tile_rows)
         dq += dq_c
         kv = {**kv, "dK": kv["dK"] + dk_c, "dV": kv["dV"] + dv_c}
         if r < n - 1:
@@ -260,7 +253,7 @@ def ring_backward(ctx: WorkerContext, shards: ShardSpec, q_block: np.ndarray,
             msg = ctx.recv(ctx.predecessor, tags + r)
             _expect_block(msg.meta, "block", (i - r - 1) % n, f"worker {i} backward round {r}")
             kv, blk = msg.payload, msg.meta["block"]
-        ctx.close_round(compute_s)
+        ctx.close_round()
     # kv's dK/dV now belong to block i+1; send them home
     ctx.send(ctx.successor, tags + n - 1, {"dK": kv["dK"], "dV": kv["dV"]},
              meta={"block": blk, "rows": shards.kv_ranges[blk]})
@@ -294,13 +287,10 @@ def head_parallel_forward(ctx: WorkerContext, shards: ShardSpec, q_block: np.nda
                                 "V": v_block[w * hpw:(w + 1) * hpw]} for w in range(n)])
     q_full, k_full, v_full = (_gather(received, cls, 1) for cls in ("Q", "K", "V"))
 
-    t0 = time.perf_counter()
-    st = blockwise_attention(q_full, k_full, v_full, scale, tile_rows)
-    compute_s = time.perf_counter() - t0
-
+    st = ctx.compute(blockwise_attention, q_full, k_full, v_full, scale, tile_rows)
     received = ctx.all_to_all([{"O": st.O[:, a:b], "L": st.L[:, a:b]}
                                for a, b in shards.q_ranges])
-    ctx.close_round(compute_s)
+    ctx.close_round()
     return _HeadSplitState(O=_gather(received, "O", 0), L=_gather(received, "L", 0),
                            saved=(q_full, k_full, v_full, st))
 
@@ -318,16 +308,13 @@ def head_parallel_backward(ctx: WorkerContext, shards: ShardSpec, q_block: np.nd
     received = ctx.all_to_all([{"dO": do_block[w * hpw:(w + 1) * hpw]} for w in range(n)])
     do_full = _gather(received, "dO", 1)
 
-    t0 = time.perf_counter()
-    gb = dense_attention_backward(q_full, k_full, v_full, st.O, st.L, do_full, scale,
-                                  tile_rows)
-    compute_s = time.perf_counter() - t0
-
+    gb = ctx.compute(dense_attention_backward, q_full, k_full, v_full, st.O, st.L, do_full,
+                     scale, tile_rows)
     received = ctx.all_to_all([{"dQ": gb.dQ[:, qa:qb], "dK": gb.dK[:, ka:kb],
                                 "dV": gb.dV[:, ka:kb]}
                                for (qa, qb), (ka, kb) in zip(shards.q_ranges,
                                                              shards.kv_ranges)])
-    ctx.close_round(compute_s)
+    ctx.close_round()
     return tuple(_gather(received, cls, 0) for cls in ("dQ", "dK", "dV"))
 
 
@@ -335,9 +322,8 @@ def single_forward(ctx: WorkerContext, shards: ShardSpec, q_block: np.ndarray,
                    k_block: np.ndarray, v_block: np.ndarray, scale: float,
                    tile_rows: int = DEFAULT_TILE_ROWS) -> AttentionState:
     """The dense reference on the one worker, which holds every row."""
-    t0 = time.perf_counter()
-    state = dense_attention(q_block, k_block, v_block, scale)
-    ctx.close_round(time.perf_counter() - t0)
+    state = ctx.compute(dense_attention, q_block, k_block, v_block, scale)
+    ctx.close_round()
     return state
 
 
@@ -345,10 +331,9 @@ def single_backward(ctx: WorkerContext, shards: ShardSpec, q_block: np.ndarray,
                     k_block: np.ndarray, v_block: np.ndarray, state: AttentionState,
                     do_block: np.ndarray, scale: float,
                     tile_rows: int = DEFAULT_TILE_ROWS):
-    t0 = time.perf_counter()
-    gb = dense_attention_backward(q_block, k_block, v_block, state.O, state.L, do_block,
-                                  scale, tile_rows)
-    ctx.close_round(time.perf_counter() - t0)
+    gb = ctx.compute(dense_attention_backward, q_block, k_block, v_block, state.O, state.L,
+                     do_block, scale, tile_rows)
+    ctx.close_round()
     return gb.dQ, gb.dK, gb.dV
 
 
@@ -399,13 +384,18 @@ class RunResult:
     shards: ShardSpec
 
 
-@dataclass
-class _WorkerOut:
-    O: np.ndarray
-    L: np.ndarray
-    grads: tuple | None
-    trace_forward: RoundTrace
-    trace_backward: RoundTrace | None
+def _assemble(name: str, parts: list[np.ndarray], ranges, shape: tuple,
+              dtype) -> np.ndarray:
+    """One full output from every worker's rows of it, placed at the worker's
+    row range. A part of the wrong shape fails naming its worker instead of
+    being broadcast into the range."""
+    full = np.zeros(shape, dtype=dtype)
+    for i, (part, (a, b)) in enumerate(zip(parts, ranges)):
+        if part.shape != full[:, a:b].shape:
+            raise ClusterError(f"worker {i} returned {name} of shape {part.shape}, "
+                               f"expected {full[:, a:b].shape}")
+        full[:, a:b] = part
+    return full
 
 
 def run_distributed(strategy, Q: np.ndarray, K: np.ndarray, V: np.ndarray,
@@ -432,51 +422,32 @@ def run_distributed(strategy, Q: np.ndarray, K: np.ndarray, V: np.ndarray,
         raise ValueError(f"tile_rows must be >= 1, got {tile_rows}")
     protocol.check(spec.n, h)
     shards = ShardSpec.balanced(s_q, s_kv, spec.n)
+    q_rows, kv_rows = shards.q_ranges, shards.kv_ranges
+    layout = {"O": (q_rows, Q.shape), "L": (q_rows, Q.shape[:2])}
+    if dO is not None:
+        layout.update(dQ=(q_rows, Q.shape), dK=(kv_rows, K.shape), dV=(kv_rows, V.shape))
 
-    def body(ctx: WorkerContext) -> _WorkerOut:
-        i = ctx.rank
-        qa, qb = shards.q_ranges[i]
-        ka, kb = shards.kv_ranges[i]
+    def body(ctx: WorkerContext):
+        (qa, qb), (ka, kb) = q_rows[ctx.rank], kv_rows[ctx.rank]
         q_i, k_i, v_i = Q[:, qa:qb], K[:, ka:kb], V[:, ka:kb]
         state = protocol.forward(ctx, shards, q_i, k_i, v_i, scale, tile_rows)
-        ftrace = ctx.close_phase(strategy.value, "forward")
-        grads = btrace = None
+        parts = {"O": state.O, "L": state.L}
+        traces = [ctx.close_phase(strategy.value, "forward")]
         if dO is not None:
-            grads = protocol.backward(ctx, shards, q_i, k_i, v_i, state, dO[:, qa:qb],
-                                      scale, tile_rows)
-            btrace = ctx.close_phase(strategy.value, "backward")
-        return _WorkerOut(O=state.O, L=state.L, grads=grads, trace_forward=ftrace,
-                          trace_backward=btrace)
+            parts["dQ"], parts["dK"], parts["dV"] = protocol.backward(
+                ctx, shards, q_i, k_i, v_i, state, dO[:, qa:qb], scale, tile_rows)
+            traces.append(ctx.close_phase(strategy.value, "backward"))
+        return parts, traces
 
     run = spawn_cluster(ClusterSpec(spec.n, spec.transport), body, timeout=timeout)
-    outs: list[_WorkerOut] = run.results
-
+    parts, traces = zip(*run.results)
     out_dt = np.result_type(Q, K, V)
-    o_full = np.zeros((h, s_q, d), dtype=out_dt)
-    l_full = np.zeros((h, s_q), dtype=out_dt)
-    for i, out in enumerate(outs):
-        qa, qb = shards.q_ranges[i]
-        if out.O.shape[1] != qb - qa:
-            raise ClusterError(f"worker {i} returned {out.O.shape[1]} rows, "
-                               f"expected {qb - qa}")
-        o_full[:, qa:qb] = out.O
-        l_full[:, qa:qb] = out.L
-
-    grads = None
-    if dO is not None:
-        dq = np.zeros((h, s_q, d), dtype=out_dt)
-        dk = np.zeros((h, s_kv, d), dtype=out_dt)
-        dv = np.zeros((h, s_kv, d), dtype=out_dt)
-        for i, out in enumerate(outs):
-            qa, qb = shards.q_ranges[i]
-            ka, kb = shards.kv_ranges[i]
-            dq[:, qa:qb] = out.grads[0]
-            dk[:, ka:kb] = out.grads[1]
-            dv[:, ka:kb] = out.grads[2]
-        grads = GradientBundle(dQ=dq, dK=dk, dV=dv)
-
-    return RunResult(O=o_full, L=l_full, grads=grads, stats=run.stats,
-                     traces_forward=[o.trace_forward for o in outs],
-                     traces_backward=([o.trace_backward for o in outs]
-                                      if dO is not None else None),
+    full = {name: _assemble(name, [p[name] for p in parts], ranges, shape, out_dt)
+            for name, (ranges, shape) in layout.items()}
+    return RunResult(O=full["O"], L=full["L"],
+                     grads=(GradientBundle(dQ=full["dQ"], dK=full["dK"], dV=full["dV"])
+                            if dO is not None else None),
+                     stats=run.stats,
+                     traces_forward=[t[0] for t in traces],
+                     traces_backward=[t[1] for t in traces] if dO is not None else None,
                      shards=shards)

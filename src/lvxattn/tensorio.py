@@ -79,7 +79,7 @@ def seeded_random_tensor(seed: int, shape, dtype=np.float64, scale: float = 1.0,
         raise ValueError(f"unsupported dtype {dt}")
     gen = np.random.Generator(np.random.Philox(key=[int(seed) & (2**64 - 1), int(stream)]))
     data = gen.uniform(-scale, scale, size=shape)
-    return data.astype(dt)
+    return data.astype(dt, copy=False)
 
 
 def store_tensor(t: np.ndarray, path) -> None:

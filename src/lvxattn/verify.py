@@ -121,6 +121,15 @@ def _finite_difference(loss, array: np.ndarray, step: float = FD_STEP) -> np.nda
     return fd
 
 
+def _fd_checks(group: str, loss, targets) -> list[Check]:
+    """One check per (name, primal, analytic gradient): the gradient against
+    central finite differences of loss() in that primal."""
+    return [Check(name=f"gradients/{group}/{name}",
+                  error=max_norm_error(grad, _finite_difference(loss, prim)),
+                  tolerance=TOL_FINITE_DIFF)
+            for name, prim, grad in targets]
+
+
 def _dense_fd_checks() -> list[Check]:
     h, s_q, s_kv, d = 1, 3, 5, 2
     Q, K, V, dO = make_inputs(s_q, s_kv, h, d, seed=77)
@@ -131,13 +140,7 @@ def _dense_fd_checks() -> list[Check]:
         st = dense_attention(Q, K, V)
         return float(np.sum(dO * st.O))
 
-    checks = []
-    for name, prim, grad in (("dQ", Q, gb.dQ), ("dK", K, gb.dK), ("dV", V, gb.dV)):
-        fd = _finite_difference(loss, prim)
-        err = max_norm_error(grad, fd)
-        checks.append(Check(name=f"gradients/dense-fd/{name}", error=err,
-                            tolerance=TOL_FINITE_DIFF))
-    return checks
+    return _fd_checks("dense-fd", loss, (("dQ", Q, gb.dQ), ("dK", K, gb.dK), ("dV", V, gb.dV)))
 
 
 def _project_fd_checks() -> list[Check]:
@@ -150,13 +153,7 @@ def _project_fd_checks() -> list[Check]:
     def loss():
         return float(np.sum(g * project(x, W, h)))
 
-    checks = []
-    for name, prim, grad in (("dInput", x, dX), ("dW", W, dW)):
-        fd = _finite_difference(loss, prim)
-        checks.append(Check(name=f"gradients/project-fd/{name}",
-                            error=max_norm_error(grad, fd),
-                            tolerance=TOL_FINITE_DIFF))
-    return checks
+    return _fd_checks("project-fd", loss, (("dInput", x, dX), ("dW", W, dW)))
 
 
 MLLM_FD_CONFIG = ToyMllmConfig(num_lm_blocks=2, ca_positions=(1,), d_embed=4,
@@ -185,13 +182,7 @@ def _mllm_fd_checks() -> list[Check]:
     for blk, p in enumerate(params.lm):
         gp = grads.lm[blk]
         targets += [(f"lm{blk}.w1", p.w1, gp.w1), (f"lm{blk}.w2", p.w2, gp.w2)]
-    checks = []
-    for name, prim, grad in targets:
-        fd = _finite_difference(loss, prim)
-        checks.append(Check(name=f"gradients/mllm-fd/{name}",
-                            error=max_norm_error(grad, fd),
-                            tolerance=TOL_FINITE_DIFF))
-    return checks
+    return _fd_checks("mllm-fd", loss, targets)
 
 
 def gradients_suite() -> list[Check]:

@@ -1,12 +1,14 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from lvxattn import cli, strategies, volumes
 from lvxattn.cli import main
+from lvxattn.kernels import DEFAULT_TILE_ROWS
 from lvxattn.tensorio import load_tensor, seeded_random_tensor, store_tensor
 
 
@@ -122,6 +124,25 @@ class TestRun:
         assert rc == 2
         assert "accounting-only" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("backward", [False, True])
+    @pytest.mark.parametrize("dtype", ["f64", "f32"])
+    @pytest.mark.parametrize("strategy,n", [("lvx", 2), ("ring", 3), ("head", 2), ("single", 1)])
+    def test_numeric_guard_bounds_measured_peak(self, tmp_path, strategy, n, dtype, backward):
+        s_q, s_kv, h, d = 48, 6000, 2, 8
+        args = ["run", "--strategy", strategy, "--n", str(n), "--sq", str(s_q),
+                "--skv", str(s_kv), "--h", str(h), "--d", str(d), "--dtype", dtype,
+                "--out-dir", str(tmp_path)] + (["--backward"] if backward else [])
+        assert run_cli(*args) == 0      # first call's one-time allocations stay out
+        tracemalloc.start()
+        try:
+            assert run_cli(*args) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        guard = cli._numeric_working_set(strategy, s_q, s_kv, h, d, DEFAULT_TILE_ROWS,
+                                         {"f64": 8, "f32": 4}[dtype], backward)
+        assert peak <= guard
+
     @pytest.mark.parametrize("latency", ["nan", "inf"])
     def test_non_finite_latency_is_usage_error(self, monkeypatch, tmp_path, capsys, latency):
         def no_spawn(*args, **kwargs):
@@ -133,6 +154,15 @@ class TestRun:
                      "--bandwidth", "1e9", "--latency", latency, "--out-dir", str(tmp_path))
         assert rc == 2
         assert "latency must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "stats.json").exists()
+
+    @pytest.mark.parametrize("timeout", ["inf", "nan", "0", "-1"])
+    def test_bad_timeout_env_is_usage_error(self, monkeypatch, tmp_path, capsys, timeout):
+        monkeypatch.setenv("LVX_TIMEOUT_SECS", timeout)
+        rc = run_cli("run", "--strategy", "lvx", "--n", "2", "--sq", "4",
+                     "--skv", "4", "--h", "1", "--d", "2", "--out-dir", str(tmp_path))
+        assert rc == 2
+        assert "LVX_TIMEOUT_SECS must be finite and positive" in capsys.readouterr().err
         assert not (tmp_path / "stats.json").exists()
 
     def test_throttled_requires_bandwidth(self, capsys):
@@ -220,6 +250,19 @@ class TestMllm:
         assert rc == 2
         err = capsys.readouterr().err
         assert "line 3 column 1" in err
+
+    @pytest.mark.parametrize("field,value", [("ca_positions", [1.5]), ("ca_positions", 1),
+                                             ("d_embed", "4")])
+    def test_config_field_of_wrong_type_is_usage_error(self, tmp_path, capsys, field, value):
+        cfg = {"num_lm_blocks": 2, "ca_positions": [0], "d_embed": 8, "h": 2,
+               "d": 4, "frames": 2, "tokens_per_frame": 3, "s_q": 4, field: value}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        rc = run_cli("mllm", "--policy", "store", "--config", str(path),
+                     "--out-dir", str(tmp_path / "out"))
+        assert rc == 2
+        assert f"{field} must be" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_custom_config_runs(self, tmp_path):
         cfg = {"num_lm_blocks": 2, "ca_positions": [0], "d_embed": 8, "h": 2,

@@ -211,6 +211,31 @@ def test_timeout_env_override(monkeypatch):
     assert time.monotonic() - start < 5.0
 
 
+@pytest.mark.parametrize("bad", ["inf", "nan", "0", "-1"])
+def test_bad_timeout_rejected_before_spawn(monkeypatch, bad):
+    def body(ctx):
+        raise AssertionError("workers spawned")
+
+    with pytest.raises(ValueError, match="timeout must be finite and positive"):
+        spawn_cluster(ClusterSpec(2), body, timeout=float(bad))
+    monkeypatch.setenv("LVX_TIMEOUT_SECS", bad)
+    with pytest.raises(ValueError, match="LVX_TIMEOUT_SECS must be finite and positive"):
+        spawn_cluster(ClusterSpec(2), body)
+
+
+def test_compute_seconds_are_the_rounds_kernel_calls():
+    def body(ctx):
+        ctx.compute(time.sleep, 0.02)
+        ctx.compute(time.sleep, 0.02)
+        ctx.close_round()
+        ctx.close_round()
+        return ctx.close_phase("test", "forward")
+
+    for trace in spawn_cluster(ClusterSpec(2), body).results:
+        assert trace.rounds[0].compute_seconds >= 0.04
+        assert trace.rounds[1].compute_seconds == 0.0
+
+
 def test_throttled_validation():
     with pytest.raises(ValueError, match="bandwidth"):
         Throttled(bandwidth=0.0)

@@ -46,6 +46,18 @@ class TestConfig:
         with pytest.raises(ValueError, match="missing config fields"):
             ToyMllmConfig.from_dict(data)
 
+    @pytest.mark.parametrize("field,value", [
+        ("ca_positions", [1.5]), ("ca_positions", 1), ("ca_positions", [True]),
+        ("d_embed", "4"), ("h", True), ("frames", 2.0), ("num_lm_blocks", None),
+        ("dtype", ["f64"])])
+    def test_wrong_field_type_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            ToyMllmConfig.from_dict({**SMALL.as_dict(), field: value})
+
+    def test_non_object_config_rejected(self):
+        with pytest.raises(ValueError, match="config must be an object"):
+            ToyMllmConfig.from_json("5")
+
     def test_skv_derived(self):
         assert SMALL.s_kv == 8
 

@@ -1,10 +1,11 @@
 import inspect
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from lvxattn import strategies, volumes
-from lvxattn.cluster import ClusterSpec, Throttled, spawn_cluster
+from lvxattn.cluster import ClusterError, ClusterSpec, Throttled, spawn_cluster
 from lvxattn.kernels import dense_attention, dense_attention_backward
 from lvxattn.strategies import (ShardSpec, lvx_forward, partition_rows,
                                 run_distributed)
@@ -308,6 +309,19 @@ class TestErrors:
         Q, K, V, dO = rand_problem(2, 4, 4, 3, seed=26)
         with pytest.raises(ValueError, match="scale must be finite"):
             run_distributed("lvx", Q, K, V, dO=dO, spec=ClusterSpec(2), scale=scale)
+
+
+def test_wrong_gradient_rows_name_the_worker(monkeypatch):
+    def short_dk_backward(ctx, *args):
+        dq, dk, dv = strategies.lvx_backward(ctx, *args)
+        return dq, (dk[:, :1] if ctx.rank == 1 else dk), dv
+
+    kind = strategies.StrategyKind.LVX
+    monkeypatch.setitem(strategies.PROTOCOLS, kind,
+                        replace(strategies.PROTOCOLS[kind], backward=short_dk_backward))
+    Q, K, V, dO = rand_problem(2, 4, 6, 3, seed=27)
+    with pytest.raises(ClusterError, match="worker 1 returned dK"):
+        run_distributed("lvx", Q, K, V, dO=dO, spec=ClusterSpec(2))
 
 
 @pytest.mark.parametrize("strategy,n", [("lvx", 2), ("ring", 2), ("head", 2), ("single", 1)])
