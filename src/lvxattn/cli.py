@@ -95,31 +95,45 @@ def _workload_from_args(args) -> tuple[analytics.WorkloadSpec, int]:
 
 
 def _numeric_working_set(strategy: str, s_q: int, s_kv: int, h: int, d: int,
-                         tile_rows: int, elem_bytes: int, backward: bool) -> int:
-    """Bytes a numeric run holds at its peak, summed over workers, as an upper
-    bound. Inputs and outputs take the run's element size; the kernels work in
-    float64, so copies of narrower inputs, kernel outputs and scratch take 8.
+                         tile_rows: int, elem_bytes: int, backward: bool,
+                         n: int = 1) -> int:
+    """Bytes a numeric run on n workers holds at its peak, summed over
+    workers, as an upper bound. Inputs and outputs take the run's element
+    size; kernel scratch is float64 and takes 8.
 
-    Counted: the inputs, their float64 copies, one more float64 buffer the
-    size of the largest input while an input is drawn or read from its file,
-    and on `head` the head-split copies the local kernel runs on; six O- and
-    L-shaped float64 arrays (the kernel's accumulator and its update, merge
-    temporaries, states in flight, the gathered copy); in the backward,
-    gradient accumulators at the element size plus two rounds of float64
-    kernel gradients (a round's outputs stay alive while the next round's
-    kernel runs); and four score-shaped float64 arrays (a tile's scores, its
-    shifted scores and exponent, and the next tile's scores being formed),
-    [h, S_Q, tile], or [h, S_Q, S_KV] on `single`."""
+    Counted: the inputs, plus the larger of two transients that never
+    overlap: one float64 buffer the size of the largest input while an input
+    is drawn or read, or the run itself. The run holds two copies of every
+    output (the workers' parts and the gathered copy; in the backward the
+    gradient accumulators are the parts), and on `head` the head-split input
+    copies and the local gradients. The kernels of all workers hold six O-
+    and L-shaped float64 arrays (Q in float64, the running O and its update,
+    dQ and its tile update, merge temporaries), four K/V tiles (K and V
+    staged in float64, a gradient tile and its rounding) and one score tile
+    per worker in the forward, two in the backward. A worker's score tile is
+    [h, its query rows, min(tile_rows, its KV rows)]: `lvx` and `ring`
+    workers see KV blocks of ceil(S_KV / n) rows, `head` workers all S_KV
+    rows of h/n heads. `single` instead counts the dense forward's float64
+    copies of Q, K and V and its three [h, S_Q, S_KV] score arrays. Python
+    objects (the argument parser, the n(n+1) messages, round records and
+    stats) add 256 KiB + 6 KiB n². The default n=1 is the bound for one
+    worker holding every row."""
     q, kv, rows = h * s_q * d, h * s_kv * d, h * s_q
-    wide = 8 if elem_bytes < 8 else 0
     inputs = q + 2 * kv + (q if backward else 0)
-    total = inputs * (elem_bytes + wide) + max(q, kv) * 8 + 6 * (q + rows) * 8
+    outputs = q + rows + (q + 2 * kv if backward else 0)
+    run = 2 * outputs * elem_bytes + 6 * (q + rows) * 8
+    if strategy == StrategyKind.SINGLE.value:
+        run += (q + 2 * kv) * 8 + 3 * rows * s_kv * 8
+    else:
+        sharded_kv = strategy in (StrategyKind.LVX.value, StrategyKind.RING.value)
+        kv_rows = -(-s_kv // n) if sharded_kv else s_kv
+        cols = min(tile_rows, kv_rows)
+        staged_heads = n * h if sharded_kv else h
+        run += 4 * staged_heads * cols * d * 8 + (2 if backward else 1) * rows * cols * 8
     if strategy == StrategyKind.HEAD_PARALLEL.value:
-        total += inputs * elem_bytes
-    if backward:
-        total += (q + 2 * kv) * (elem_bytes + 2 * 8)
-    score_cols = s_kv if strategy == StrategyKind.SINGLE.value else min(tile_rows, s_kv)
-    return total + 4 * rows * score_cols * 8
+        run += (inputs + (q + 2 * kv if backward else 0)) * elem_bytes
+    objects = (256 + 6 * n * n) * 1024
+    return objects + inputs * elem_bytes + max(max(q, kv) * 8, run)
 
 
 def cmd_run(args) -> int:
@@ -132,7 +146,7 @@ def cmd_run(args) -> int:
     s_q, s_kv, h, d, n = w.s_q, w.s_kv, w.h, w.d, w.n
     dtype = dtype_from_name(args.dtype or "f64")
     total_bytes = _numeric_working_set(args.strategy, s_q, s_kv, h, d, args.tile_rows,
-                                       dtype.itemsize, backward=args.backward)
+                                       dtype.itemsize, backward=args.backward, n=n)
     if total_bytes > MAX_NUMERIC_BYTES:
         raise ValueError(f"numeric mode would hold {total_bytes} bytes at its peak; "
                          f"use --mode accounting-only for workloads of this size")

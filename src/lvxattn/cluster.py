@@ -2,8 +2,11 @@
 
 Workers are threads, not OS processes; the transport mailboxes are the only
 shared state and are internally synchronized. Tensors in payloads are passed
-by reference and treated as immutable, except where a protocol explicitly
-hands ownership of an accumulator downstream.
+by reference and are immutable once sent. Two protocols hand a gradient
+accumulator downstream: the dQ of `lvx`'s rotating backward tuple and the dK
+and dV that travel with `ring`'s backward K/V block. The worker that receives
+one owns it and adds its round's contribution in place; it never writes to
+it after sending it on.
 
 Payloads map tensor class names ("Q", "dK", ...) to arrays. Byte accounting
 counts tensor payload bytes only (no framing, no metadata), and only for

@@ -8,10 +8,16 @@ L = m + log(l); a row with L = -inf and O = 0 is the empty state and is the
 identity element of merge_states.
 
 The blockwise forward and the backward both walk the KV rows in tiles of
-tile_rows rows (DEFAULT_TILE_ROWS = 256). The backward recomputes P from the
-saved L tile by tile, as FlashAttention-2 does, so its scratch memory is
-O(h * rows * tile) instead of score-shaped; only the dense oracle builds the
-full [h, S_Q, S_KV] score matrix.
+tile_rows rows (DEFAULT_TILE_ROWS = 256), as FlashAttention-2 does. Each K/V
+tile is copied into a float64 buffer that every tile reuses, so a KV block
+is never upcast whole, and scores, exponentials and rescaling happen in place
+in tile-sized scratch. The backward recomputes P from the saved L tile by
+tile and adds its (dQ, dK, dV) into accumulators the caller owns: a protocol
+worker accumulates every round into the same arrays, and a gradient is
+rounded to the accumulator's dtype before each add, so an f32 accumulator
+rounds exactly as adding separately returned f32 gradients would. Kernel
+scratch is O(h * rows * tile + h * (rows + tile) * d) whatever the KV block
+size; only the dense oracle builds the full [h, S_Q, S_KV] score matrix.
 """
 
 from __future__ import annotations
@@ -108,12 +114,35 @@ def dense_attention(Q: np.ndarray, K: np.ndarray, V: np.ndarray,
     return AttentionState(O=O.astype(out_dt), L=L.astype(out_dt))
 
 
+def _stage(buf: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Copy rows into the front of a flat buffer, cast to the buffer's dtype,
+    and return them as a contiguous view of rows' shape; a short last tile
+    reuses the same buffer."""
+    tile = buf[:rows.size].reshape(rows.shape)
+    np.copyto(tile, rows)
+    return tile
+
+
+def _add_rounded(acc: np.ndarray, grad: np.ndarray, buf: np.ndarray | None) -> None:
+    """acc += grad. A narrower accumulator gets the float64 grad rounded to
+    its dtype first, in the flat buffer buf, so it rounds exactly as adding a
+    separately returned gradient of that dtype would."""
+    if buf is not None:
+        grad = _stage(buf, grad)
+    acc += grad
+
+
 def blockwise_attention(Q: np.ndarray, K: np.ndarray, V: np.ndarray,
                         scale: float | None = None,
                         tile_rows: int = DEFAULT_TILE_ROWS) -> AttentionState:
     """Partial state for one KV block, via a running (m, l) online softmax over
     KV tiles of at most tile_rows rows (clamped to the block size). Restricted
-    to this block, the result equals dense_attention on it."""
+    to this block, the result equals dense_attention on it.
+
+    Each K/V tile is copied into a reused float64 buffer, and the tile's
+    scores are scaled, shifted and exponentiated in one reused score buffer,
+    so scratch memory is O(h * (rows + tile) * d + h * rows * tile) whatever
+    the block size."""
     validate_qkv(Q, K, V)
     if scale is None:
         scale = default_scale(Q.shape[2])
@@ -125,26 +154,35 @@ def blockwise_attention(Q: np.ndarray, K: np.ndarray, V: np.ndarray,
     if s_kv == 0:
         return empty_state(h, s_q, d, out_dt)
     Qf = Q.astype(np.float64, copy=False)
-    Kf = K.astype(np.float64, copy=False)
-    Vf = V.astype(np.float64, copy=False)
     tile = min(tile_rows, s_kv)
 
+    k_buf = np.empty(h * tile * d)
+    v_buf = np.empty(h * tile * d)
+    s_buf = np.empty(h * s_q * tile)
+    pv = np.empty((h, s_q, d))
     m = np.full((h, s_q), -np.inf)
     l = np.zeros((h, s_q))
     O = np.zeros((h, s_q, d))
     for t0 in range(0, s_kv, tile):
-        Kt = Kf[:, t0:t0 + tile]
-        Vt = Vf[:, t0:t0 + tile]
-        St = scale * (Qf @ Kt.transpose(0, 2, 1))
-        m_new = np.maximum(m, St.max(axis=2))
-        p = np.exp(St - m_new[..., None])
+        Kt = _stage(k_buf, K[:, t0:t0 + tile])
+        Vt = _stage(v_buf, V[:, t0:t0 + tile])
+        S = s_buf[:h * s_q * Kt.shape[1]].reshape(h, s_q, Kt.shape[1])
+        np.matmul(Qf, Kt.transpose(0, 2, 1), out=S)
+        # scale the product, not Q: scaling Q first changes the float64 bits
+        # whenever the scale is not a power of two
+        S *= scale
+        m_new = np.maximum(m, S.max(axis=2))
+        S -= m_new[..., None]
+        np.exp(S, out=S)
         alpha = np.exp(m - m_new)                   # first tile: exp(-inf) = 0
-        l = alpha * l + p.sum(axis=2)
-        O = alpha[..., None] * O + p @ Vt
+        l *= alpha
+        l += S.sum(axis=2)
+        O *= alpha[..., None]
+        O += np.matmul(S, Vt, out=pv)
         m = m_new
-    O = O / l[..., None]
+    O /= l[..., None]
     L = m + np.log(l)
-    return AttentionState(O=O.astype(out_dt), L=L.astype(out_dt))
+    return AttentionState(O=O.astype(out_dt, copy=False), L=L.astype(out_dt, copy=False))
 
 
 def merge_states(a: AttentionState, b: AttentionState) -> AttentionState:
@@ -204,19 +242,25 @@ def blockwise_attention_backward(Q_block: np.ndarray, K_block: np.ndarray,
                                  V_block: np.ndarray, L_full: np.ndarray,
                                  D_full: np.ndarray, dO_block: np.ndarray,
                                  scale: float | None = None,
-                                 tile_rows: int = DEFAULT_TILE_ROWS):
-    """Additive gradient contributions of one (Q block, KV block) pair.
+                                 tile_rows: int = DEFAULT_TILE_ROWS,
+                                 out: tuple | None = None):
+    """Add the gradient contributions of one (Q block, KV block) pair into
+    the accumulators out = (dQ, dK, dV), shaped like Q_block, K_block and
+    V_block, and return them. Zero-filled accumulators of the inputs' result
+    dtype are allocated when out is None.
 
     L_full and D_full must be the final forward statistics for these query
-    rows, taken over all KV blocks; summing the returned (dQ+, dK+, dV+)
-    over every KV block reproduces the dense backward.
+    rows, taken over all KV blocks; accumulating over every KV block
+    reproduces the dense backward.
 
     The KV block is walked in tiles of at most tile_rows rows (default 256),
-    as in the FlashAttention-2 backward: each tile recomputes
-    P = exp(scale Q K_t^T - L) from the saved L, writes dV_t = P^T dO and
-    dK_t = scale dS^T Q into its own output rows, and adds scale dS K_t to
-    dQ. Scratch memory is O(h * rows * tile): two [h, rows, tile] buffers,
-    reused by every tile.
+    as in the FlashAttention-2 backward: each tile is copied into a reused
+    float64 buffer, recomputes P = exp(scale Q K_t^T - L) from the saved L,
+    adds dV_t = P^T dO and dK_t = scale dS^T Q into its rows of the dV and dK
+    accumulators, and adds scale dS K_t to a float64 dQ that is added into
+    the dQ accumulator once, at the end. Each gradient is rounded to its
+    accumulator's dtype before the add. Scratch memory is
+    O(h * rows * tile + h * (rows + tile) * d), reused by every tile.
     """
     validate_qkv(Q_block, K_block, V_block)
     if dO_block.shape != Q_block.shape:
@@ -227,41 +271,55 @@ def blockwise_attention_backward(Q_block: np.ndarray, K_block: np.ndarray,
         scale = default_scale(Q_block.shape[2])
     if tile_rows < 1:
         raise ValueError(f"tile_rows must be >= 1, got {tile_rows}")
-    out_dt = _out_dtype(Q_block, K_block, V_block)
+    if out is None:
+        out_dt = _out_dtype(Q_block, K_block, V_block)
+        out = tuple(np.zeros(t.shape, dtype=out_dt) for t in (Q_block, K_block, V_block))
+    dQ_acc, dK_acc, dV_acc = out
+    for name, acc, t in (("dQ", dQ_acc, Q_block), ("dK", dK_acc, K_block),
+                         ("dV", dV_acc, V_block)):
+        if acc.shape != t.shape or acc.dtype != dQ_acc.dtype:
+            raise ValueError(f"{name} accumulator {acc.shape} {acc.dtype} must have shape "
+                             f"{t.shape} and the dtype of dQ, {dQ_acc.dtype}")
     h, s_q, d = Q_block.shape
     s_kv = K_block.shape[1]
     Qs = scale * Q_block.astype(np.float64, copy=False)
-    Kf = K_block.astype(np.float64, copy=False)
-    Vf = V_block.astype(np.float64, copy=False)
     dOf = dO_block.astype(np.float64, copy=False)
     L = L_full.astype(np.float64, copy=False)[..., None]
     D = D_full.astype(np.float64, copy=False)[..., None]
     tile = max(1, min(tile_rows, s_kv))
 
-    # flat buffers, so a short last tile still gets a contiguous [h, s_q, rows]
-    # view: matmul into a strided view misses the BLAS path
+    # flat buffers, so a short last tile still gets a contiguous view: matmul
+    # into a strided view misses the BLAS path
+    k_buf = np.empty(h * tile * d)
+    v_buf = np.empty(h * tile * d)
+    g_buf = np.empty(h * tile * d)
+    r_buf = (None if dQ_acc.dtype == np.float64
+             else np.empty(h * max(tile, s_q) * d, dtype=dQ_acc.dtype))
     p_buf = np.empty(h * s_q * tile)
     ds_buf = np.empty(h * s_q * tile)
+    dq_tile = np.empty((h, s_q, d))
     dQ = np.zeros((h, s_q, d))
-    dK = np.empty((h, s_kv, d))
-    dV = np.empty((h, s_kv, d))
     for t0 in range(0, s_kv, tile):
         t1 = min(t0 + tile, s_kv)
-        Kt = Kf[:, t0:t1]
+        Kt = _stage(k_buf, K_block[:, t0:t1])
+        Vt = _stage(v_buf, V_block[:, t0:t1])
         P = p_buf[:h * s_q * (t1 - t0)].reshape(h, s_q, t1 - t0)
         dS = ds_buf[:P.size].reshape(P.shape)
+        G = g_buf[:Kt.size].reshape(Kt.shape)
         np.matmul(Qs, Kt.transpose(0, 2, 1), out=P)
         P -= L
         np.exp(P, out=P)
-        np.matmul(P.transpose(0, 2, 1), dOf, out=dV[:, t0:t1])
-        np.matmul(dOf, Vf[:, t0:t1].transpose(0, 2, 1), out=dS)
+        np.matmul(P.transpose(0, 2, 1), dOf, out=G)
+        _add_rounded(dV_acc[:, t0:t1], G, r_buf)
+        np.matmul(dOf, Vt.transpose(0, 2, 1), out=dS)
         dS -= D
         dS *= P
-        dQ += dS @ Kt
-        np.matmul(dS.transpose(0, 2, 1), Qs, out=dK[:, t0:t1])
+        dQ += np.matmul(dS, Kt, out=dq_tile)
+        np.matmul(dS.transpose(0, 2, 1), Qs, out=G)
+        _add_rounded(dK_acc[:, t0:t1], G, r_buf)
     dQ *= scale
-    return (dQ.astype(out_dt, copy=False), dK.astype(out_dt, copy=False),
-            dV.astype(out_dt, copy=False))
+    _add_rounded(dQ_acc, dQ, r_buf)
+    return dQ_acc, dK_acc, dV_acc
 
 
 def project(x: np.ndarray, W: np.ndarray, heads: int) -> np.ndarray:

@@ -166,9 +166,10 @@ def lvx_backward(ctx: WorkerContext, shards: ShardSpec, q_block: np.ndarray,
                  tile_rows: int = DEFAULT_TILE_ROWS):
     """Query-rotation backward: the tuple (Q, dO, L, D, dQ-accumulator) of each
     block rotates once around the ring; every worker adds its K/V block's
-    contribution, accumulating dK/dV locally and dQ into the tuple. The round
-    n-1 send delivers each tuple to its owner, so the final receive is the
-    homecoming. Returns (dQ_i, dK_i, dV_i)."""
+    contribution, accumulating dK/dV into its one local pair and dQ into the
+    tuple it holds. A tuple is only written between its receive and its send.
+    The round n-1 send delivers each tuple to its owner, so the final receive
+    is the homecoming. Returns (dQ_i, dK_i, dV_i)."""
     n, i = ctx.n, ctx.rank
     dtype = q_block.dtype
     tags = ctx.collective_tag(n)
@@ -177,19 +178,15 @@ def lvx_backward(ctx: WorkerContext, shards: ShardSpec, q_block: np.ndarray,
     tup = {"Q": q_block, "dO": do_block, "L": state.L, "D": d_own,
            "dQ": np.zeros_like(q_block)}
     blk = i
-    dk_local = np.zeros_like(k_block)
-    dv_local = np.zeros_like(v_block)
+    dk = np.zeros_like(k_block)
+    dv = np.zeros_like(v_block)
     for r in range(n):
         j = (i - r) % n
         if blk != j:
             raise ClusterError(f"worker {i} backward round {r}: holding block {blk}, expected {j}")
-        dq_c, dk_c, dv_c = ctx.compute(blockwise_attention_backward, tup["Q"], k_block,
-                                       v_block, tup["L"], tup["D"], tup["dO"], scale,
-                                       tile_rows)
-        dk_local += dk_c
-        dv_local += dv_c
-        ctx.send(ctx.successor, tags + r, {**tup, "dQ": tup["dQ"] + dq_c},
-                 meta={"block": j, "rows": shards.q_ranges[j]})
+        ctx.compute(blockwise_attention_backward, tup["Q"], k_block, v_block, tup["L"],
+                    tup["D"], tup["dO"], scale, tile_rows, (tup["dQ"], dk, dv))
+        ctx.send(ctx.successor, tags + r, tup, meta={"block": j, "rows": shards.q_ranges[j]})
         msg = ctx.recv(ctx.predecessor, tags + r)
         _expect_block(msg.meta, "block", (i - r - 1) % n, f"worker {i} backward round {r}")
         tup = msg.payload
@@ -197,7 +194,7 @@ def lvx_backward(ctx: WorkerContext, shards: ShardSpec, q_block: np.ndarray,
         ctx.close_round()
     if blk != i:
         raise ClusterError(f"worker {i} backward: final tuple is block {blk}, expected {i}")
-    return tup["dQ"], dk_local, dv_local
+    return tup["dQ"], dk, dv
 
 
 def ring_forward(ctx: WorkerContext, shards: ShardSpec, q_block: np.ndarray,
@@ -231,8 +228,9 @@ def ring_backward(ctx: WorkerContext, shards: ShardSpec, q_block: np.ndarray,
                   do_block: np.ndarray, scale: float,
                   tile_rows: int = DEFAULT_TILE_ROWS):
     """KV-rotation backward: (K, V, dK, dV) rotate together for n-1 shifts while
-    dQ accumulates locally; an epilogue hop returns each (dK, dV) pair to its
-    owner. Returns (dQ_i, dK_i, dV_i)."""
+    dQ accumulates locally; each worker adds into the dK/dV pair it holds,
+    only between its receive and its send. An epilogue hop returns each
+    (dK, dV) pair to its owner. Returns (dQ_i, dK_i, dV_i)."""
     n, i = ctx.n, ctx.rank
     dtype = q_block.dtype
     tags = ctx.collective_tag(n)
@@ -243,10 +241,8 @@ def ring_backward(ctx: WorkerContext, shards: ShardSpec, q_block: np.ndarray,
           "dV": np.zeros_like(v_block)}
     blk = i
     for r in range(n):
-        dq_c, dk_c, dv_c = ctx.compute(blockwise_attention_backward, q_block, kv["K"],
-                                       kv["V"], state.L, d_own, do_block, scale, tile_rows)
-        dq += dq_c
-        kv = {**kv, "dK": kv["dK"] + dk_c, "dV": kv["dV"] + dv_c}
+        ctx.compute(blockwise_attention_backward, q_block, kv["K"], kv["V"], state.L, d_own,
+                    do_block, scale, tile_rows, (dq, kv["dK"], kv["dV"]))
         if r < n - 1:
             ctx.send(ctx.successor, tags + r, kv,
                      meta={"block": blk, "rows": shards.kv_ranges[blk]})

@@ -21,8 +21,8 @@ i can draw its own stream (seed, i) without coordination.
 
 from __future__ import annotations
 
+import os
 import struct
-from pathlib import Path
 
 import numpy as np
 
@@ -83,7 +83,10 @@ def seeded_random_tensor(seed: int, shape, dtype=np.float64, scale: float = 1.0,
 
 
 def store_tensor(t: np.ndarray, path) -> None:
-    """Write one tensor in LVXT form; round-trips bit-exactly with load_tensor."""
+    """Write one tensor in LVXT form; round-trips bit-exactly with load_tensor.
+
+    The header is written first and then the array's own buffer, so a
+    contiguous little-endian array is written without a copy."""
     t = np.asarray(t)
     if np.dtype(t.dtype) not in _CODE_FOR_KIND:
         raise LvxtError(f"unsupported dtype {t.dtype}")
@@ -92,39 +95,49 @@ def store_tensor(t: np.ndarray, path) -> None:
     code = _CODE_FOR_KIND[np.dtype(t.dtype)]
     header = MAGIC + struct.pack("<IBB", FORMAT_VERSION, code, t.ndim)
     header += b"".join(struct.pack("<Q", int(d)) for d in t.shape)
-    payload = np.ascontiguousarray(t, dtype=_DTYPE_CODES[code]).tobytes()
-    Path(path).write_bytes(header + payload)
+    payload = np.ascontiguousarray(t, dtype=_DTYPE_CODES[code])
+    with open(path, "wb") as f:
+        f.write(header)
+        f.write(payload.reshape(-1).view(np.uint8))
 
 
 def load_tensor(path) -> np.ndarray:
     """Read an LVXT file; raises distinct errors for bad magic, unknown dtype,
-    and truncated payloads."""
-    raw = Path(path).read_bytes()
-    if len(raw) < 4 or raw[:4] != MAGIC:
-        raise BadMagicError(f"bad magic: expected {MAGIC!r}, got {raw[:4]!r}")
-    if len(raw) < 10:
-        raise TruncatedPayloadError(f"truncated header: {len(raw)} bytes")
-    version, code, ndim = struct.unpack_from("<IBB", raw, 4)
-    if version != FORMAT_VERSION:
-        raise LvxtError(f"unsupported version {version}")
-    if code not in _DTYPE_CODES:
-        raise UnknownDtypeError(f"unknown dtype code {code}")
-    if ndim < 1 or ndim > 3:
-        raise LvxtError(f"rank must be 1..3, got {ndim}")
-    dims_end = 10 + 8 * ndim
-    if len(raw) < dims_end:
-        raise TruncatedPayloadError(f"truncated header: {len(raw)} bytes, need {dims_end}")
-    dims = struct.unpack_from("<" + "Q" * ndim, raw, 10)
-    dt = _DTYPE_CODES[code]
-    count = 1
-    for d in dims:
-        count *= d
-    expected = dims_end + count * dt.itemsize
-    if len(raw) < expected:
-        raise TruncatedPayloadError(
-            f"truncated payload: have {len(raw) - dims_end} bytes, expected {expected - dims_end}")
-    if len(raw) > expected:
-        raise LvxtError(f"trailing data: {len(raw) - expected} extra bytes")
-    flat = np.frombuffer(raw, dtype=dt, count=count, offset=dims_end)
-    # native byte order going forward; copy so the result is writable/owned
-    return flat.astype(dt.newbyteorder("="), copy=True).reshape(dims)
+    and truncated payloads. The payload is read straight into the result."""
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        head = f.read(10)
+        if len(head) < 4 or head[:4] != MAGIC:
+            raise BadMagicError(f"bad magic: expected {MAGIC!r}, got {head[:4]!r}")
+        if len(head) < 10:
+            raise TruncatedPayloadError(f"truncated header: {size} bytes")
+        version, code, ndim = struct.unpack_from("<IBB", head, 4)
+        if version != FORMAT_VERSION:
+            raise LvxtError(f"unsupported version {version}")
+        if code not in _DTYPE_CODES:
+            raise UnknownDtypeError(f"unknown dtype code {code}")
+        if ndim < 1 or ndim > 3:
+            raise LvxtError(f"rank must be 1..3, got {ndim}")
+        dims_end = 10 + 8 * ndim
+        raw_dims = f.read(8 * ndim)
+        if len(raw_dims) < 8 * ndim:
+            raise TruncatedPayloadError(f"truncated header: {size} bytes, need {dims_end}")
+        dims = struct.unpack("<" + "Q" * ndim, raw_dims)
+        dt = _DTYPE_CODES[code]
+        count = 1
+        for d in dims:
+            count *= d
+        expected = dims_end + count * dt.itemsize
+        if size < expected:
+            raise TruncatedPayloadError(
+                f"truncated payload: have {size - dims_end} bytes, "
+                f"expected {expected - dims_end}")
+        if size > expected:
+            raise LvxtError(f"trailing data: {size - expected} extra bytes")
+        out = np.empty(dims, dtype=dt)
+        got = f.readinto(out.reshape(-1).view(np.uint8))
+        if got != count * dt.itemsize:
+            raise TruncatedPayloadError(
+                f"truncated payload: have {got} bytes, expected {count * dt.itemsize}")
+    # native byte order going forward; a no-op on little-endian hosts
+    return out.astype(dt.newbyteorder("="), copy=False)

@@ -16,8 +16,8 @@ import numpy as np
 from . import volumes
 from .analytics import WorkloadSpec, volume_report
 from .cluster import ClusterSpec
-from .kernels import (dense_attention, dense_attention_backward, project,
-                      project_backward)
+from .kernels import (GradientBundle, default_scale, dense_attention,
+                      dense_attention_backward, project, project_backward)
 from .mllm import (ActivationPolicy, ModelParams, OpCounter, ToyMllmConfig,
                    TOY_CONFIG, max_frames_under_budget, mllm_backward,
                    mllm_forward, projection_flops)
@@ -108,6 +108,33 @@ def exactness_suite() -> list[Check]:
     return checks
 
 
+def untiled_backward_reference(Q, K, V, L, D, dO, scale):
+    """Textbook attention backward in float64, sharing no code with the tiled
+    kernel: the full score-shaped S, P, dP and dS are materialized.
+    P = exp(scale Q K^T - L), dV = P^T dO, dS = P * (dO V^T - D),
+    dQ = scale dS K, dK = scale dS^T Q. Returns (dQ, dK, dV)."""
+    Qf, Kf, Vf, dOf = (t.astype(np.float64) for t in (Q, K, V, dO))
+    S = scale * (Qf @ Kf.transpose(0, 2, 1))
+    P = np.exp(S - L.astype(np.float64)[..., None])
+    dV = P.transpose(0, 2, 1) @ dOf
+    dP = dOf @ Vf.transpose(0, 2, 1)
+    dS = P * (dP - D.astype(np.float64)[..., None])
+    return scale * (dS @ Kf), scale * (dS.transpose(0, 2, 1) @ Qf), dV
+
+
+def gradient_oracle(Q, K, V, dO, scale: float | None = None) -> GradientBundle:
+    """The gradients of <dO, attention(Q, K, V)> from the dense forward and
+    the untiled reference, all in float64: the independent reference the
+    distributed gradients are held to."""
+    Qf, Kf, Vf, dOf = (t.astype(np.float64) for t in (Q, K, V, dO))
+    if scale is None:
+        scale = default_scale(Q.shape[2])
+    st = dense_attention(Qf, Kf, Vf, scale)
+    dQ, dK, dV = untiled_backward_reference(Qf, Kf, Vf, st.L, np.sum(dOf * st.O, axis=2),
+                                            dOf, scale)
+    return GradientBundle(dQ=dQ, dK=dK, dV=dV)
+
+
 def _finite_difference(loss, array: np.ndarray, step: float = FD_STEP) -> np.ndarray:
     fd = np.zeros_like(array, dtype=np.float64)
     for idx in np.ndindex(array.shape):
@@ -186,7 +213,7 @@ def _mllm_fd_checks() -> list[Check]:
 
 
 def gradients_suite() -> list[Check]:
-    """Distributed backward matches the dense backward oracle in f64; dense
+    """Distributed backward matches the untiled f64 gradient oracle; dense
     backward, projection backward, and every toy-model parameter gradient
     match central finite differences."""
     checks = []
@@ -195,8 +222,7 @@ def gradients_suite() -> list[Check]:
         if strategy is StrategyKind.SINGLE:
             continue
         Q, K, V, dO = make_inputs(s_q, s_kv, h, d, seed=2000 + idx)
-        oracle_state = dense_attention(Q, K, V)
-        oracle = dense_attention_backward(Q, K, V, oracle_state.O, oracle_state.L, dO)
+        oracle = gradient_oracle(Q, K, V, dO)
         res = run_distributed(strategy, Q, K, V, dO=dO, spec=ClusterSpec(n))
         err = max(max_norm_error(res.grads.dQ, oracle.dQ),
                   max_norm_error(res.grads.dK, oracle.dK),

@@ -143,6 +143,26 @@ class TestRun:
                                          {"f64": 8, "f32": 4}[dtype], backward)
         assert peak <= guard
 
+    @pytest.mark.parametrize("backward", [False, True])
+    @pytest.mark.parametrize("dtype", ["f64", "f32"])
+    @pytest.mark.parametrize("strategy,n", [("lvx", 3), ("ring", 3), ("head", 3), ("single", 1)])
+    def test_numeric_guard_bounds_query_heavy_peak(self, tmp_path, strategy, n, dtype, backward):
+        # S_Q >> S_KV: each lvx/ring worker's score tiles are only S_KV/n wide
+        s_q, s_kv, h, d = 4000, 64, 3, 8
+        args = ["run", "--strategy", strategy, "--n", str(n), "--sq", str(s_q),
+                "--skv", str(s_kv), "--h", str(h), "--d", str(d), "--dtype", dtype,
+                "--out-dir", str(tmp_path)] + (["--backward"] if backward else [])
+        assert run_cli(*args) == 0
+        tracemalloc.start()
+        try:
+            assert run_cli(*args) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        guard = cli._numeric_working_set(strategy, s_q, s_kv, h, d, DEFAULT_TILE_ROWS,
+                                         {"f64": 8, "f32": 4}[dtype], backward, n=n)
+        assert peak <= guard
+
     @pytest.mark.parametrize("latency", ["nan", "inf"])
     def test_non_finite_latency_is_usage_error(self, monkeypatch, tmp_path, capsys, latency):
         def no_spawn(*args, **kwargs):

@@ -8,7 +8,8 @@ from lvxattn.kernels import (AttentionState, blockwise_attention,
                              dense_attention_backward, empty_state, merge_states,
                              project, project_backward)
 from lvxattn.tensorio import seeded_random_tensor
-from lvxattn.verify import max_norm_error
+from lvxattn.verify import (gradient_oracle, max_norm_error,
+                            untiled_backward_reference)
 
 
 def naive_attention_rowloop(Q, K, V, scale):
@@ -215,18 +216,6 @@ class TestDenseBackward:
             assert max_norm_error(grad, fd) <= 1e-5
 
 
-def untiled_backward_reference(Q, K, V, L, D, dO, scale):
-    """The backward kernel before tiling: full score-shaped S, P, dP and dS,
-    all in float64. Kept here only as the reference for the tiled kernel."""
-    Qf, Kf, Vf, dOf = (t.astype(np.float64) for t in (Q, K, V, dO))
-    S = scale * (Qf @ Kf.transpose(0, 2, 1))
-    P = np.exp(S - L.astype(np.float64)[..., None])
-    dV = P.transpose(0, 2, 1) @ dOf
-    dP = dOf @ Vf.transpose(0, 2, 1)
-    dS = P * (dP - D.astype(np.float64)[..., None])
-    return scale * (dS @ Kf), scale * (dS.transpose(0, 2, 1) @ Qf), dV
-
-
 def backward_block_inputs(s_q, s_kv, seed, h=2, d=4):
     """Q, one KV block of s_kv rows, dO, and the final L and D taken over that
     block plus three more KV rows, as a distributed backward sees them. One
@@ -309,6 +298,52 @@ class TestTiledBackward:
             blockwise_attention_backward(Q, K, V, L, D, dO, tile_rows=0)
         with pytest.raises(ValueError, match="tile_rows"):
             dense_attention_backward(Q, K, V, st.O, st.L, dO, tile_rows=-1)
+
+
+class TestAccumulateForm:
+    @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-4)])
+    def test_blocks_accumulated_into_one_set_equal_dense(self, dtype, tol):
+        # three KV blocks of uneven size, each ending in a short tile
+        Q, K, V = (t.astype(dtype) for t in rand_qkv(2, 6, 23, 4, seed=60))
+        dO = seeded_random_tensor(61, (2, 6, 4), dtype)
+        st = dense_attention(Q, K, V)
+        D = np.sum(dO.astype(np.float64) * st.O.astype(np.float64), axis=2).astype(dtype)
+        inputs = (Q, K, V, dO, st.L, D)
+        before = [t.tobytes() for t in inputs]
+        dQ, dK, dV = np.zeros_like(Q), np.zeros_like(K), np.zeros_like(V)
+        for a, b in ((0, 9), (9, 16), (16, 23)):
+            got = blockwise_attention_backward(Q, K[:, a:b], V[:, a:b], st.L, D, dO, None, 4,
+                                               (dQ, dK[:, a:b], dV[:, a:b]))
+            assert got[0] is dQ
+        ref = gradient_oracle(Q, K, V, dO)
+        for g, r in ((dQ, ref.dQ), (dK, ref.dK), (dV, ref.dV)):
+            assert g.dtype == dtype
+            assert max_norm_error(g, r) <= tol
+        assert [t.tobytes() for t in inputs] == before
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_adds_the_rounded_contribution(self, dtype):
+        # accumulating into a nonzero set equals adding the returned
+        # contribution of a fresh call, bit for bit
+        Q, K, V, L, D, dO = (t.astype(dtype) for t in backward_block_inputs(5, 300, seed=62))
+        fresh = blockwise_attention_backward(Q, K, V, L, D, dO, None, 7)
+        start = [seeded_random_tensor(63, t.shape, dtype, stream=i)
+                 for i, t in enumerate((Q, K, V))]
+        acc = [a.copy() for a in start]
+        blockwise_attention_backward(Q, K, V, L, D, dO, None, 7, acc)
+        for a, s0, f in zip(acc, start, fresh):
+            assert a.tobytes() == (s0 + f).tobytes()
+
+    def test_accumulator_shape_and_dtype_checked(self):
+        Q, K, V, L, D, dO = backward_block_inputs(3, 8, seed=64)
+        with pytest.raises(ValueError, match="dK accumulator"):
+            blockwise_attention_backward(Q, K, V, L, D, dO, None, 4,
+                                         (np.zeros_like(Q), np.zeros_like(K[:, 1:]),
+                                          np.zeros_like(V)))
+        with pytest.raises(ValueError, match="dV accumulator"):
+            blockwise_attention_backward(Q, K, V, L, D, dO, None, 4,
+                                         (np.zeros_like(Q), np.zeros_like(K),
+                                          np.zeros_like(V, dtype=np.float32)))
 
 
 class TestProjection:

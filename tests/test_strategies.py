@@ -1,16 +1,17 @@
 import inspect
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from lvxattn import strategies, volumes
+from lvxattn import cluster, strategies, volumes
 from lvxattn.cluster import ClusterError, ClusterSpec, Throttled, spawn_cluster
-from lvxattn.kernels import dense_attention, dense_attention_backward
+from lvxattn.kernels import dense_attention
 from lvxattn.strategies import (ShardSpec, lvx_forward, partition_rows,
                                 run_distributed)
 from lvxattn.tensorio import seeded_random_tensor
-from lvxattn.verify import max_norm_error
+from lvxattn.verify import gradient_oracle, max_norm_error
 
 
 def rand_problem(h, s_q, s_kv, d, seed):
@@ -90,7 +91,7 @@ class TestExactness:
     def test_empty_kv_shards(self):
         Q, K, V, dO = rand_problem(1, 9, 2, 3, seed=4)
         oracle = dense_attention(Q, K, V)
-        ob = dense_attention_backward(Q, K, V, oracle.O, oracle.L, dO)
+        ob = gradient_oracle(Q, K, V, dO)
         for strategy in ("lvx", "ring"):
             res = run_distributed(strategy, Q, K, V, dO=dO, spec=ClusterSpec(4))
             assert max_norm_error(res.O, oracle.O) <= 1e-12
@@ -98,8 +99,7 @@ class TestExactness:
 
     def test_backward_matches_dense(self):
         Q, K, V, dO = rand_problem(4, 8, 8, 4, seed=5)
-        oracle = dense_attention(Q, K, V)
-        ob = dense_attention_backward(Q, K, V, oracle.O, oracle.L, dO)
+        ob = gradient_oracle(Q, K, V, dO)
         for strategy in ("lvx", "ring", "head"):
             res = run_distributed(strategy, Q, K, V, dO=dO, spec=ClusterSpec(4))
             assert max_norm_error(res.grads.dQ, ob.dQ) <= 1e-12
@@ -338,8 +338,7 @@ def test_tile_rows_reaches_every_kernel_call(monkeypatch, strategy, n):
 
         monkeypatch.setattr(strategies, name, spy)
     Q, K, V, dO = rand_problem(2, 5, 11, 3, seed=22)
-    oracle = dense_attention(Q, K, V)
-    ob = dense_attention_backward(Q, K, V, oracle.O, oracle.L, dO)
+    ob = gradient_oracle(Q, K, V, dO)
     res = run_distributed(strategy, Q, K, V, dO=dO, spec=ClusterSpec(n), tile_rows=3)
     assert any(name.endswith("_backward") for name, _ in seen)
     assert all(tile == 3 for _, tile in seen), seen
@@ -359,3 +358,65 @@ def test_repeated_runs_bit_identical():
     baseline = run_once()
     for _ in range(19):
         assert run_once() == baseline
+
+
+def _snapshot(payload):
+    return {cls: np.asarray(a).tobytes() for cls, a in payload.items()}
+
+
+@pytest.mark.parametrize("strategy,n", [(s, n) for s in ("lvx", "ring", "head")
+                                        for n in (1, 2, 3)] + [("single", 1)])
+def test_payloads_unchanged_between_send_and_recv(monkeypatch, strategy, n):
+    # backward bodies accumulate into received tensors; a sender must never
+    # write to a payload after sending it. The latency leaves each message in
+    # flight long enough for a late write to show.
+    sent = {}
+    send, recv = cluster.Cluster.send, cluster.Cluster.recv
+
+    def snapshotting_send(self, src, dst, tag, payload, meta=None):
+        sent[(src, dst, tag)] = _snapshot(payload)
+        return send(self, src, dst, tag, payload, meta=meta)
+
+    def checking_recv(self, rank, src, tag):
+        msg = recv(self, rank, src, tag)
+        if _snapshot(msg.payload) != sent.pop((src, rank, tag)):
+            raise AssertionError(f"payload {src}->{rank} tag {tag} changed in flight")
+        return msg
+
+    monkeypatch.setattr(cluster.Cluster, "send", snapshotting_send)
+    monkeypatch.setattr(cluster.Cluster, "recv", checking_recv)
+    Q, K, V, dO = rand_problem(6, 7, 11, 3, seed=28)
+    res = run_distributed(strategy, Q, K, V, dO=dO, tile_rows=2,
+                          spec=ClusterSpec(n, Throttled(bandwidth=1e12, latency=2e-3)))
+    assert not sent
+    ob = gradient_oracle(Q, K, V, dO)
+    for name in ("dQ", "dK", "dV"):
+        assert max_norm_error(getattr(res.grads, name), getattr(ob, name)) <= 1e-12
+
+
+def _largest_message(trace):
+    return max([r.sent_bytes for r in trace.rounds]
+               + [sum(trace.epilogue_bytes_by_class.values())])
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("strategy", ["lvx", "ring"])
+def test_worker_memory_flat_in_n(strategy, dtype):
+    # K/V dominate: going from one worker to two may add only the messages
+    # each worker has in flight, never a second K/V-sized gradient
+    Q, K, V, dO = (t.astype(dtype) for t in rand_problem(2, 128, 30000, 8, seed=29))
+
+    def traced_run(n):
+        run_distributed(strategy, Q, K, V, dO=dO, spec=ClusterSpec(n))
+        tracemalloc.start()
+        try:
+            res = run_distributed(strategy, Q, K, V, dO=dO, spec=ClusterSpec(n))
+            return res, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    _, one_worker = traced_run(1)
+    res, two_workers = traced_run(2)
+    in_flight = sum(max(_largest_message(res.traces_forward[i]),
+                        _largest_message(res.traces_backward[i])) for i in range(2))
+    assert two_workers <= one_worker + in_flight

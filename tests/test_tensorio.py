@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -110,3 +111,29 @@ def test_unsupported_version(tmp_path):
     path.write_bytes(header + b"\x00" * 4)
     with pytest.raises(LvxtError, match="version"):
         load_tensor(path)
+
+
+def test_store_and_load_hold_one_copy(tmp_path):
+    t = seeded_random_tensor(7, (4, 1000, 400), np.float32)     # 6.4 MB
+    path = tmp_path / "big.lvxt"
+    tracemalloc.start()
+    try:
+        store_tensor(t, path)
+        store_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        back = load_tensor(path)
+        load_peak = tracemalloc.get_traced_memory()[1]     # the result is the one copy
+    finally:
+        tracemalloc.stop()
+    assert back.tobytes() == t.tobytes()
+    assert store_peak <= 1.1 * t.nbytes
+    assert load_peak <= 1.1 * t.nbytes
+
+
+def test_empty_axis_roundtrip(tmp_path):
+    t = np.zeros((2, 0, 3), dtype=np.float32)
+    path = tmp_path / "empty.lvxt"
+    store_tensor(t, path)
+    assert path.stat().st_size == 10 + 3 * 8
+    back = load_tensor(path)
+    assert back.shape == (2, 0, 3) and back.dtype == np.float32
