@@ -262,17 +262,16 @@ def lvx_ring_forward_volume_ratio(w: WorkloadSpec) -> float:
 
 
 def volume_report(w: WorkloadSpec) -> dict:
-    """Accounting-only run: exact per-worker byte counts for every strategy,
-    computed from the balanced row partition without materializing tensors.
+    """Accounting-only run: exact per-worker byte counts for every strategy
+    that fits the worker and head counts, computed from the balanced row
+    partition without materializing tensors.
     These equal the transport counters of a numeric run bit for bit."""
     q_sizes = [b - a for a, b in partition_rows(w.s_q, w.n)]
     kv_sizes = [b - a for a, b in partition_rows(w.s_kv, w.n)]
-    # every strategy that fits the worker count and sends anything at all
     per_worker = {kind.value: {phase: volumes.bytes_by_worker(kind.value, phase, q_sizes,
                                                               kv_sizes, w.h, w.d, w.elem_bytes)
                                for phase in volumes.PHASES}
-                  for kind, protocol in PROTOCOLS.items()
-                  if protocol.fits(w.n, w.h) and volumes.HOPS[(kind.value, "forward")]}
+                  for kind, protocol in PROTOCOLS.items() if protocol.fits(w.n, w.h)}
     report = {
         "workload": {"s_q": w.s_q, "s_kv": w.s_kv, "h": w.h, "d": w.d,
                      "n": w.n, "elem_bytes": w.elem_bytes},

@@ -95,8 +95,7 @@ def _workload_from_args(args) -> tuple[analytics.WorkloadSpec, int]:
 
 
 def _numeric_working_set(strategy: str, s_q: int, s_kv: int, h: int, d: int,
-                         tile_rows: int, elem_bytes: int, backward: bool,
-                         n: int = 1) -> int:
+                         elem_bytes: int, backward: bool, n: int = 1) -> int:
     """Bytes a numeric run on n workers holds at its peak, summed over
     workers, as an upper bound. Inputs and outputs take the run's element
     size; kernel scratch is float64 and takes 8.
@@ -111,33 +110,30 @@ def _numeric_working_set(strategy: str, s_q: int, s_kv: int, h: int, d: int,
     dQ and its tile update, merge temporaries), four K/V tiles (K and V
     staged in float64, a gradient tile and its rounding) and one score tile
     per worker in the forward, two in the backward. A worker's score tile is
-    [h, its query rows, min(tile_rows, its KV rows)]: `lvx` and `ring`
-    workers see KV blocks of ceil(S_KV / n) rows, `head` workers all S_KV
-    rows of h/n heads. `single` instead counts the dense forward's float64
-    copies of Q, K and V and its three [h, S_Q, S_KV] score arrays. Python
-    objects (the argument parser, the n(n+1) messages, round records and
-    stats) add 256 KiB + 6 KiB n². The default n=1 is the bound for one
-    worker holding every row."""
+    [h, its query rows, min(DEFAULT_TILE_ROWS, its KV rows)]: `lvx` and
+    `ring` workers see KV blocks of ceil(S_KV / n) rows, `head` workers all
+    S_KV rows of h/n heads, and the one `single` worker all S_KV rows of all
+    heads, which is the `lvx`/`ring` count at n = 1. Python objects (the
+    argument parser, the n(n+1) messages, round records and stats) add
+    256 KiB + 6 KiB n². The default n=1 is the bound for one worker holding
+    every row."""
     q, kv, rows = h * s_q * d, h * s_kv * d, h * s_q
     inputs = q + 2 * kv + (q if backward else 0)
     outputs = q + rows + (q + 2 * kv if backward else 0)
     run = 2 * outputs * elem_bytes + 6 * (q + rows) * 8
-    if strategy == StrategyKind.SINGLE.value:
-        run += (q + 2 * kv) * 8 + 3 * rows * s_kv * 8
-    else:
-        sharded_kv = strategy in (StrategyKind.LVX.value, StrategyKind.RING.value)
-        kv_rows = -(-s_kv // n) if sharded_kv else s_kv
-        cols = min(tile_rows, kv_rows)
-        staged_heads = n * h if sharded_kv else h
-        run += 4 * staged_heads * cols * d * 8 + (2 if backward else 1) * rows * cols * 8
-    if strategy == StrategyKind.HEAD_PARALLEL.value:
+    head = strategy == StrategyKind.HEAD_PARALLEL.value
+    kv_rows = s_kv if head else -(-s_kv // n)
+    cols = min(DEFAULT_TILE_ROWS, kv_rows)
+    staged_heads = h if head else n * h
+    run += 4 * staged_heads * cols * d * 8 + (2 if backward else 1) * rows * cols * 8
+    if head:
         run += (inputs + (q + 2 * kv if backward else 0)) * elem_bytes
     objects = (256 + 6 * n * n) * 1024
     return objects + inputs * elem_bytes + max(max(q, kv) * 8, run)
 
 
 def cmd_run(args) -> int:
-    _require_positive(args, ["n", "sq", "skv", "h", "d", "bandwidth", "tile_rows"])
+    _require_positive(args, ["n", "sq", "skv", "h", "d", "bandwidth"])
     w, _ = _workload_from_args(args)
     if args.mode == "accounting-only":
         _write_json(analytics.volume_report(w), args.stats)
@@ -145,8 +141,8 @@ def cmd_run(args) -> int:
 
     s_q, s_kv, h, d, n = w.s_q, w.s_kv, w.h, w.d, w.n
     dtype = dtype_from_name(args.dtype or "f64")
-    total_bytes = _numeric_working_set(args.strategy, s_q, s_kv, h, d, args.tile_rows,
-                                       dtype.itemsize, backward=args.backward, n=n)
+    total_bytes = _numeric_working_set(args.strategy, s_q, s_kv, h, d, dtype.itemsize,
+                                       backward=args.backward, n=n)
     if total_bytes > MAX_NUMERIC_BYTES:
         raise ValueError(f"numeric mode would hold {total_bytes} bytes at its peak; "
                          f"use --mode accounting-only for workloads of this size")
@@ -174,8 +170,7 @@ def cmd_run(args) -> int:
         dO = load_or_random(args.input_do, (h, s_q, d), 3)
 
     res = run_distributed(StrategyKind(args.strategy), Q, K, V, dO=dO,
-                          spec=ClusterSpec(n, transport), scale=args.scale,
-                          tile_rows=args.tile_rows)
+                          spec=ClusterSpec(n, transport), scale=args.scale)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -346,8 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--scale", type=float, default=None,
                        help="score scale (default 1/sqrt(d))")
-    p_run.add_argument("--tile-rows", type=int, default=DEFAULT_TILE_ROWS,
-                       help="KV rows per kernel tile, forward and backward")
     p_run.add_argument("--transport", choices=["instant", "throttled"],
                        default="instant")
     p_run.add_argument("--bandwidth", type=float, default=None, help="bytes/second")

@@ -85,6 +85,17 @@ def validate_qkv(Q: np.ndarray, K: np.ndarray, V: np.ndarray) -> None:
         raise ValueError(f"V cols {V.shape[2]} != Q cols {Q.shape[2]}")
 
 
+def require_finite(**tensors: np.ndarray | None) -> None:
+    """Refuse a tensor holding inf or nan, naming it and its first such
+    element; None is skipped. The kernels do not check: one non-finite
+    element silently turns whole output rows into NaN. Callers check once
+    at their boundary, not per kernel call."""
+    for name, t in tensors.items():
+        if t is not None and not np.isfinite(t).all():
+            where = np.argwhere(~np.isfinite(t))[0]
+            raise ValueError(f"{name} holds a non-finite value at {where.tolist()}")
+
+
 def _out_dtype(*arrays) -> np.dtype:
     return np.result_type(*arrays)
 

@@ -28,7 +28,8 @@ from enum import Enum
 import numpy as np
 
 from .kernels import (blockwise_attention, default_scale,
-                      dense_attention_backward, project, project_backward)
+                      dense_attention_backward, project, project_backward,
+                      require_finite)
 from .tensorio import dtype_from_name, seeded_random_tensor
 
 
@@ -293,6 +294,7 @@ def mllm_forward(x0: np.ndarray, y: np.ndarray, params: ModelParams,
         raise ValueError(f"x0 shape {x0.shape} != ({config.s_q}, {config.d_embed})")
     if y.shape != (config.s_kv, config.d_embed):
         raise ValueError(f"y shape {y.shape} != ({config.s_kv}, {config.d_embed})")
+    require_finite(x0=x0, y=y)
     scale = default_scale(config.d)
     ca_set = set(config.ca_positions)
     saved = SavedActivations(policy=policy, y=y)

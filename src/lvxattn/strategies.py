@@ -11,17 +11,23 @@ Four strategies, all exact:
           head-split full-sequence tensors, attention runs locally per owned
           head, a second all-to-all restores sequence sharding. Requires the
           head count to be divisible by the worker count.
-  single  the dense reference path on one worker.
+  single  ring on one worker: the same tiled kernels, and nothing travels but
+          ring's backward epilogue, which a lone worker sends to itself free.
 
 Each strategy is one `Protocol` record in PROTOCOLS: its forward and backward
 bodies, which share one signature, and the worker-count rule; the messages
 they send are its rows of the hop table in `volumes`. `run_distributed`,
 the verify suites, the accounting-only report and the CLI all read PROTOCOLS.
+No body runs the dense oracle; it is only the reference that `verify`, the
+tests and the benchmark hold the protocols to.
 A body runs its kernels through `ctx.compute` and closes each round on its
 worker context; the round's kernel seconds, bytes and modeled wait come from
 those calls and the messages it sent and received (see
 `cluster.WorkerContext`). Bodies pass the kernels by their module-level names,
 looked up at call time, so a wrapper installed on this module sees every call.
+Every kernel call keeps the default KV tile, DEFAULT_TILE_ROWS; the rotating
+backward bodies name it only because `ctx.compute` forwards positional
+arguments and their gradient accumulators come after it.
 
 Row partitions may be uneven (sizes differ by at most one); rotated blocks
 carry their block id and row range as message metadata and every receive
@@ -43,8 +49,10 @@ from .cluster import (ClusterError, ClusterSpec, RoundTrace, TransportStats,
 from .kernels import (DEFAULT_TILE_ROWS, AttentionState, GradientBundle,
                       attention_row_stats, blockwise_attention,
                       blockwise_attention_backward, default_scale,
-                      dense_attention, dense_attention_backward, empty_state,
-                      merge_states, validate_qkv)
+                      dense_attention_backward, empty_state, merge_states,
+                      require_finite, validate_qkv)
+# no body calls the dense oracle; perfbench/tracer.py wraps it here by name
+from .kernels import dense_attention  # noqa: F401
 
 
 class StrategyKind(str, Enum):
@@ -116,8 +124,7 @@ def _expect_block(msg_meta: dict | None, key: str, block: int, where: str) -> No
 
 
 def lvx_forward(ctx: WorkerContext, shards: ShardSpec, q_block: np.ndarray,
-                k_block: np.ndarray, v_block: np.ndarray, scale: float,
-                tile_rows: int = DEFAULT_TILE_ROWS) -> AttentionState:
+                k_block: np.ndarray, v_block: np.ndarray, scale: float) -> AttentionState:
     """Query-rotation forward for one worker; collective over all n.
 
     Round r: send the state finished last round (block i-r+1) together with
@@ -141,7 +148,7 @@ def lvx_forward(ctx: WorkerContext, shards: ShardSpec, q_block: np.ndarray,
         ctx.send(ctx.successor, tags + r, {"O": send_state.O, "L": send_state.L, "Q": q_cur},
                  meta={"state_block": send_block, "state_rows": shards.q_ranges[send_block],
                        "q_block": j, "q_rows": shards.q_ranges[j]})
-        delta = ctx.compute(blockwise_attention, q_cur, k_block, v_block, scale, tile_rows)
+        delta = ctx.compute(blockwise_attention, q_cur, k_block, v_block, scale)
         msg = ctx.recv(ctx.predecessor, tags + r)
         _expect_block(msg.meta, "state_block", j, f"worker {i} round {r}")
         _expect_block(msg.meta, "q_block", j_next, f"worker {i} round {r}")
@@ -162,8 +169,7 @@ def lvx_forward(ctx: WorkerContext, shards: ShardSpec, q_block: np.ndarray,
 
 def lvx_backward(ctx: WorkerContext, shards: ShardSpec, q_block: np.ndarray,
                  k_block: np.ndarray, v_block: np.ndarray, state: AttentionState,
-                 do_block: np.ndarray, scale: float,
-                 tile_rows: int = DEFAULT_TILE_ROWS):
+                 do_block: np.ndarray, scale: float):
     """Query-rotation backward: the tuple (Q, dO, L, D, dQ-accumulator) of each
     block rotates once around the ring; every worker adds its K/V block's
     contribution, accumulating dK/dV into its one local pair and dQ into the
@@ -185,7 +191,7 @@ def lvx_backward(ctx: WorkerContext, shards: ShardSpec, q_block: np.ndarray,
         if blk != j:
             raise ClusterError(f"worker {i} backward round {r}: holding block {blk}, expected {j}")
         ctx.compute(blockwise_attention_backward, tup["Q"], k_block, v_block, tup["L"],
-                    tup["D"], tup["dO"], scale, tile_rows, (tup["dQ"], dk, dv))
+                    tup["D"], tup["dO"], scale, DEFAULT_TILE_ROWS, (tup["dQ"], dk, dv))
         ctx.send(ctx.successor, tags + r, tup, meta={"block": j, "rows": shards.q_ranges[j]})
         msg = ctx.recv(ctx.predecessor, tags + r)
         _expect_block(msg.meta, "block", (i - r - 1) % n, f"worker {i} backward round {r}")
@@ -198,8 +204,7 @@ def lvx_backward(ctx: WorkerContext, shards: ShardSpec, q_block: np.ndarray,
 
 
 def ring_forward(ctx: WorkerContext, shards: ShardSpec, q_block: np.ndarray,
-                 k_block: np.ndarray, v_block: np.ndarray, scale: float,
-                 tile_rows: int = DEFAULT_TILE_ROWS) -> AttentionState:
+                 k_block: np.ndarray, v_block: np.ndarray, scale: float) -> AttentionState:
     """KV-rotation forward: Q/O/L stay resident, (K, V) blocks shift n-1 times;
     each round's shift overlaps the blockwise kernel on the block in hand."""
     n, i = ctx.n, ctx.rank
@@ -213,7 +218,7 @@ def ring_forward(ctx: WorkerContext, shards: ShardSpec, q_block: np.ndarray,
         if r < n - 1:
             ctx.send(ctx.successor, tags + r, kv,
                      meta={"block": blk, "rows": shards.kv_ranges[blk]})
-        delta = ctx.compute(blockwise_attention, q_block, kv["K"], kv["V"], scale, tile_rows)
+        delta = ctx.compute(blockwise_attention, q_block, kv["K"], kv["V"], scale)
         state = merge_states(state, delta)
         if r < n - 1:
             msg = ctx.recv(ctx.predecessor, tags + r)
@@ -225,8 +230,7 @@ def ring_forward(ctx: WorkerContext, shards: ShardSpec, q_block: np.ndarray,
 
 def ring_backward(ctx: WorkerContext, shards: ShardSpec, q_block: np.ndarray,
                   k_block: np.ndarray, v_block: np.ndarray, state: AttentionState,
-                  do_block: np.ndarray, scale: float,
-                  tile_rows: int = DEFAULT_TILE_ROWS):
+                  do_block: np.ndarray, scale: float):
     """KV-rotation backward: (K, V, dK, dV) rotate together for n-1 shifts while
     dQ accumulates locally; each worker adds into the dK/dV pair it holds,
     only between its receive and its send. An epilogue hop returns each
@@ -242,7 +246,7 @@ def ring_backward(ctx: WorkerContext, shards: ShardSpec, q_block: np.ndarray,
     blk = i
     for r in range(n):
         ctx.compute(blockwise_attention_backward, q_block, kv["K"], kv["V"], state.L, d_own,
-                    do_block, scale, tile_rows, (dq, kv["dK"], kv["dV"]))
+                    do_block, scale, DEFAULT_TILE_ROWS, (dq, kv["dK"], kv["dV"]))
         if r < n - 1:
             ctx.send(ctx.successor, tags + r, kv,
                      meta={"block": blk, "rows": shards.kv_ranges[blk]})
@@ -271,8 +275,8 @@ def _gather(received: list[dict], cls: str, axis: int) -> np.ndarray:
 
 
 def head_parallel_forward(ctx: WorkerContext, shards: ShardSpec, q_block: np.ndarray,
-                          k_block: np.ndarray, v_block: np.ndarray, scale: float,
-                          tile_rows: int = DEFAULT_TILE_ROWS) -> AttentionState:
+                          k_block: np.ndarray, v_block: np.ndarray,
+                          scale: float) -> AttentionState:
     """All-to-all from sequence sharding to head sharding, local attention on
     the owned heads over the full sequence, all-to-all back."""
     n = ctx.n
@@ -283,7 +287,7 @@ def head_parallel_forward(ctx: WorkerContext, shards: ShardSpec, q_block: np.nda
                                 "V": v_block[w * hpw:(w + 1) * hpw]} for w in range(n)])
     q_full, k_full, v_full = (_gather(received, cls, 1) for cls in ("Q", "K", "V"))
 
-    st = ctx.compute(blockwise_attention, q_full, k_full, v_full, scale, tile_rows)
+    st = ctx.compute(blockwise_attention, q_full, k_full, v_full, scale)
     received = ctx.all_to_all([{"O": st.O[:, a:b], "L": st.L[:, a:b]}
                                for a, b in shards.q_ranges])
     ctx.close_round()
@@ -293,8 +297,7 @@ def head_parallel_forward(ctx: WorkerContext, shards: ShardSpec, q_block: np.nda
 
 def head_parallel_backward(ctx: WorkerContext, shards: ShardSpec, q_block: np.ndarray,
                            k_block: np.ndarray, v_block: np.ndarray, state: _HeadSplitState,
-                           do_block: np.ndarray, scale: float,
-                           tile_rows: int = DEFAULT_TILE_ROWS):
+                           do_block: np.ndarray, scale: float):
     """Mirror image of the forward: all-to-all dO to head sharding, local dense
     backward on owned heads, all-to-all dQ/dK/dV back to sequence sharding."""
     n = ctx.n
@@ -305,7 +308,7 @@ def head_parallel_backward(ctx: WorkerContext, shards: ShardSpec, q_block: np.nd
     do_full = _gather(received, "dO", 1)
 
     gb = ctx.compute(dense_attention_backward, q_full, k_full, v_full, st.O, st.L, do_full,
-                     scale, tile_rows)
+                     scale)
     received = ctx.all_to_all([{"dQ": gb.dQ[:, qa:qb], "dK": gb.dK[:, ka:kb],
                                 "dV": gb.dV[:, ka:kb]}
                                for (qa, qb), (ka, kb) in zip(shards.q_ranges,
@@ -314,31 +317,16 @@ def head_parallel_backward(ctx: WorkerContext, shards: ShardSpec, q_block: np.nd
     return tuple(_gather(received, cls, 0) for cls in ("dQ", "dK", "dV"))
 
 
-def single_forward(ctx: WorkerContext, shards: ShardSpec, q_block: np.ndarray,
-                   k_block: np.ndarray, v_block: np.ndarray, scale: float,
-                   tile_rows: int = DEFAULT_TILE_ROWS) -> AttentionState:
-    """The dense reference on the one worker, which holds every row."""
-    state = ctx.compute(dense_attention, q_block, k_block, v_block, scale)
-    ctx.close_round()
-    return state
-
-
-def single_backward(ctx: WorkerContext, shards: ShardSpec, q_block: np.ndarray,
-                    k_block: np.ndarray, v_block: np.ndarray, state: AttentionState,
-                    do_block: np.ndarray, scale: float,
-                    tile_rows: int = DEFAULT_TILE_ROWS):
-    gb = ctx.compute(dense_attention_backward, q_block, k_block, v_block, state.O, state.L,
-                     do_block, scale, tile_rows)
-    ctx.close_round()
-    return gb.dQ, gb.dK, gb.dV
-
-
 @dataclass(frozen=True)
 class Protocol:
     """One strategy: its per-worker forward and backward bodies (both
     collective over all n workers) and its worker-count rule, which returns
     why a (workers, heads) pair is refused or None. Its messages are the hop
-    table rows `volumes.HOPS[(kind, phase)]`."""
+    table rows `volumes.HOPS[(kind, phase)]`.
+
+    Every body takes the worker's blocks and the score scale:
+    forward(ctx, shards, q, k, v, scale) returns its AttentionState, and
+    backward(ctx, shards, q, k, v, state, dO, scale) returns (dQ, dK, dV)."""
 
     forward: Callable
     backward: Callable
@@ -364,7 +352,7 @@ PROTOCOLS = {
         head_parallel_forward, head_parallel_backward,
         lambda n, h: None if h % n == 0 else f"head count {h} not divisible by workers {n}"),
     StrategyKind.SINGLE: Protocol(
-        single_forward, single_backward,
+        ring_forward, ring_backward,
         lambda n, h: None if n == 1 else f"single-worker strategy requires n=1, got n={n}"),
 }
 
@@ -398,10 +386,10 @@ def run_distributed(strategy, Q: np.ndarray, K: np.ndarray, V: np.ndarray,
                     dO: np.ndarray | None = None,
                     spec: ClusterSpec | None = None,
                     scale: float | None = None,
-                    tile_rows: int = DEFAULT_TILE_ROWS,
                     timeout: float | None = None) -> RunResult:
     """Scatter Q/K/V by rows, run the strategy collectively, gather the full
-    O, L (and gradients when dO is given) with transport stats and traces."""
+    O, L (and gradients when dO is given) with transport stats and traces.
+    Non-finite inputs are refused before any worker starts."""
     strategy = StrategyKind(strategy)
     protocol = PROTOCOLS[strategy]
     spec = spec or ClusterSpec(1)
@@ -410,12 +398,11 @@ def run_distributed(strategy, Q: np.ndarray, K: np.ndarray, V: np.ndarray,
     s_kv = K.shape[1]
     if dO is not None and dO.shape != Q.shape:
         raise ValueError(f"dO shape {dO.shape} != Q shape {Q.shape}")
+    require_finite(Q=Q, K=K, V=V, dO=dO)
     if scale is None:
         scale = default_scale(d)
     if not np.isfinite(scale):
         raise ValueError(f"scale must be finite, got {scale}")
-    if tile_rows < 1:
-        raise ValueError(f"tile_rows must be >= 1, got {tile_rows}")
     protocol.check(spec.n, h)
     shards = ShardSpec.balanced(s_q, s_kv, spec.n)
     q_rows, kv_rows = shards.q_ranges, shards.kv_ranges
@@ -426,12 +413,12 @@ def run_distributed(strategy, Q: np.ndarray, K: np.ndarray, V: np.ndarray,
     def body(ctx: WorkerContext):
         (qa, qb), (ka, kb) = q_rows[ctx.rank], kv_rows[ctx.rank]
         q_i, k_i, v_i = Q[:, qa:qb], K[:, ka:kb], V[:, ka:kb]
-        state = protocol.forward(ctx, shards, q_i, k_i, v_i, scale, tile_rows)
+        state = protocol.forward(ctx, shards, q_i, k_i, v_i, scale)
         parts = {"O": state.O, "L": state.L}
         traces = [ctx.close_phase(strategy.value, "forward")]
         if dO is not None:
             parts["dQ"], parts["dK"], parts["dV"] = protocol.backward(
-                ctx, shards, q_i, k_i, v_i, state, dO[:, qa:qb], scale, tile_rows)
+                ctx, shards, q_i, k_i, v_i, state, dO[:, qa:qb], scale)
             traces.append(ctx.close_phase(strategy.value, "backward"))
         return parts, traces
 

@@ -219,8 +219,6 @@ def gradients_suite() -> list[Check]:
     checks = []
     d = EXACTNESS_HEAD_DIM
     for idx, (strategy, n, h, s_q, s_kv) in enumerate(iter_exactness_configs()):
-        if strategy is StrategyKind.SINGLE:
-            continue
         Q, K, V, dO = make_inputs(s_q, s_kv, h, d, seed=2000 + idx)
         oracle = gradient_oracle(Q, K, V, dO)
         res = run_distributed(strategy, Q, K, V, dO=dO, spec=ClusterSpec(n))
@@ -281,11 +279,10 @@ def volumes_suite() -> list[Check]:
             checks.append(Check(name=name + "/rounds", error=float(round_mismatch),
                                 tolerance=0.0))
             w = WorkloadSpec(s_q=s_q, s_kv=s_kv, h=h, d=d, n=n, elem_bytes=b)
-            pred = volume_report(w)["per_worker_bytes"].get(strategy.value)
-            if pred is not None:
-                model_mismatch = 0 if (pred["forward"] == fwd and pred["backward"] == bwd) else 1
-                checks.append(Check(name=name + "/model", error=float(model_mismatch),
-                                    tolerance=0.0))
+            pred = volume_report(w)["per_worker_bytes"][strategy.value]
+            model_mismatch = 0 if (pred["forward"] == fwd and pred["backward"] == bwd) else 1
+            checks.append(Check(name=name + "/model", error=float(model_mismatch),
+                                tolerance=0.0))
     return checks
 
 

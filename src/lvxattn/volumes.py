@@ -64,9 +64,8 @@ HOPS = {
                           Hop(("O", "L"), "q", PEER)),
     ("head", "backward"): (Hop(("dO",), "q", OWN), Hop(("dQ",), "q", PEER),
                            Hop(("dK", "dV"), "kv", PEER)),
-    ("single", "forward"): (),
-    ("single", "backward"): (),
 }
+HOPS |= {("single", phase): HOPS[("ring", phase)] for phase in PHASES}  # ring on one worker
 
 
 def class_row_elems(cls: str, heads: int, d: int) -> int:

@@ -15,7 +15,7 @@ from lvxattn import analytics
 from lvxattn.cli import main as cli_main
 from lvxattn.cluster import ClusterSpec, Instant, Throttled
 from lvxattn.kernels import blockwise_attention
-from lvxattn.strategies import StrategyKind, run_distributed
+from lvxattn.strategies import run_distributed
 from lvxattn.tensorio import seeded_random_tensor
 from lvxattn.verify import (EXACTNESS_HEAD_DIM, iter_exactness_configs,
                             make_inputs, run_suite)
@@ -142,8 +142,7 @@ def test_criterion_7_overlap():
 
     def wall(transport):
         t0 = time.perf_counter()
-        res = run_distributed("lvx", Q, K, V, spec=ClusterSpec(n, transport),
-                              tile_rows=tile)
+        res = run_distributed("lvx", Q, K, V, spec=ClusterSpec(n, transport))
         return time.perf_counter() - t0, res
 
     throttle = Throttled(bandwidth=bandwidth, latency=latency)
@@ -203,11 +202,10 @@ def _criteria_outputs_digest() -> str:
                                   V.astype(dtype), spec=ClusterSpec(n))
             digest.update(res.O.tobytes())
             digest.update(res.L.tobytes())
-        if strategy is not StrategyKind.SINGLE:
-            res = run_distributed(strategy, Q, K, V, dO=dO, spec=ClusterSpec(n))
-            digest.update(res.grads.dQ.tobytes())
-            digest.update(res.grads.dK.tobytes())
-            digest.update(res.grads.dV.tobytes())
+        res = run_distributed(strategy, Q, K, V, dO=dO, spec=ClusterSpec(n))
+        digest.update(res.grads.dQ.tobytes())
+        digest.update(res.grads.dK.tobytes())
+        digest.update(res.grads.dV.tobytes())
     return digest.hexdigest()
 
 

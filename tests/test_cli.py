@@ -8,7 +8,6 @@ import pytest
 
 from lvxattn import cli, strategies, volumes
 from lvxattn.cli import main
-from lvxattn.kernels import DEFAULT_TILE_ROWS
 from lvxattn.tensorio import load_tensor, seeded_random_tensor, store_tensor
 
 
@@ -89,13 +88,23 @@ class TestRun:
         assert rc == 2
         assert "accounting-only" in capsys.readouterr().err
 
-    def test_tile_rows_below_one_is_usage_error(self, tmp_path, capsys):
-        rc = run_cli("run", "--strategy", "lvx", "--n", "2", "--sq", "4",
-                     "--skv", "4", "--h", "1", "--d", "2", "--tile-rows", "0",
-                     "--out-dir", str(tmp_path))
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    @pytest.mark.parametrize("name", ["Q", "K", "V", "dO"])
+    def test_non_finite_lvxt_input_is_usage_error(self, tmp_path, capsys, name, value):
+        shapes = {"Q": (2, 16, 4), "K": (2, 64, 4), "V": (2, 64, 4), "dO": (2, 16, 4)}
+        flags = []
+        for i, (key, shape) in enumerate(shapes.items()):
+            t = seeded_random_tensor(40 + i, shape)
+            if key == name:
+                t[0, 5, 1] = value
+            store_tensor(t, tmp_path / f"{key}.lvxt")
+            flags += [f"--input-{key.lower()}", str(tmp_path / f"{key}.lvxt")]
+        rc = run_cli("run", "--strategy", "lvx", "--n", "2", "--sq", "16", "--skv", "64",
+                     "--h", "2", "--d", "4", "--backward", *flags,
+                     "--out-dir", str(tmp_path / "out"))
         assert rc == 2
-        assert "--tile-rows must be positive" in capsys.readouterr().err
-        assert not (tmp_path / "o.lvxt").exists()
+        assert f"{name} holds a non-finite value at [0, 5, 1]" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "o.lvxt").exists()
 
     def test_zero_workers_is_usage_error(self, tmp_path, capsys):
         rc = run_cli("run", "--strategy", "lvx", "--n", "0", "--sq", "4",
@@ -114,13 +123,14 @@ class TestRun:
         assert not (tmp_path / "o.lvxt").exists()
 
     def test_score_matrix_counted_before_tensors_built(self, monkeypatch, capsys):
-        # the inputs are 4e5 elements; single's dense score matrix is 1e10
+        # the inputs are 1e6 elements; the forward's one [1, 1e6, 256] float64
+        # score tile alone is 2.0e9 bytes, over the 1.6e9 limit
         def no_tensor(*args, **kwargs):
             raise AssertionError("tensor built")
 
         monkeypatch.setattr(cli, "seeded_random_tensor", no_tensor)
-        rc = run_cli("run", "--strategy", "single", "--sq", "100000",
-                     "--skv", "100000", "--h", "1", "--d", "1")
+        rc = run_cli("run", "--strategy", "single", "--sq", "1000000",
+                     "--skv", "1000", "--h", "1", "--d", "1")
         assert rc == 2
         assert "accounting-only" in capsys.readouterr().err
 
@@ -139,7 +149,7 @@ class TestRun:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        guard = cli._numeric_working_set(strategy, s_q, s_kv, h, d, DEFAULT_TILE_ROWS,
+        guard = cli._numeric_working_set(strategy, s_q, s_kv, h, d,
                                          {"f64": 8, "f32": 4}[dtype], backward)
         assert peak <= guard
 
@@ -159,7 +169,7 @@ class TestRun:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        guard = cli._numeric_working_set(strategy, s_q, s_kv, h, d, DEFAULT_TILE_ROWS,
+        guard = cli._numeric_working_set(strategy, s_q, s_kv, h, d,
                                          {"f64": 8, "f32": 4}[dtype], backward, n=n)
         assert peak <= guard
 

@@ -94,6 +94,15 @@ class TestForward:
         with pytest.raises(ValueError, match="y shape"):
             mllm_forward(x0, y[:3], params, SMALL, "store")
 
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    @pytest.mark.parametrize("name", ["x0", "y"])
+    def test_non_finite_input_rejected(self, name, value):
+        params, x0, y, _ = build(SMALL)
+        inputs = {"x0": x0, "y": y}
+        inputs[name][1, 2] = value
+        with pytest.raises(ValueError, match=rf"^{name} holds a non-finite value at \[1, 2\]"):
+            mllm_forward(inputs["x0"], inputs["y"], params, SMALL, "store")
+
 
 class TestPolicies:
     def test_outputs_and_gradients_identical(self):

@@ -1,4 +1,6 @@
-import inspect
+import itertools
+import threading
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -6,7 +8,8 @@ import numpy as np
 import pytest
 
 from lvxattn import cluster, strategies, volumes
-from lvxattn.cluster import ClusterError, ClusterSpec, Throttled, spawn_cluster
+from lvxattn.cluster import (ClusterError, ClusterSpec, CollectiveTimeout, Throttled,
+                             WorkerFailed, spawn_cluster)
 from lvxattn.kernels import dense_attention
 from lvxattn.strategies import (ShardSpec, lvx_forward, partition_rows,
                                 run_distributed)
@@ -290,16 +293,6 @@ class TestErrors:
         with pytest.raises(ValueError):
             run_distributed("bogus", Q, K, V, spec=ClusterSpec(1))
 
-    def test_tile_rows_below_one_rejected_before_spawn(self, monkeypatch):
-        def no_spawn(*args, **kwargs):
-            raise AssertionError("workers spawned")
-
-        monkeypatch.setattr(strategies, "spawn_cluster", no_spawn)
-        Q, K, V, dO = rand_problem(2, 4, 4, 3, seed=21)
-        with pytest.raises(ValueError, match="tile_rows"):
-            run_distributed("lvx", Q, K, V, dO=dO, spec=ClusterSpec(2), tile_rows=0)
-
-
     @pytest.mark.parametrize("scale", [np.inf, -np.inf, np.nan])
     def test_non_finite_scale_rejected_before_spawn(self, monkeypatch, scale):
         def no_spawn(*args, **kwargs):
@@ -309,6 +302,21 @@ class TestErrors:
         Q, K, V, dO = rand_problem(2, 4, 4, 3, seed=26)
         with pytest.raises(ValueError, match="scale must be finite"):
             run_distributed("lvx", Q, K, V, dO=dO, spec=ClusterSpec(2), scale=scale)
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    @pytest.mark.parametrize("name", ["Q", "K", "V", "dO"])
+    @pytest.mark.parametrize("strategy,n", [("lvx", 2), ("single", 1)])
+    def test_non_finite_input_rejected_before_spawn(self, monkeypatch, strategy, n, name,
+                                                    value):
+        # unchecked, one inf in K turns whole rows of O into NaN on both paths
+        def no_spawn(*args, **kwargs):
+            raise AssertionError("workers spawned")
+
+        monkeypatch.setattr(strategies, "spawn_cluster", no_spawn)
+        tensors = dict(zip(("Q", "K", "V", "dO"), rand_problem(2, 16, 64, 4, seed=30)))
+        tensors[name][0, 5, 1] = value
+        with pytest.raises(ValueError, match=rf"^{name} holds a non-finite value at \[0, 5, 1\]"):
+            run_distributed(strategy, spec=ClusterSpec(n), **tensors)
 
 
 def test_wrong_gradient_rows_name_the_worker(monkeypatch):
@@ -322,29 +330,6 @@ def test_wrong_gradient_rows_name_the_worker(monkeypatch):
     Q, K, V, dO = rand_problem(2, 4, 6, 3, seed=27)
     with pytest.raises(ClusterError, match="worker 1 returned dK"):
         run_distributed("lvx", Q, K, V, dO=dO, spec=ClusterSpec(2))
-
-
-@pytest.mark.parametrize("strategy,n", [("lvx", 2), ("ring", 2), ("head", 2), ("single", 1)])
-def test_tile_rows_reaches_every_kernel_call(monkeypatch, strategy, n):
-    seen = []
-    for name in ("blockwise_attention", "blockwise_attention_backward",
-                 "dense_attention_backward"):
-        original = getattr(strategies, name)
-
-        def spy(*args, _original=original, _name=name, **kwargs):
-            bound = inspect.signature(_original).bind(*args, **kwargs)
-            seen.append((_name, bound.arguments.get("tile_rows")))
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(strategies, name, spy)
-    Q, K, V, dO = rand_problem(2, 5, 11, 3, seed=22)
-    ob = gradient_oracle(Q, K, V, dO)
-    res = run_distributed(strategy, Q, K, V, dO=dO, spec=ClusterSpec(n), tile_rows=3)
-    assert any(name.endswith("_backward") for name, _ in seen)
-    assert all(tile == 3 for _, tile in seen), seen
-    assert max_norm_error(res.grads.dQ, ob.dQ) <= 1e-12
-    assert max_norm_error(res.grads.dK, ob.dK) <= 1e-12
-    assert max_norm_error(res.grads.dV, ob.dV) <= 1e-12
 
 
 def test_repeated_runs_bit_identical():
@@ -385,8 +370,10 @@ def test_payloads_unchanged_between_send_and_recv(monkeypatch, strategy, n):
 
     monkeypatch.setattr(cluster.Cluster, "send", snapshotting_send)
     monkeypatch.setattr(cluster.Cluster, "recv", checking_recv)
-    Q, K, V, dO = rand_problem(6, 7, 11, 3, seed=28)
-    res = run_distributed(strategy, Q, K, V, dO=dO, tile_rows=2,
+    # S_KV = 1100: at n <= 3 each worker's K/V block spans two or more
+    # 256-row kernel tiles
+    Q, K, V, dO = rand_problem(6, 7, 1100, 3, seed=28)
+    res = run_distributed(strategy, Q, K, V, dO=dO,
                           spec=ClusterSpec(n, Throttled(bandwidth=1e12, latency=2e-3)))
     assert not sent
     ob = gradient_oracle(Q, K, V, dO)
@@ -420,3 +407,99 @@ def test_worker_memory_flat_in_n(strategy, dtype):
     in_flight = sum(max(_largest_message(res.traces_forward[i]),
                         _largest_message(res.traces_backward[i])) for i in range(2))
     assert two_workers <= one_worker + in_flight
+
+
+def _failure_of(*args, **kwargs) -> WorkerFailed:
+    """The WorkerFailed that run_distributed(*args, **kwargs) raises. It runs
+    in a helper thread, so a hang fails the test after 20 s instead of
+    stalling it, and no worker thread may outlive it."""
+    raised = []
+
+    def target():
+        try:
+            run_distributed(*args, **kwargs)
+        except WorkerFailed as exc:
+            raised.append(exc)
+
+    runner = threading.Thread(target=target)
+    runner.start()
+    runner.join(20.0)
+    assert not runner.is_alive(), "run_distributed hung"
+    assert [t for t in threading.enumerate() if t.name.startswith("lvx-worker-")] == []
+    assert len(raised) == 1, "run_distributed did not raise WorkerFailed"
+    return raised[0]
+
+
+def _fault_before_round_1(monkeypatch, fault):
+    """Make the lvx forward body of rank 1 call fault() after its round 1
+    send, just before that round's kernel."""
+    kind = strategies.StrategyKind.LVX
+    protocol = strategies.PROTOCOLS[kind]
+
+    def forward(ctx, *args):
+        compute, kernels = ctx.compute, itertools.count()
+
+        def faulty_compute(kernel, *kernel_args):
+            if ctx.rank == 1 and next(kernels) == 1:
+                fault()
+            return compute(kernel, *kernel_args)
+
+        ctx.compute = faulty_compute
+        return protocol.forward(ctx, *args)
+
+    monkeypatch.setitem(strategies.PROTOCOLS, kind, replace(protocol, forward=forward))
+
+
+def test_worker_raising_mid_round_fails_naming_it(monkeypatch):
+    def fault():
+        time.sleep(0.2)     # the other workers are blocked in recv by now
+        raise RuntimeError("injected fault")
+
+    _fault_before_round_1(monkeypatch, fault)
+    Q, K, V, dO = rand_problem(2, 6, 9, 3, seed=31)
+    start = time.monotonic()
+    err = _failure_of("lvx", Q, K, V, dO=dO, spec=ClusterSpec(3), timeout=30.0)
+    # the failure wakes the blocked workers, which abort instead of waiting
+    # out the timeout
+    assert time.monotonic() - start < 5.0
+    assert err.worker == 1 and "worker 1 failed" in str(err)
+    assert isinstance(err.cause, RuntimeError)
+
+
+def test_dropped_message_times_out_naming_rank_src_and_tag(monkeypatch):
+    monkeypatch.setenv("LVX_TIMEOUT_SECS", "1")
+    send = cluster.Cluster.send
+    dropped = []
+
+    def lossy_send(self, src, dst, tag, payload, meta=None):
+        # tag 2 is the epilogue of a 2-worker forward: worker 0's (O, L)
+        # never reaches worker 1, while worker 0 finishes normally
+        if (src, dst, tag) == (0, 1, 2) and not dropped:
+            dropped.append(tag)
+            return dict.fromkeys(payload, 0)
+        return send(self, src, dst, tag, payload, meta=meta)
+
+    monkeypatch.setattr(cluster.Cluster, "send", lossy_send)
+    Q, K, V, _ = rand_problem(2, 6, 9, 3, seed=32)
+    start = time.monotonic()
+    err = _failure_of("lvx", Q, K, V, spec=ClusterSpec(2))
+    assert 1.0 <= time.monotonic() - start < 2.0
+    assert dropped == [2]
+    assert err.worker == 1
+    assert isinstance(err.cause, CollectiveTimeout)
+    assert "worker 1: recv(src=0, tag=2) timed out after 1.0s" in str(err.cause)
+
+
+def test_stalled_worker_times_out_naming_rank_src_and_tag(monkeypatch):
+    monkeypatch.setenv("LVX_TIMEOUT_SECS", "1")
+    stall = 1.5
+    _fault_before_round_1(monkeypatch, lambda: time.sleep(stall))
+    Q, K, V, _ = rand_problem(2, 6, 9, 3, seed=33)
+    start = time.monotonic()
+    err = _failure_of("lvx", Q, K, V, spec=ClusterSpec(2))
+    assert time.monotonic() - start < 1.0 + stall + 1.0
+    # rank 1 sent its round 1 message before stalling, so rank 0 waits in
+    # its epilogue
+    assert err.worker == 0
+    assert isinstance(err.cause, CollectiveTimeout)
+    assert "worker 0: recv(src=1, tag=2) timed out after 1.0s" in str(err.cause)
