@@ -17,6 +17,7 @@ Exit codes: 0 success, 1 check/runtime failure, 2 usage or config error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -320,7 +321,10 @@ def cmd_verify(args) -> int:
     return 0 if report["passed"] else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser is built once per process: parsing does not change it, and
+    building it costs more than a small run's parse."""
     parser = argparse.ArgumentParser(
         prog="lvxattn",
         description="Distributed cross-attention engine with exact byte accounting "

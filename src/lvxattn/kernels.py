@@ -360,4 +360,4 @@ def project_backward(x: np.ndarray, W: np.ndarray, dOut: np.ndarray):
     dflat = dOut.astype(np.float64, copy=False).transpose(1, 0, 2).reshape(s, W.shape[1])
     dX = dflat @ W.astype(np.float64, copy=False).T
     dW = x.astype(np.float64, copy=False).T @ dflat
-    return dX.astype(out_dt), dW.astype(out_dt)
+    return dX.astype(out_dt, copy=False), dW.astype(out_dt, copy=False)

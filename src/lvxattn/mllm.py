@@ -17,6 +17,19 @@ Q is always recomputed from the saved x, under either policy, so the only
 extra work of the recompute policy is the two y projections per layer. The
 memory ledger is analytic (shape arithmetic, no tensors), with a measured
 counterpart over the live saved buffers for cross-checks.
+
+Each cross-attention layer walks y in row blocks of DEFAULT_TILE_ROWS (256)
+rows, so what the layers allocate besides the ledger's buffers and d_y does
+not grow with S_KV. The forward projects K_b and V_b from one block of y
+(under store, copying them into the layer's full K and V), runs
+blockwise_attention on them with a float64 Q and merges the block states in
+float64. The backward takes each block's saved or re-projected K_b, V_b and
+runs dense_attention_backward on float64 inputs with the layer's final O and
+L, so the block's dK_b, dV_b and partial dQ are exact; project_backward then
+adds into d_y's rows and into float64 dQ, dW_K and dW_V accumulators.
+Rounding to the config dtype happens at the Q, K and V projections and once
+per layer for O and L, d_y's rows, dQ, dW_K and dW_V; dK and dV stay float64.
+A y block is what one worker's y shard would be in a sequence-parallel step.
 """
 
 from __future__ import annotations
@@ -27,9 +40,9 @@ from enum import Enum
 
 import numpy as np
 
-from .kernels import (blockwise_attention, default_scale,
-                      dense_attention_backward, project, project_backward,
-                      require_finite)
+from .kernels import (DEFAULT_TILE_ROWS, blockwise_attention, default_scale,
+                      dense_attention_backward, merge_states, project,
+                      project_backward, require_finite)
 from .tensorio import dtype_from_name, seeded_random_tensor
 
 
@@ -283,12 +296,21 @@ def _unflatten_heads(t: np.ndarray, h: int) -> np.ndarray:
     return np.ascontiguousarray(t.reshape(s, h, hd // h).transpose(1, 0, 2))
 
 
+def _row_blocks(rows: int) -> list[tuple[int, int]]:
+    """(start, stop) of each DEFAULT_TILE_ROWS-row block of y. Zero rows make
+    one empty block, so a layer always runs its kernels once."""
+    tile = DEFAULT_TILE_ROWS
+    return [(a, min(a + tile, rows)) for a in range(0, max(rows, 1), tile)]
+
+
 def mllm_forward(x0: np.ndarray, y: np.ndarray, params: ModelParams,
                  config: ToyMllmConfig, policy: ActivationPolicy):
     """Run the block stack; returns (output, saved activations, memory ledger).
 
     There is exactly one y buffer: every cross-attention layer projects from
-    the same array, and the saved set holds one reference to it."""
+    the same array, and the saved set holds one reference to it. Each layer
+    walks y in row blocks; under the store policy the block projections are
+    copied into the layer's full K and V."""
     policy = ActivationPolicy(policy)
     if x0.shape != (config.s_q, config.d_embed):
         raise ValueError(f"x0 shape {x0.shape} != ({config.s_q}, {config.d_embed})")
@@ -296,22 +318,35 @@ def mllm_forward(x0: np.ndarray, y: np.ndarray, params: ModelParams,
         raise ValueError(f"y shape {y.shape} != ({config.s_kv}, {config.d_embed})")
     require_finite(x0=x0, y=y)
     scale = default_scale(config.d)
+    h, d, s_kv = config.h, config.d, config.s_kv
     ca_set = set(config.ca_positions)
     saved = SavedActivations(policy=policy, y=y)
     x = x0
     for blk in range(config.num_lm_blocks):
         if blk in ca_set:
             p = params.ca[blk]
-            q = project(x, p.w_q, config.h)
-            k = project(y, p.w_k, config.h)
-            v = project(y, p.w_v, config.h)
-            st = blockwise_attention(q, k, v, scale)
-            entry = {"x": x, "O": st.O, "L": st.L}
+            q = project(x, p.w_q, h)
+            # the dtype the projections round K and V to
+            dt = np.result_type(q, y, p.w_k, p.w_v)
+            entry = {"x": x}
             if policy is ActivationPolicy.STORE_KV:
-                entry["K"] = k
-                entry["V"] = v
+                entry["K"] = np.empty((h, s_kv, d), dt)
+                entry["V"] = np.empty((h, s_kv, d), dt)
+            # a float64 Q keeps the block states and their merges in float64
+            q = q.astype(np.float64, copy=False)
+            st = None
+            for a, b in _row_blocks(s_kv):
+                k = project(y[a:b], p.w_k, h)
+                v = project(y[a:b], p.w_v, h)
+                if policy is ActivationPolicy.STORE_KV:
+                    entry["K"][:, a:b] = k
+                    entry["V"][:, a:b] = v
+                delta = blockwise_attention(q, k, v, scale)
+                st = delta if st is None else merge_states(st, delta)
+            entry["O"] = st.O.astype(dt, copy=False)
+            entry["L"] = st.L.astype(dt, copy=False)
             saved.ca[blk] = entry
-            x = x + _flatten_heads(st.O) @ p.w_o
+            x = x + _flatten_heads(entry["O"]) @ p.w_o
         u = x
         saved.lm_inputs.append(u)
         x = u + np.tanh(u @ params.lm[blk].w1) @ params.lm[blk].w2
@@ -330,7 +365,8 @@ def mllm_backward(d_out: np.ndarray, saved: SavedActivations, y: np.ndarray,
                   counter: OpCounter | None = None) -> MllmGradients:
     """Backpropagate d_out through the stack; both policies yield identical
     gradients. Q is re-projected from the saved x in both; the recompute
-    policy additionally re-projects K and V from the shared y."""
+    policy additionally re-projects K and V from the shared y, one row block
+    at a time."""
     policy = ActivationPolicy(policy)
     if saved.policy is not policy:
         raise ValueError(f"saved activations were produced under policy "
@@ -338,6 +374,7 @@ def mllm_backward(d_out: np.ndarray, saved: SavedActivations, y: np.ndarray,
     scale = default_scale(config.d)
     ca_set = set(config.ca_positions)
     e, h, hd = config.d_embed, config.h, config.h * config.d
+    f64 = np.float64
 
     g = d_out
     d_y = np.zeros_like(y)
@@ -359,27 +396,45 @@ def mllm_backward(d_out: np.ndarray, saved: SavedActivations, y: np.ndarray,
             x_in = _require_saved(entry, blk, "x")
             o = _require_saved(entry, blk, "O")
             l = _require_saved(entry, blk, "L")
+            if policy is ActivationPolicy.STORE_KV:
+                k_all = _require_saved(entry, blk, "K")
+                v_all = _require_saved(entry, blk, "V")
             d_o_flat = g @ p.w_o.T
             g_wo = _flatten_heads(o).T @ g
             d_o = _unflatten_heads(d_o_flat, h)
             q = project(x_in, p.w_q, h)
             if counter is not None:
                 counter.add_projection(config.s_q, e, hd)
-            if policy is ActivationPolicy.STORE_KV:
-                k = _require_saved(entry, blk, "K")
-                v = _require_saved(entry, blk, "V")
-            else:
-                k = project(y, p.w_k, h)
-                v = project(y, p.w_v, h)
-                if counter is not None:
-                    counter.add_projection(config.s_kv, e, hd)
-                    counter.add_projection(config.s_kv, e, hd)
-            gb = dense_attention_backward(q, k, v, o, l, d_o, scale)
-            d_x_q, g_wq = project_backward(x_in, p.w_q, gb.dQ)
-            d_y_k, g_wk = project_backward(y, p.w_k, gb.dK)
-            d_y_v, g_wv = project_backward(y, p.w_v, gb.dV)
-            d_y = d_y + d_y_k + d_y_v
-            ca_grads[blk] = CrossAttentionParams(w_q=g_wq, w_k=g_wk, w_v=g_wv, w_o=g_wo)
+            # float64 kernel inputs and accumulators: each block's gradients
+            # are exact, and the layer rounds each of them once
+            q64, o64, l64, d_o64 = (arr.astype(f64, copy=False) for arr in (q, o, l, d_o))
+            w_k64, w_v64 = p.w_k.astype(f64, copy=False), p.w_v.astype(f64, copy=False)
+            d_q = np.zeros(q.shape)
+            g_wk, g_wv = np.zeros(p.w_k.shape), np.zeros(p.w_v.shape)
+            for a, b in _row_blocks(config.s_kv):
+                if policy is ActivationPolicy.STORE_KV:
+                    k, v = k_all[:, a:b], v_all[:, a:b]
+                else:
+                    k = project(y[a:b], p.w_k, h)
+                    v = project(y[a:b], p.w_v, h)
+                    if counter is not None:
+                        counter.add_projection(b - a, e, hd)
+                        counter.add_projection(b - a, e, hd)
+                gb = dense_attention_backward(q64, k.astype(f64, copy=False),
+                                              v.astype(f64, copy=False), o64, l64,
+                                              d_o64, scale)
+                y_b = y[a:b].astype(f64, copy=False)
+                d_y_b, g_wk_b = project_backward(y_b, w_k64, gb.dK)
+                d_y_v, g_wv_b = project_backward(y_b, w_v64, gb.dV)
+                d_y_b += d_y_v
+                d_y[a:b] += d_y_b                   # the layer's one rounding
+                d_q += gb.dQ
+                g_wk += g_wk_b
+                g_wv += g_wv_b
+            d_x_q, g_wq = project_backward(x_in, p.w_q, d_q.astype(q.dtype, copy=False))
+            ca_grads[blk] = CrossAttentionParams(
+                w_q=g_wq, w_k=g_wk.astype(p.w_k.dtype, copy=False),
+                w_v=g_wv.astype(p.w_v.dtype, copy=False), w_o=g_wo)
             g = g + d_x_q
     return MllmGradients(d_x0=g, d_y=d_y, ca=ca_grads, lm=lm_grads)
 

@@ -208,18 +208,17 @@ def ring_forward(ctx: WorkerContext, shards: ShardSpec, q_block: np.ndarray,
     """KV-rotation forward: Q/O/L stay resident, (K, V) blocks shift n-1 times;
     each round's shift overlaps the blockwise kernel on the block in hand."""
     n, i = ctx.n, ctx.rank
-    h, rows, d = q_block.shape
-    dtype = q_block.dtype
     tags = ctx.collective_tag(max(n - 1, 1))
 
-    state = empty_state(h, rows, d, dtype)
     kv, blk = {"K": k_block, "V": v_block}, i
     for r in range(n):
         if r < n - 1:
             ctx.send(ctx.successor, tags + r, kv,
                      meta={"block": blk, "rows": shards.kv_ranges[blk]})
         delta = ctx.compute(blockwise_attention, q_block, kv["K"], kv["V"], scale)
-        state = merge_states(state, delta)
+        # round 0's state is taken as is: merging it into the empty state
+        # would only copy it
+        state = delta if r == 0 else merge_states(state, delta)
         if r < n - 1:
             msg = ctx.recv(ctx.predecessor, tags + r)
             _expect_block(msg.meta, "block", (i - r - 1) % n, f"worker {i} round {r}")

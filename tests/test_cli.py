@@ -334,3 +334,37 @@ def test_console_script_help():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "verify" in proc.stdout
+
+
+def test_one_parser_serves_every_call_in_a_process(tmp_path):
+    # main builds its parser once per process: a refused argv, a run and a
+    # cost query in one process must each give what a fresh process gives
+    run_args = ["run", "--strategy", "ring", "--n", "2", "--sq", "5", "--skv", "7",
+                "--h", "2", "--d", "4", "--backward", "--seed", "3"]
+    cost_args = ["cost", "--sq", "100", "--skv", "1000", "--h", "2", "--d", "8", "--n", "2"]
+    script = (
+        "import sys\n"
+        "from lvxattn.cli import build_parser, main\n"
+        "try:\n"
+        "    main(['run', '--strategy', 'bogus'])\n"
+        "except SystemExit as e:\n"
+        "    assert e.code == 2, e.code\n"
+        "else:\n"
+        "    raise AssertionError('bad argv accepted')\n"
+        f"assert main({run_args!r} + ['--out-dir', sys.argv[1]]) == 0\n"
+        f"assert main({cost_args!r} + ['--out', sys.argv[2]]) == 0\n"
+        "assert build_parser() is build_parser()\n")
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "one"),
+                           str(tmp_path / "one_cost.json")], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "invalid choice: 'bogus'" in proc.stderr
+    for args in (run_args + ["--out-dir", str(tmp_path / "fresh")],
+                 cost_args + ["--out", str(tmp_path / "fresh_cost.json")]):
+        fresh = subprocess.run([sys.executable, "-m", "lvxattn.cli", *args],
+                               capture_output=True, text=True)
+        assert fresh.returncode == 0, fresh.stderr
+    for name in ("o", "l", "dq", "dk", "dv"):
+        assert ((tmp_path / "one" / f"{name}.lvxt").read_bytes()
+                == (tmp_path / "fresh" / f"{name}.lvxt").read_bytes())
+    assert ((tmp_path / "one_cost.json").read_text()
+            == (tmp_path / "fresh_cost.json").read_text())

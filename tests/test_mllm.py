@@ -1,9 +1,12 @@
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from lvxattn.kernels import (default_scale, dense_attention, dense_attention_backward,
+                             project, project_backward)
 from lvxattn.mllm import (TOY_CONFIG, ActivationPolicy, ModelParams, OpCounter,
                           ToyMllmConfig, analytic_ledger, max_frames_under_budget,
                           measured_activation_bytes, mllm_backward, mllm_forward,
@@ -19,8 +22,10 @@ def build(config, seed=1):
     params = ModelParams.init_random(config, seed=seed)
     x0 = seeded_random_tensor(seed, (config.s_q, config.d_embed),
                               config.np_dtype, stream=11)
-    y = seeded_random_tensor(seed, (config.s_kv, config.d_embed),
-                             config.np_dtype, stream=12)
+    # seeded_random_tensor refuses an empty shape; frames=0 gives no y rows
+    y = (seeded_random_tensor(seed, (config.s_kv, config.d_embed), config.np_dtype,
+                              stream=12)
+         if config.s_kv else np.zeros((0, config.d_embed), config.np_dtype))
     g = seeded_random_tensor(seed, (config.s_q, config.d_embed),
                              config.np_dtype, stream=13)
     return params, x0, y, g
@@ -184,6 +189,129 @@ class TestLedger:
         meas = measured_activation_bytes(saved)
         assert meas["visual_features_y"] == y.nbytes     # counted once, not 6x
         assert ledger.visual_features_y == y.nbytes
+
+
+def unblocked_step(x0, y, params, cfg, g_out):
+    """Reference forward+backward with full-size projections and attention:
+    every cross-attention layer sees all S_KV rows of y in one kernel call.
+    Returns (output, d_x0, d_y, {(layer, weight name): gradient})."""
+    h, scale = cfg.h, default_scale(cfg.d)
+
+    def flat(t):
+        return t.transpose(1, 0, 2).reshape(t.shape[1], -1)
+
+    x, lm_in, ca_in = x0, [], {}
+    for blk in range(cfg.num_lm_blocks):
+        if blk in cfg.ca_positions:
+            p = params.ca[blk]
+            q, k, v = project(x, p.w_q, h), project(y, p.w_k, h), project(y, p.w_v, h)
+            st = dense_attention(q, k, v, scale)
+            ca_in[blk] = (x, q, k, v, st)
+            x = x + flat(st.O) @ p.w_o
+        lm_in.append(x)
+        x = x + np.tanh(x @ params.lm[blk].w1) @ params.lm[blk].w2
+    out, g, d_y, grads = x, g_out, np.zeros_like(y), {}
+    for blk in reversed(range(cfg.num_lm_blocks)):
+        w1, w2, u = params.lm[blk].w1, params.lm[blk].w2, lm_in[blk]
+        t = np.tanh(u @ w1)
+        d_pre = (g @ w2.T) * (1.0 - t * t)
+        grads[blk, "w1"], grads[blk, "w2"] = u.T @ d_pre, t.T @ g
+        g = g + d_pre @ w1.T
+        if blk in cfg.ca_positions:
+            p = params.ca[blk]
+            x_in, q, k, v, st = ca_in[blk]
+            grads[blk, "w_o"] = flat(st.O).T @ g
+            d_o = (g @ p.w_o.T).reshape(cfg.s_q, h, cfg.d).transpose(1, 0, 2)
+            gb = dense_attention_backward(q, k, v, st.O, st.L, d_o, scale)
+            d_x, grads[blk, "w_q"] = project_backward(x_in, p.w_q, gb.dQ)
+            d_y_k, grads[blk, "w_k"] = project_backward(y, p.w_k, gb.dK)
+            d_y_v, grads[blk, "w_v"] = project_backward(y, p.w_v, gb.dV)
+            d_y = d_y + d_y_k + d_y_v
+            g = g + d_x
+    return out, g, d_y, grads
+
+
+def flat_step(out, grads):
+    """Output and every gradient of one step, in a fixed order."""
+    arrays = {"out": out, "d_x0": grads.d_x0, "d_y": grads.d_y}
+    for pos, p in grads.ca.items():
+        for w in ("w_q", "w_k", "w_v", "w_o"):
+            arrays[pos, w] = getattr(p, w)
+    for blk, p in enumerate(grads.lm):
+        arrays[blk, "w1"], arrays[blk, "w2"] = p.w1, p.w2
+    return arrays
+
+
+class TestRowBlocks:
+    """Each layer walks y in 256-row blocks; SMALL fits in one, so these
+    configs put S_KV on both sides of a block boundary."""
+
+    BLOCKED = replace(SMALL, frames=3, tokens_per_frame=201)
+
+    @pytest.mark.parametrize("policy", list(ActivationPolicy))
+    @pytest.mark.parametrize("frames,tokens_per_frame", [(3, 201), (2, 50), (0, 4)],
+                             ids=["ragged-2x256+91", "one-short-block", "no-frames"])
+    def test_matches_unblocked_reference(self, policy, frames, tokens_per_frame):
+        cfg = replace(self.BLOCKED, frames=frames, tokens_per_frame=tokens_per_frame)
+        params, x0, y, g = build(cfg)
+        out, saved, _ = mllm_forward(x0, y, params, cfg, policy)
+        got = flat_step(out, mllm_backward(g, saved, y, params, cfg, policy))
+        ref_out, ref_dx0, ref_dy, ref_grads = unblocked_step(x0, y, params, cfg, g)
+        expected = {"out": ref_out, "d_x0": ref_dx0, "d_y": ref_dy, **ref_grads}
+        assert got.keys() == expected.keys()
+        for name, ref in expected.items():
+            assert max_norm_error(got[name], ref) <= 1e-12, name
+
+    def test_ledger_and_counter_unchanged_by_blocking(self):
+        cfg = self.BLOCKED
+        params, x0, y, g = build(cfg)
+        flops = {}
+        for policy in ActivationPolicy:
+            _, saved, ledger = mllm_forward(x0, y, params, cfg, policy)
+            meas = measured_activation_bytes(saved)
+            assert meas["saved_kv"] == cfg.num_ca_layers * ledger.per_layer_saved_kv
+            assert meas["saved_o_l"] == cfg.num_ca_layers * ledger.per_layer_saved_o_l
+            counter = OpCounter()
+            mllm_backward(g, saved, y, params, cfg, policy, counter=counter)
+            flops[policy] = counter.projection_flops
+        hd = cfg.h * cfg.d
+        assert flops[ActivationPolicy.STORE_KV] == cfg.num_ca_layers * projection_flops(
+            cfg.s_q, cfg.d_embed, hd)
+        assert (flops[ActivationPolicy.RECOMPUTE_KV] - flops[ActivationPolicy.STORE_KV]
+                == cfg.num_ca_layers * 2 * projection_flops(cfg.s_kv, cfg.d_embed, hd))
+
+    def test_policies_bit_identical_in_f32(self):
+        cfg = replace(self.BLOCKED, dtype="f32")
+        params, x0, y, g = build(cfg)
+        steps = []
+        for policy in ActivationPolicy:
+            out, saved, _ = mllm_forward(x0, y, params, cfg, policy)
+            steps.append(flat_step(out, mllm_backward(g, saved, y, params, cfg, policy)))
+        store, recompute = steps
+        for name in store:
+            assert store[name].dtype == np.float32, name
+            assert np.array_equal(store[name], recompute[name]), name
+
+    @pytest.mark.parametrize("policy", list(ActivationPolicy))
+    def test_memory_above_ledger_does_not_grow_with_frames(self, policy):
+        # tracemalloc peak of one step minus what the ledger keeps alive (its
+        # activations; params and y exist before tracing starts) and d_y: a
+        # whole-S_KV temporary would make this excess grow with the frames
+        def step(cfg):
+            params, x0, y, g = build(cfg)
+            tracemalloc.start()
+            try:
+                _, saved, ledger = mllm_forward(x0, y, params, cfg, policy)
+                grads = mllm_backward(g, saved, y, params, cfg, policy)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            activations = ledger.peak_total - ledger.params_bytes - ledger.visual_features_y
+            return peak - activations - grads.d_y.nbytes
+
+        step(replace(TOY_CONFIG, frames=1))     # one-time allocations stay out
+        excess = {frames: step(replace(TOY_CONFIG, frames=frames)) for frames in (2, 4, 8)}
+        assert max(excess.values()) - excess[2] <= 2**20, excess
 
 
 class TestMaxFrames:
