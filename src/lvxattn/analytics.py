@@ -27,7 +27,7 @@ and one logsumexp scalar per query row: (2 S_Q d_model + S_Q) b.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from . import volumes
 from .strategies import PROTOCOLS, partition_rows
@@ -91,9 +91,7 @@ class StrategyRoundTimes:
         return max(self.compute_bwd, self.comm_bwd)
 
     def as_dict(self) -> dict:
-        return {"compute_fwd": self.compute_fwd, "comm_fwd": self.comm_fwd,
-                "compute_bwd": self.compute_bwd, "comm_bwd": self.comm_bwd,
-                "round_fwd": self.round_fwd, "round_bwd": self.round_bwd}
+        return {**asdict(self), "round_fwd": self.round_fwd, "round_bwd": self.round_bwd}
 
 
 @dataclass(frozen=True)
@@ -105,9 +103,7 @@ class RegimeReport:
     speedup_backward: float
 
     def as_dict(self) -> dict:
-        return {"lvx_bound": self.lvx_bound, "ring_bound": self.ring_bound,
-                "quadrant": self.quadrant, "speedup_forward": self.speedup_forward,
-                "speedup_backward": self.speedup_backward}
+        return asdict(self)
 
 
 def attention_round_flops(w: WorkloadSpec, phase: str) -> float:
@@ -273,8 +269,7 @@ def volume_report(w: WorkloadSpec) -> dict:
                                for phase in volumes.PHASES}
                   for kind, protocol in PROTOCOLS.items() if protocol.fits(w.n, w.h)}
     report = {
-        "workload": {"s_q": w.s_q, "s_kv": w.s_kv, "h": w.h, "d": w.d,
-                     "n": w.n, "elem_bytes": w.elem_bytes},
+        "workload": asdict(w),
         "per_worker_bytes": per_worker,
         "per_round_bytes": {s: {phase: round_comm_bytes(s, phase, w) for phase in volumes.PHASES}
                             for s in ("lvx", "ring")},

@@ -20,6 +20,7 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import analytics
@@ -218,9 +219,8 @@ def cmd_cost(args) -> int:
     mem_bytes = args.elem_bytes or _ELEM_BYTES.get(args.dtype or "f32", 4)
     memory = analytics.memory_cross_attention(w.s_q, w.s_kv, d_model, mem_bytes)
     out = {
-        "workload": {"s_q": w.s_q, "s_kv": w.s_kv, "h": w.h, "d": w.d,
-                     "n": w.n, "elem_bytes": w.elem_bytes},
-        "hardware": {"gpu_flops": hw.gpu_flops, "net_bandwidth": hw.net_bandwidth},
+        "workload": asdict(w),
+        "hardware": asdict(hw),
         "round_times": {name: t.as_dict() for name, t in times.items()},
         "speedup": analytics.speedup(w, hw),
         "speedup_closed_form": analytics.speedup_closed_form(w, hw),

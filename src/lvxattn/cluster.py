@@ -27,7 +27,7 @@ import os
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -123,14 +123,7 @@ class TransportStats:
         return sum(s.modeled_time_seconds for s in self._links.values())
 
     def as_dict(self) -> dict:
-        return {
-            f"{src}->{dst}": {
-                "bytes_sent": s.bytes_sent,
-                "message_count": s.message_count,
-                "modeled_time_seconds": s.modeled_time_seconds,
-            }
-            for (src, dst), s in sorted(self._links.items())
-        }
+        return {f"{src}->{dst}": asdict(s) for (src, dst), s in sorted(self._links.items())}
 
 
 @dataclass
@@ -362,10 +355,10 @@ class WorkerContext:
         self._waited += slowest
         return out
 
-    def compute(self, kernel, *args):
-        """Run one kernel call and add its wall seconds to the open round."""
+    def compute(self, kernel, *args, **kwargs):
+        """Run kernel(*args, **kwargs); add its wall seconds to the open round."""
         t0 = time.perf_counter()
-        out = kernel(*args)
+        out = kernel(*args, **kwargs)
         self._computed += time.perf_counter() - t0
         return out
 

@@ -43,14 +43,6 @@ class AttentionState:
         if self.O.shape[:2] != self.L.shape:
             raise ValueError(f"O {self.O.shape} and L {self.L.shape} disagree on heads/rows")
 
-    @property
-    def heads(self) -> int:
-        return self.O.shape[0]
-
-    @property
-    def rows(self) -> int:
-        return self.O.shape[1]
-
 
 @dataclass(frozen=True)
 class GradientBundle:
@@ -96,10 +88,6 @@ def require_finite(**tensors: np.ndarray | None) -> None:
             raise ValueError(f"{name} holds a non-finite value at {where.tolist()}")
 
 
-def _out_dtype(*arrays) -> np.dtype:
-    return np.result_type(*arrays)
-
-
 def dense_attention(Q: np.ndarray, K: np.ndarray, V: np.ndarray,
                     scale: float | None = None) -> AttentionState:
     """Brute-force oracle: O = softmax(scale * Q K^T) V with the full score
@@ -108,7 +96,7 @@ def dense_attention(Q: np.ndarray, K: np.ndarray, V: np.ndarray,
     validate_qkv(Q, K, V)
     if scale is None:
         scale = default_scale(Q.shape[2])
-    out_dt = _out_dtype(Q, K, V)
+    out_dt = np.result_type(Q, K, V)
     h, s_q, d = Q.shape
     s_kv = K.shape[1]
     if s_kv == 0:
@@ -159,7 +147,7 @@ def blockwise_attention(Q: np.ndarray, K: np.ndarray, V: np.ndarray,
         scale = default_scale(Q.shape[2])
     if tile_rows < 1:
         raise ValueError(f"tile_rows must be >= 1, got {tile_rows}")
-    out_dt = _out_dtype(Q, K, V)
+    out_dt = np.result_type(Q, K, V)
     h, s_q, d = Q.shape
     s_kv = K.shape[1]
     if s_kv == 0:
@@ -203,7 +191,7 @@ def merge_states(a: AttentionState, b: AttentionState) -> AttentionState:
     Merging with the empty state returns the other operand exactly."""
     if a.O.shape != b.O.shape:
         raise ValueError(f"state shape mismatch: {a.O.shape} vs {b.O.shape}")
-    out_dt = _out_dtype(a.O, b.O)
+    out_dt = np.result_type(a.O, b.O)
     La = a.L.astype(np.float64, copy=False)
     Lb = b.L.astype(np.float64, copy=False)
     L = np.logaddexp(La, Lb)
@@ -283,7 +271,7 @@ def blockwise_attention_backward(Q_block: np.ndarray, K_block: np.ndarray,
     if tile_rows < 1:
         raise ValueError(f"tile_rows must be >= 1, got {tile_rows}")
     if out is None:
-        out_dt = _out_dtype(Q_block, K_block, V_block)
+        out_dt = np.result_type(Q_block, K_block, V_block)
         out = tuple(np.zeros(t.shape, dtype=out_dt) for t in (Q_block, K_block, V_block))
     dQ_acc, dK_acc, dV_acc = out
     for name, acc, t in (("dQ", dQ_acc, Q_block), ("dK", dK_acc, K_block),
@@ -342,7 +330,7 @@ def project(x: np.ndarray, W: np.ndarray, heads: int) -> np.ndarray:
         raise ValueError(f"inner dims disagree: input {x.shape[1]} vs weight {W.shape[0]}")
     if W.shape[1] % heads != 0:
         raise ValueError(f"weight cols {W.shape[1]} not divisible by heads {heads}")
-    out_dt = _out_dtype(x, W)
+    out_dt = np.result_type(x, W)
     d = W.shape[1] // heads
     flat = x.astype(np.float64, copy=False) @ W.astype(np.float64, copy=False)
     out = flat.reshape(x.shape[0], heads, d).transpose(1, 0, 2)
@@ -355,7 +343,7 @@ def project_backward(x: np.ndarray, W: np.ndarray, dOut: np.ndarray):
     if dOut.ndim != 3 or dOut.shape[1] != x.shape[0] or heads * dOut.shape[2] != W.shape[1]:
         raise ValueError(f"dOut shape {dOut.shape} inconsistent with input {x.shape} "
                          f"and weight {W.shape}")
-    out_dt = _out_dtype(x, W)
+    out_dt = np.result_type(x, W)
     s = x.shape[0]
     dflat = dOut.astype(np.float64, copy=False).transpose(1, 0, 2).reshape(s, W.shape[1])
     dX = dflat @ W.astype(np.float64, copy=False).T

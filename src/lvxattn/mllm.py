@@ -24,9 +24,10 @@ not grow with S_KV. The forward projects K_b and V_b from one block of y
 (under store, copying them into the layer's full K and V), runs
 blockwise_attention on them with a float64 Q and merges the block states in
 float64. The backward takes each block's saved or re-projected K_b, V_b and
-runs dense_attention_backward on float64 inputs with the layer's final O and
-L, so the block's dK_b, dV_b and partial dQ are exact; project_backward then
-adds into d_y's rows and into float64 dQ, dW_K and dW_V accumulators.
+runs dense_attention_backward with a float64 Q and the layer's final O and
+L (the kernel upcasts the rest), so the block's dK_b, dV_b and partial dQ are
+exact; project_backward against float64 W_K and W_V then adds into d_y's rows
+and into float64 dQ, dW_K and dW_V accumulators.
 Rounding to the config dtype happens at the Q, K and V projections and once
 per layer for O and L, d_y's rows, dQ, dW_K and dW_V; dK and dV stay float64.
 A y block is what one worker's y shard would be in a sequence-parallel step.
@@ -35,7 +36,7 @@ A y block is what one worker's y shard would be in a sequence-parallel step.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from enum import Enum
 
 import numpy as np
@@ -114,14 +115,12 @@ class ToyMllmConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ToyMllmConfig":
-        fields = {"num_lm_blocks", "ca_positions", "d_embed", "h", "d",
-                  "frames", "tokens_per_frame", "s_q", "dtype"}
         if not isinstance(data, dict):
             raise ValueError(f"config must be an object of fields, got {data!r}")
-        unknown = set(data) - fields
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
-        missing = fields - set(data) - {"dtype"}
+        missing = {f.name for f in fields(cls) if f.default is MISSING} - set(data)
         if missing:
             raise ValueError(f"missing config fields: {sorted(missing)}")
         return cls(**data)
@@ -131,11 +130,7 @@ class ToyMllmConfig:
         return cls.from_dict(json.loads(text))
 
     def as_dict(self) -> dict:
-        return {"num_lm_blocks": self.num_lm_blocks,
-                "ca_positions": list(self.ca_positions),
-                "d_embed": self.d_embed, "h": self.h, "d": self.d,
-                "frames": self.frames, "tokens_per_frame": self.tokens_per_frame,
-                "s_q": self.s_q, "dtype": self.dtype}
+        return {**asdict(self), "ca_positions": list(self.ca_positions)}
 
 
 # shipped toy preset: four cross-attention layers, h*d = d_embed
@@ -189,9 +184,9 @@ class ModelParams:
 class MemoryLedger:
     """Byte accounting for what a policy keeps alive through the forward pass.
 
-    Per-layer categories are for one cross-attention layer; peak_total is the
-    maximum running sum over layers (the end of the forward, since nothing is
-    freed), including parameters and the single shared y buffer.
+    Per-layer categories are for one cross-attention layer; peak_total is
+    their sum over the layers plus the parameters and the single shared y
+    buffer: the end of the forward, since nothing is freed.
     """
 
     params_bytes: int
@@ -203,13 +198,7 @@ class MemoryLedger:
     peak_total: int
 
     def as_dict(self) -> dict:
-        return {"params_bytes": self.params_bytes,
-                "visual_features_y": self.visual_features_y,
-                "per_layer_saved_x": self.per_layer_saved_x,
-                "per_layer_saved_o_l": self.per_layer_saved_o_l,
-                "per_layer_saved_kv": self.per_layer_saved_kv,
-                "num_ca_layers": self.num_ca_layers,
-                "peak_total": self.peak_total}
+        return asdict(self)
 
 
 def analytic_ledger(config: ToyMllmConfig, policy: ActivationPolicy) -> MemoryLedger:
@@ -224,14 +213,10 @@ def analytic_ledger(config: ToyMllmConfig, policy: ActivationPolicy) -> MemoryLe
     o_l = (config.s_q * h * d + config.s_q * h) * b if c else 0
     kv = (2 * config.s_kv * h * d * b
           if c and policy is ActivationPolicy.STORE_KV else 0)
-    running = params + y
-    peak = running
-    for _ in range(c):
-        running += x + o_l + kv
-        peak = max(peak, running)
     return MemoryLedger(params_bytes=params, visual_features_y=y,
                         per_layer_saved_x=x, per_layer_saved_o_l=o_l,
-                        per_layer_saved_kv=kv, num_ca_layers=c, peak_total=peak)
+                        per_layer_saved_kv=kv, num_ca_layers=c,
+                        peak_total=params + y + c * (x + o_l + kv))
 
 
 @dataclass
@@ -405,9 +390,9 @@ def mllm_backward(d_out: np.ndarray, saved: SavedActivations, y: np.ndarray,
             q = project(x_in, p.w_q, h)
             if counter is not None:
                 counter.add_projection(config.s_q, e, hd)
-            # float64 kernel inputs and accumulators: each block's gradients
-            # are exact, and the layer rounds each of them once
-            q64, o64, l64, d_o64 = (arr.astype(f64, copy=False) for arr in (q, o, l, d_o))
+            # a float64 Q and weights make every block gradient float64, so
+            # each is exact and the layer's accumulators round each gradient once
+            q64 = q.astype(f64, copy=False)
             w_k64, w_v64 = p.w_k.astype(f64, copy=False), p.w_v.astype(f64, copy=False)
             d_q = np.zeros(q.shape)
             g_wk, g_wv = np.zeros(p.w_k.shape), np.zeros(p.w_v.shape)
@@ -420,12 +405,9 @@ def mllm_backward(d_out: np.ndarray, saved: SavedActivations, y: np.ndarray,
                     if counter is not None:
                         counter.add_projection(b - a, e, hd)
                         counter.add_projection(b - a, e, hd)
-                gb = dense_attention_backward(q64, k.astype(f64, copy=False),
-                                              v.astype(f64, copy=False), o64, l64,
-                                              d_o64, scale)
-                y_b = y[a:b].astype(f64, copy=False)
-                d_y_b, g_wk_b = project_backward(y_b, w_k64, gb.dK)
-                d_y_v, g_wv_b = project_backward(y_b, w_v64, gb.dV)
+                gb = dense_attention_backward(q64, k, v, o, l, d_o, scale)
+                d_y_b, g_wk_b = project_backward(y[a:b], w_k64, gb.dK)
+                d_y_v, g_wv_b = project_backward(y[a:b], w_v64, gb.dV)
                 d_y_b += d_y_v
                 d_y[a:b] += d_y_b                   # the layer's one rounding
                 d_q += gb.dQ
@@ -442,24 +424,17 @@ def mllm_backward(d_out: np.ndarray, saved: SavedActivations, y: np.ndarray,
 def max_frames_under_budget(config: ToyMllmConfig, policy: ActivationPolicy,
                             budget_bytes: int) -> int:
     """Largest frame count whose analytic peak fits the budget; 0 when even the
-    frame-independent costs exceed it. Binary search, no tensors."""
+    frame-independent costs exceed it. The peak is affine in the frame count
+    (each frame adds the same y rows and, under store, the same K/V rows to
+    every layer), so the answer is one floor division, with no tensors."""
     if budget_bytes <= 0:
         raise ValueError(f"budget must be positive, got {budget_bytes}")
 
     def peak(frames: int) -> int:
         return analytic_ledger(replace(config, frames=frames), policy).peak_total
 
-    if peak(0) > budget_bytes:
+    fixed = peak(0)
+    if budget_bytes < fixed:
         return 0
-    lo, hi = 0, 1
-    while peak(hi) <= budget_bytes:
-        lo, hi = hi, hi * 2
-        if hi > 2**60:
-            raise ValueError("budget admits an absurd frame count; check inputs")
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if peak(mid) <= budget_bytes:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    # > 0: a frame adds tokens_per_frame >= 1 rows of d_embed >= 1 to y
+    return (budget_bytes - fixed) // (peak(1) - fixed)

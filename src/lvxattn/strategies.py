@@ -25,13 +25,12 @@ worker context; the round's kernel seconds, bytes and modeled wait come from
 those calls and the messages it sent and received (see
 `cluster.WorkerContext`). Bodies pass the kernels by their module-level names,
 looked up at call time, so a wrapper installed on this module sees every call.
-Every kernel call keeps the default KV tile, DEFAULT_TILE_ROWS; the rotating
-backward bodies name it only because `ctx.compute` forwards positional
-arguments and their gradient accumulators come after it.
+Every kernel call keeps the default KV tile.
 
-Row partitions may be uneven (sizes differ by at most one); rotated blocks
-carry their block id and row range as message metadata and every receive
-checks them, so a protocol bug fails loudly instead of corrupting results.
+Row partitions may be uneven (sizes differ by at most one). A rotated block
+carries only its block id as message metadata, and every receive checks it:
+a block's rows follow from its id, so a protocol bug fails loudly instead of
+corrupting results.
 Workers with empty shards participate in all collectives with zero-row
 tensors.
 """
@@ -46,9 +45,8 @@ import numpy as np
 
 from .cluster import (ClusterError, ClusterSpec, RoundTrace, TransportStats,
                       WorkerContext, spawn_cluster)
-from .kernels import (DEFAULT_TILE_ROWS, AttentionState, GradientBundle,
-                      attention_row_stats, blockwise_attention,
-                      blockwise_attention_backward, default_scale,
+from .kernels import (AttentionState, GradientBundle, attention_row_stats,
+                      blockwise_attention, blockwise_attention_backward, default_scale,
                       dense_attention_backward, empty_state, merge_states,
                       require_finite, validate_qkv)
 # no body calls the dense oracle; perfbench/tracer.py wraps it here by name
@@ -146,8 +144,7 @@ def lvx_forward(ctx: WorkerContext, shards: ShardSpec, q_block: np.ndarray,
         j = (i - r) % n
         j_next = (i - r - 1) % n
         ctx.send(ctx.successor, tags + r, {"O": send_state.O, "L": send_state.L, "Q": q_cur},
-                 meta={"state_block": send_block, "state_rows": shards.q_ranges[send_block],
-                       "q_block": j, "q_rows": shards.q_ranges[j]})
+                 meta={"state_block": send_block, "q_block": j})
         delta = ctx.compute(blockwise_attention, q_cur, k_block, v_block, scale)
         msg = ctx.recv(ctx.predecessor, tags + r)
         _expect_block(msg.meta, "state_block", j, f"worker {i} round {r}")
@@ -158,12 +155,9 @@ def lvx_forward(ctx: WorkerContext, shards: ShardSpec, q_block: np.ndarray,
         ctx.close_round()
 
     ctx.send(ctx.successor, tags + n, {"O": send_state.O, "L": send_state.L},
-             meta={"state_block": send_block, "state_rows": shards.q_ranges[send_block]})
+             meta={"state_block": send_block})
     msg = ctx.recv(ctx.predecessor, tags + n)
     _expect_block(msg.meta, "state_block", i, f"worker {i} epilogue")
-    if msg.meta.get("state_rows") != shards.q_ranges[i]:
-        raise ClusterError(f"worker {i} epilogue: rows {msg.meta.get('state_rows')} "
-                           f"!= own range {shards.q_ranges[i]}")
     return AttentionState(O=msg.payload["O"], L=msg.payload["L"])
 
 
@@ -174,8 +168,9 @@ def lvx_backward(ctx: WorkerContext, shards: ShardSpec, q_block: np.ndarray,
     block rotates once around the ring; every worker adds its K/V block's
     contribution, accumulating dK/dV into its one local pair and dQ into the
     tuple it holds. A tuple is only written between its receive and its send.
-    The round n-1 send delivers each tuple to its owner, so the final receive
-    is the homecoming. Returns (dQ_i, dK_i, dV_i)."""
+    The round n-1 send delivers each tuple to its owner, so the final receive,
+    checked to be block (i - n) mod n = i, is the homecoming. Returns
+    (dQ_i, dK_i, dV_i)."""
     n, i = ctx.n, ctx.rank
     dtype = q_block.dtype
     tags = ctx.collective_tag(n)
@@ -183,23 +178,16 @@ def lvx_backward(ctx: WorkerContext, shards: ShardSpec, q_block: np.ndarray,
     d_own = attention_row_stats(state, do_block).astype(dtype)
     tup = {"Q": q_block, "dO": do_block, "L": state.L, "D": d_own,
            "dQ": np.zeros_like(q_block)}
-    blk = i
     dk = np.zeros_like(k_block)
     dv = np.zeros_like(v_block)
     for r in range(n):
-        j = (i - r) % n
-        if blk != j:
-            raise ClusterError(f"worker {i} backward round {r}: holding block {blk}, expected {j}")
         ctx.compute(blockwise_attention_backward, tup["Q"], k_block, v_block, tup["L"],
-                    tup["D"], tup["dO"], scale, DEFAULT_TILE_ROWS, (tup["dQ"], dk, dv))
-        ctx.send(ctx.successor, tags + r, tup, meta={"block": j, "rows": shards.q_ranges[j]})
+                    tup["D"], tup["dO"], scale, out=(tup["dQ"], dk, dv))
+        ctx.send(ctx.successor, tags + r, tup, meta={"block": (i - r) % n})
         msg = ctx.recv(ctx.predecessor, tags + r)
         _expect_block(msg.meta, "block", (i - r - 1) % n, f"worker {i} backward round {r}")
         tup = msg.payload
-        blk = msg.meta["block"]
         ctx.close_round()
-    if blk != i:
-        raise ClusterError(f"worker {i} backward: final tuple is block {blk}, expected {i}")
     return tup["dQ"], dk, dv
 
 
@@ -213,8 +201,7 @@ def ring_forward(ctx: WorkerContext, shards: ShardSpec, q_block: np.ndarray,
     kv, blk = {"K": k_block, "V": v_block}, i
     for r in range(n):
         if r < n - 1:
-            ctx.send(ctx.successor, tags + r, kv,
-                     meta={"block": blk, "rows": shards.kv_ranges[blk]})
+            ctx.send(ctx.successor, tags + r, kv, meta={"block": blk})
         delta = ctx.compute(blockwise_attention, q_block, kv["K"], kv["V"], scale)
         # round 0's state is taken as is: merging it into the empty state
         # would only copy it
@@ -245,17 +232,16 @@ def ring_backward(ctx: WorkerContext, shards: ShardSpec, q_block: np.ndarray,
     blk = i
     for r in range(n):
         ctx.compute(blockwise_attention_backward, q_block, kv["K"], kv["V"], state.L, d_own,
-                    do_block, scale, DEFAULT_TILE_ROWS, (dq, kv["dK"], kv["dV"]))
+                    do_block, scale, out=(dq, kv["dK"], kv["dV"]))
         if r < n - 1:
-            ctx.send(ctx.successor, tags + r, kv,
-                     meta={"block": blk, "rows": shards.kv_ranges[blk]})
+            ctx.send(ctx.successor, tags + r, kv, meta={"block": blk})
             msg = ctx.recv(ctx.predecessor, tags + r)
             _expect_block(msg.meta, "block", (i - r - 1) % n, f"worker {i} backward round {r}")
             kv, blk = msg.payload, msg.meta["block"]
         ctx.close_round()
     # kv's dK/dV now belong to block i+1; send them home
     ctx.send(ctx.successor, tags + n - 1, {"dK": kv["dK"], "dV": kv["dV"]},
-             meta={"block": blk, "rows": shards.kv_ranges[blk]})
+             meta={"block": blk})
     msg = ctx.recv(ctx.predecessor, tags + n - 1)
     _expect_block(msg.meta, "block", i, f"worker {i} backward epilogue")
     return dq, msg.payload["dK"], msg.payload["dV"]
@@ -384,8 +370,7 @@ def _assemble(name: str, parts: list[np.ndarray], ranges, shape: tuple,
 def run_distributed(strategy, Q: np.ndarray, K: np.ndarray, V: np.ndarray,
                     dO: np.ndarray | None = None,
                     spec: ClusterSpec | None = None,
-                    scale: float | None = None,
-                    timeout: float | None = None) -> RunResult:
+                    scale: float | None = None) -> RunResult:
     """Scatter Q/K/V by rows, run the strategy collectively, gather the full
     O, L (and gradients when dO is given) with transport stats and traces.
     Non-finite inputs are refused before any worker starts."""
@@ -421,7 +406,7 @@ def run_distributed(strategy, Q: np.ndarray, K: np.ndarray, V: np.ndarray,
             traces.append(ctx.close_phase(strategy.value, "backward"))
         return parts, traces
 
-    run = spawn_cluster(ClusterSpec(spec.n, spec.transport), body, timeout=timeout)
+    run = spawn_cluster(spec, body)
     parts, traces = zip(*run.results)
     out_dt = np.result_type(Q, K, V)
     full = {name: _assemble(name, [p[name] for p in parts], ranges, shape, out_dt)

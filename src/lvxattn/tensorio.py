@@ -70,8 +70,8 @@ def seeded_random_tensor(seed: int, shape, dtype=np.float64, scale: float = 1.0,
     shape = tuple(int(s) for s in shape)
     if len(shape) == 0:
         raise ValueError("empty shape")
-    if any(s <= 0 for s in shape):
-        raise ValueError("empty shape: all axes must be positive")
+    if any(s < 0 for s in shape):
+        raise ValueError(f"negative axis in shape {shape}")
     if not scale > 0:
         raise ValueError(f"scale must be positive, got {scale}")
     dt = np.dtype(dtype)

@@ -306,6 +306,17 @@ class TestMllm:
         report = json.loads((tmp_path / "out" / "ledger.json").read_text())
         assert report["ledger"]["per_layer_saved_kv"] == 0
 
+    def test_zero_frame_config_runs(self, tmp_path):
+        cfg = {"num_lm_blocks": 2, "ca_positions": [0], "d_embed": 8, "h": 2,
+               "d": 4, "frames": 0, "tokens_per_frame": 3, "s_q": 4}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        rc = run_cli("mllm", "--policy", "store", "--config", str(path),
+                     "--out-dir", str(tmp_path / "out"))
+        assert rc == 0
+        d_y = load_tensor(tmp_path / "out" / "dy.lvxt")
+        assert d_y.shape == (0, 8) and d_y.dtype == np.float32
+
 
 class TestVerify:
     def test_unknown_suite_is_usage_error(self):

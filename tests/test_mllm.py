@@ -22,10 +22,8 @@ def build(config, seed=1):
     params = ModelParams.init_random(config, seed=seed)
     x0 = seeded_random_tensor(seed, (config.s_q, config.d_embed),
                               config.np_dtype, stream=11)
-    # seeded_random_tensor refuses an empty shape; frames=0 gives no y rows
-    y = (seeded_random_tensor(seed, (config.s_kv, config.d_embed), config.np_dtype,
-                              stream=12)
-         if config.s_kv else np.zeros((0, config.d_embed), config.np_dtype))
+    y = seeded_random_tensor(seed, (config.s_kv, config.d_embed), config.np_dtype,
+                             stream=12)
     g = seeded_random_tensor(seed, (config.s_q, config.d_embed),
                              config.np_dtype, stream=13)
     return params, x0, y, g

@@ -439,10 +439,10 @@ def _fault_before_round_1(monkeypatch, fault):
     def forward(ctx, *args):
         compute, kernels = ctx.compute, itertools.count()
 
-        def faulty_compute(kernel, *kernel_args):
+        def faulty_compute(kernel, *kernel_args, **kwargs):
             if ctx.rank == 1 and next(kernels) == 1:
                 fault()
-            return compute(kernel, *kernel_args)
+            return compute(kernel, *kernel_args, **kwargs)
 
         ctx.compute = faulty_compute
         return protocol.forward(ctx, *args)
@@ -455,10 +455,11 @@ def test_worker_raising_mid_round_fails_naming_it(monkeypatch):
         time.sleep(0.2)     # the other workers are blocked in recv by now
         raise RuntimeError("injected fault")
 
+    monkeypatch.setenv("LVX_TIMEOUT_SECS", "30")
     _fault_before_round_1(monkeypatch, fault)
     Q, K, V, dO = rand_problem(2, 6, 9, 3, seed=31)
     start = time.monotonic()
-    err = _failure_of("lvx", Q, K, V, dO=dO, spec=ClusterSpec(3), timeout=30.0)
+    err = _failure_of("lvx", Q, K, V, dO=dO, spec=ClusterSpec(3))
     # the failure wakes the blocked workers, which abort instead of waiting
     # out the timeout
     assert time.monotonic() - start < 5.0
@@ -503,3 +504,34 @@ def test_stalled_worker_times_out_naming_rank_src_and_tag(monkeypatch):
     assert err.worker == 0
     assert isinstance(err.cause, CollectiveTimeout)
     assert "worker 0: recv(src=1, tag=2) timed out after 1.0s" in str(err.cause)
+
+
+# (strategy, backward, tag, where, key, expected): with n = 3 the forward of
+# lvx uses tags 0-3 (round 3 is its epilogue) and that of ring tags 0-1, so
+# ring's backward starts at tag 2 and lvx's at tag 4. Each row rewrites the
+# block id of the message worker 0 sends worker 1 on that tag.
+@pytest.mark.parametrize("strategy,backward,tag,where,key,expected", [
+    ("lvx", False, 0, "worker 1 round 0", "state_block", 1),
+    ("lvx", False, 3, "worker 1 epilogue", "state_block", 1),
+    ("lvx", True, 6, "worker 1 backward round 2", "block", 1),
+    ("ring", False, 0, "worker 1 round 0", "block", 0),
+    ("ring", True, 2, "worker 1 backward round 0", "block", 0),
+    ("ring", True, 4, "worker 1 backward epilogue", "block", 1),
+])
+def test_wrong_block_id_fails_naming_expected_block(monkeypatch, strategy, backward, tag,
+                                                    where, key, expected):
+    monkeypatch.setenv("LVX_TIMEOUT_SECS", "5")
+    send = cluster.Cluster.send
+    n = 3
+
+    def relabeling_send(self, src, dst, tag_, payload, meta=None):
+        if (src, dst, tag_) == (0, 1, tag):
+            meta = {k: v + n for k, v in meta.items()}
+        return send(self, src, dst, tag_, payload, meta=meta)
+
+    monkeypatch.setattr(cluster.Cluster, "send", relabeling_send)
+    Q, K, V, dO = rand_problem(2, 7, 8, 3, seed=34)
+    err = _failure_of(strategy, Q, K, V, dO=dO if backward else None, spec=ClusterSpec(n))
+    assert err.worker == 1
+    assert type(err.cause) is ClusterError
+    assert str(err.cause) == f"{where}: expected {key}={expected}, got {expected + n}"

@@ -35,8 +35,11 @@ def test_scale_zero_rejected():
 def test_empty_shape_rejected():
     with pytest.raises(ValueError, match="empty shape"):
         seeded_random_tensor(1, (), np.float64, 1.0)
-    with pytest.raises(ValueError, match="empty shape"):
-        seeded_random_tensor(1, (3, 0), np.float64, 1.0)
+    with pytest.raises(ValueError, match="negative axis"):
+        seeded_random_tensor(1, (3, -1), np.float64, 1.0)
+    # a zero-length axis is a legal empty draw (a zero-frame video)
+    t = seeded_random_tensor(1, (3, 0), np.float32, 1.0)
+    assert t.shape == (3, 0) and t.dtype == np.float32
 
 
 def test_values_within_scale():
