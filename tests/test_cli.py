@@ -202,6 +202,21 @@ class TestRun:
         assert rc == 2
         assert "bandwidth" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--bandwidth", "--latency"])
+    def test_link_flag_without_throttled_is_usage_error(self, tmp_path, capsys, flag):
+        rc = run_cli("run", "--n", "2", "--sq", "4", "--skv", "8", "--h", "1", "--d", "2",
+                     flag, "1000", "--out-dir", str(tmp_path))
+        assert rc == 2
+        assert f"{flag} needs --transport throttled" in capsys.readouterr().err
+        assert not (tmp_path / "stats.json").exists()
+
+    def test_elem_bytes_in_numeric_mode_is_usage_error(self, tmp_path, capsys):
+        rc = run_cli("run", "--n", "2", "--sq", "4", "--skv", "8", "--h", "1", "--d", "2",
+                     "--dtype", "f32", "--elem-bytes", "2", "--out-dir", str(tmp_path))
+        assert rc == 2
+        assert "--elem-bytes is for accounting-only mode" in capsys.readouterr().err
+        assert not (tmp_path / "stats.json").exists()
+
 
 class TestCost:
     def test_owl3_memory_anchor(self, tmp_path):

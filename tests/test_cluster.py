@@ -1,9 +1,10 @@
+import sys
 import time
 
 import numpy as np
 import pytest
 
-from lvxattn.cluster import (ClusterSpec, CollectiveTimeout, Throttled,
+from lvxattn.cluster import (ClusterError, ClusterSpec, CollectiveTimeout, Throttled,
                              WorkerFailed, spawn_cluster)
 
 
@@ -18,8 +19,8 @@ def test_ping_pong_counts_payload_bytes_only():
 
     def body(ctx):
         peer = 1 - ctx.rank
-        ctx.send(peer, 7, {0: data}, meta={"note": "metadata is free"})
-        return ctx.recv(peer, 7).payload[0]
+        ctx.send(peer, {0: data}, meta={"note": "metadata is free"})
+        return ctx.recv(peer).payload[0]
 
     res = spawn_cluster(ClusterSpec(2), body)
     assert np.array_equal(res.results[0], data)
@@ -32,8 +33,8 @@ def test_throttled_modeled_time_formula():
     payload = np.zeros(125_000, dtype=np.float64)   # 1 MB
 
     def body(ctx):
-        ctx.send(ctx.successor, 0, {0: payload})
-        ctx.recv(ctx.predecessor, 0)
+        ctx.send(ctx.successor, {0: payload})
+        ctx.recv(ctx.predecessor)
 
     res = spawn_cluster(ClusterSpec(4, Throttled(bandwidth=1e9, latency=1e-3)), body)
     for i in range(4):
@@ -49,8 +50,8 @@ def test_throttled_recv_not_earlier_than_modeled():
 
     def body(ctx):
         start = time.monotonic()
-        ctx.send(ctx.successor, 0, {0: payload})
-        ctx.recv(ctx.predecessor, 0)
+        ctx.send(ctx.successor, {0: payload})
+        ctx.recv(ctx.predecessor)
         return time.monotonic() - start
 
     res = spawn_cluster(ClusterSpec(2, Throttled(bandwidth=bandwidth)), body)
@@ -65,13 +66,13 @@ def test_send_is_buffered_nonblocking():
         if ctx.rank == 0:
             start = time.monotonic()
             for i in range(3):
-                ctx.send(1, 0, {0: np.array([i])})
+                ctx.send(1, {0: np.array([i])})
             elapsed = time.monotonic() - start
-            ctx.send(1, 1, {0: np.array([elapsed])})
+            ctx.send(1, {0: np.array([elapsed])})
             return None
         time.sleep(0.2)
-        values = [int(ctx.recv(0, 0).payload[0][0]) for _ in range(3)]
-        send_elapsed = float(ctx.recv(0, 1).payload[0][0])
+        values = [int(ctx.recv(0).payload[0][0]) for _ in range(3)]
+        send_elapsed = float(ctx.recv(0).payload[0][0])
         return values, send_elapsed
 
     res = spawn_cluster(ClusterSpec(2), body)
@@ -80,25 +81,55 @@ def test_send_is_buffered_nonblocking():
     assert send_elapsed < 0.1
 
 
-def test_fifo_per_src_tag_stream():
+def test_fifo_per_link_stream():
+    # workers 0 and 2 both send to worker 1, which drains worker 2's link
+    # first: each link delivers in its own send order
     def body(ctx):
-        if ctx.rank == 0:
+        if ctx.rank != 1:
             for i in range(3):
-                ctx.send(1, 0, {0: np.array([10 + i])})
-                ctx.send(1, 1, {0: np.array([20 + i])})
+                ctx.send(1, {0: np.array([10 * ctx.rank + i])})
             return None
-        a = [int(ctx.recv(0, 0).payload[0][0]) for _ in range(3)]
-        b = [int(ctx.recv(0, 1).payload[0][0]) for _ in range(3)]
-        return a, b
+        late = [int(ctx.recv(2).payload[0][0]) for _ in range(3)]
+        early = [int(ctx.recv(0).payload[0][0]) for _ in range(3)]
+        return late, early
 
-    res = spawn_cluster(ClusterSpec(2), body)
-    assert res.results[1] == ([10, 11, 12], [20, 21, 22])
+    res = spawn_cluster(ClusterSpec(3), body)
+    assert res.results[1] == ([20, 21, 22], [0, 1, 2])
+
+
+def test_link_order_holds_under_contention():
+    # eight workers (more than a CI runner has cores), all sending into every
+    # mailbox at once, with thread switches forced often: a message that
+    # overtook another on its link would show as a step out of order
+    n, steps = 8, 60
+
+    def body(ctx):
+        for step in range(steps):
+            for dst in range(n):
+                if dst != ctx.rank:
+                    ctx.send(dst, {0: np.array([step])})
+            for src in range(n):
+                if src != ctx.rank:
+                    got = int(ctx.recv(src).payload[0][0])
+                    assert got == step, f"{src}->{ctx.rank}: got step {got}, expected {step}"
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        start = time.monotonic()
+        res = spawn_cluster(ClusterSpec(n, Throttled(bandwidth=1e9, latency=1e-5)), body)
+        elapsed = time.monotonic() - start
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(res.stats.link(i, j).message_count == steps
+               for i in range(n) for j in range(n) if i != j)
+    assert elapsed < 10.0
 
 
 def test_ring_shift_rotation():
     def body(ctx):
-        ctx.send(ctx.successor, 0, {0: np.array([ctx.rank])})
-        return int(ctx.recv(ctx.predecessor, 0).payload[0][0])
+        ctx.send(ctx.successor, {0: np.array([ctx.rank])})
+        return int(ctx.recv(ctx.predecessor).payload[0][0])
 
     res = spawn_cluster(ClusterSpec(3), body)
     assert res.results == [2, 0, 1]
@@ -106,8 +137,8 @@ def test_ring_shift_rotation():
 
 def test_ring_shift_loopback():
     def body(ctx):
-        ctx.send(ctx.successor, 0, {0: np.array([99])})
-        return int(ctx.recv(ctx.predecessor, 0).payload[0][0])
+        ctx.send(ctx.successor, {0: np.array([99])})
+        return int(ctx.recv(ctx.predecessor).payload[0][0])
 
     res = spawn_cluster(ClusterSpec(1), body)
     assert res.results == [99]
@@ -120,8 +151,8 @@ def test_ring_shift_n_times_is_identity():
     def body(ctx):
         value = np.array([ctx.rank * 100])
         for step in range(n):
-            ctx.send(ctx.successor, step, {0: value})
-            value = ctx.recv(ctx.predecessor, step).payload[0]
+            ctx.send(ctx.successor, {0: value})
+            value = ctx.recv(ctx.predecessor).payload[0]
         return int(value[0])
 
     res = spawn_cluster(ClusterSpec(n), body)
@@ -168,34 +199,49 @@ def test_all_to_all_chunk_count_mismatch():
         spawn_cluster(ClusterSpec(2), body)
 
 
-def test_worker_error_names_worker():
+def test_worker_error_names_worker(monkeypatch):
+    monkeypatch.setenv("LVX_TIMEOUT_SECS", "5")
+
     def body(ctx):
         if ctx.rank == 2:
             raise ValueError("boom")
-        ctx.recv((ctx.rank + 1) % 4, 0)
+        ctx.recv((ctx.rank + 1) % 4)
 
     with pytest.raises(WorkerFailed, match="worker 2") as exc_info:
-        spawn_cluster(ClusterSpec(4), body, timeout=5.0)
+        spawn_cluster(ClusterSpec(4), body)
     assert exc_info.value.worker == 2
     assert isinstance(exc_info.value.cause, ValueError)
 
 
 def test_recv_from_nonexistent_worker():
     def body(ctx):
-        ctx.recv(5, 0)
+        ctx.recv(5)
 
     with pytest.raises(WorkerFailed, match="out of range"):
         spawn_cluster(ClusterSpec(2), body)
 
 
-def test_recv_timeout():
+def test_recv_timeout(monkeypatch):
+    monkeypatch.setenv("LVX_TIMEOUT_SECS", "0.3")
+
     def body(ctx):
         if ctx.rank == 0:
-            ctx.recv(1, 3)   # never sent
+            ctx.recv(1)   # never sent
 
     with pytest.raises(WorkerFailed, match="worker 0") as exc_info:
-        spawn_cluster(ClusterSpec(2), body, timeout=0.3)
+        spawn_cluster(ClusterSpec(2), body)
     assert isinstance(exc_info.value.cause, CollectiveTimeout)
+    assert str(exc_info.value.cause) == "worker 0: recv(src=1) timed out after 0.3s"
+
+
+def test_unreceived_message_fails_naming_its_link():
+    def body(ctx):
+        if ctx.rank == 0:
+            ctx.send(1, {0: np.zeros(1)})   # worker 1 never receives it
+
+    with pytest.raises(ClusterError,
+                       match=r"^1 message\(s\) from worker 0 to worker 1 were never received$"):
+        spawn_cluster(ClusterSpec(2), body)
 
 
 def test_timeout_env_override(monkeypatch):
@@ -203,7 +249,7 @@ def test_timeout_env_override(monkeypatch):
 
     def body(ctx):
         if ctx.rank == 0:
-            ctx.recv(1, 3)
+            ctx.recv(1)
 
     start = time.monotonic()
     with pytest.raises(WorkerFailed):
@@ -216,8 +262,6 @@ def test_bad_timeout_rejected_before_spawn(monkeypatch, bad):
     def body(ctx):
         raise AssertionError("workers spawned")
 
-    with pytest.raises(ValueError, match="timeout must be finite and positive"):
-        spawn_cluster(ClusterSpec(2), body, timeout=float(bad))
     monkeypatch.setenv("LVX_TIMEOUT_SECS", bad)
     with pytest.raises(ValueError, match="LVX_TIMEOUT_SECS must be finite and positive"):
         spawn_cluster(ClusterSpec(2), body)
@@ -252,8 +296,8 @@ def test_instant_results_independent_of_scheduling():
     def body(ctx):
         total = np.zeros(4)
         for step in range(5):
-            ctx.send(ctx.successor, step, {0: np.full(4, float(ctx.rank))})
-            got = ctx.recv(ctx.predecessor, step)
+            ctx.send(ctx.successor, {0: np.full(4, float(ctx.rank))})
+            got = ctx.recv(ctx.predecessor)
             total = total + got.payload[0]
         return total.tobytes()
 

@@ -227,7 +227,7 @@ class TestTraces:
             res = run_distributed("ring", Q, K, V, spec=ClusterSpec(n))
             for trace in res.traces_forward:
                 assert trace.num_rounds == n
-                assert trace.num_shifts == n - 1
+                assert sum(1 for r in trace.rounds if r.sent_bytes > 0) == n - 1
 
     def test_trace_class_bytes(self):
         h, d, n, b = 2, 5, 2, 8
@@ -355,17 +355,19 @@ def test_payloads_unchanged_between_send_and_recv(monkeypatch, strategy, n):
     # backward bodies accumulate into received tensors; a sender must never
     # write to a payload after sending it. The latency leaves each message in
     # flight long enough for a late write to show.
-    sent = {}
+    sent, sends, recvs = {}, {}, {}
     send, recv = cluster.Cluster.send, cluster.Cluster.recv
 
-    def snapshotting_send(self, src, dst, tag, payload, meta=None):
-        sent[(src, dst, tag)] = _snapshot(payload)
-        return send(self, src, dst, tag, payload, meta=meta)
+    def snapshotting_send(self, src, dst, payload, meta=None):
+        index = next(sends.setdefault((src, dst), itertools.count()))
+        sent[(src, dst, index)] = _snapshot(payload)
+        return send(self, src, dst, payload, meta=meta)
 
-    def checking_recv(self, rank, src, tag):
-        msg = recv(self, rank, src, tag)
-        if _snapshot(msg.payload) != sent.pop((src, rank, tag)):
-            raise AssertionError(f"payload {src}->{rank} tag {tag} changed in flight")
+    def checking_recv(self, rank, src):
+        msg = recv(self, rank, src)
+        index = next(recvs.setdefault((src, rank), itertools.count()))
+        if _snapshot(msg.payload) != sent.pop((src, rank, index)):
+            raise AssertionError(f"payload {index} on link {src}->{rank} changed in flight")
         return msg
 
     monkeypatch.setattr(cluster.Cluster, "send", snapshotting_send)
@@ -467,18 +469,21 @@ def test_worker_raising_mid_round_fails_naming_it(monkeypatch):
     assert isinstance(err.cause, RuntimeError)
 
 
-def test_dropped_message_times_out_naming_rank_src_and_tag(monkeypatch):
+def test_dropped_message_times_out_naming_rank_and_src(monkeypatch):
     monkeypatch.setenv("LVX_TIMEOUT_SECS", "1")
     send = cluster.Cluster.send
+    sends = {}
     dropped = []
 
-    def lossy_send(self, src, dst, tag, payload, meta=None):
-        # tag 2 is the epilogue of a 2-worker forward: worker 0's (O, L)
-        # never reaches worker 1, while worker 0 finishes normally
-        if (src, dst, tag) == (0, 1, 2) and not dropped:
-            dropped.append(tag)
+    def lossy_send(self, src, dst, payload, meta=None):
+        # message 2 on link 0->1 is the epilogue of a 2-worker forward:
+        # worker 0's (O, L) never reaches worker 1, while worker 0 finishes
+        # normally
+        index = next(sends.setdefault((src, dst), itertools.count()))
+        if (src, dst, index) == (0, 1, 2):
+            dropped.append(index)
             return dict.fromkeys(payload, 0)
-        return send(self, src, dst, tag, payload, meta=meta)
+        return send(self, src, dst, payload, meta=meta)
 
     monkeypatch.setattr(cluster.Cluster, "send", lossy_send)
     Q, K, V, _ = rand_problem(2, 6, 9, 3, seed=32)
@@ -488,10 +493,10 @@ def test_dropped_message_times_out_naming_rank_src_and_tag(monkeypatch):
     assert dropped == [2]
     assert err.worker == 1
     assert isinstance(err.cause, CollectiveTimeout)
-    assert "worker 1: recv(src=0, tag=2) timed out after 1.0s" in str(err.cause)
+    assert "worker 1: recv(src=0) timed out after 1.0s" in str(err.cause)
 
 
-def test_stalled_worker_times_out_naming_rank_src_and_tag(monkeypatch):
+def test_stalled_worker_times_out_naming_rank_and_src(monkeypatch):
     monkeypatch.setenv("LVX_TIMEOUT_SECS", "1")
     stall = 1.5
     _fault_before_round_1(monkeypatch, lambda: time.sleep(stall))
@@ -503,14 +508,14 @@ def test_stalled_worker_times_out_naming_rank_src_and_tag(monkeypatch):
     # its epilogue
     assert err.worker == 0
     assert isinstance(err.cause, CollectiveTimeout)
-    assert "worker 0: recv(src=1, tag=2) timed out after 1.0s" in str(err.cause)
+    assert "worker 0: recv(src=1) timed out after 1.0s" in str(err.cause)
 
 
-# (strategy, backward, tag, where, key, expected): with n = 3 the forward of
-# lvx uses tags 0-3 (round 3 is its epilogue) and that of ring tags 0-1, so
-# ring's backward starts at tag 2 and lvx's at tag 4. Each row rewrites the
-# block id of the message worker 0 sends worker 1 on that tag.
-@pytest.mark.parametrize("strategy,backward,tag,where,key,expected", [
+# (strategy, backward, index, where, key, expected): with n = 3 the forward of
+# lvx sends messages 0-3 on each link (message 3 is its epilogue) and that of
+# ring messages 0-1, so ring's backward starts at message 2 and lvx's at
+# message 4. Each row rewrites the block id of message `index` on link 0->1.
+@pytest.mark.parametrize("strategy,backward,index,where,key,expected", [
     ("lvx", False, 0, "worker 1 round 0", "state_block", 1),
     ("lvx", False, 3, "worker 1 epilogue", "state_block", 1),
     ("lvx", True, 6, "worker 1 backward round 2", "block", 1),
@@ -518,16 +523,17 @@ def test_stalled_worker_times_out_naming_rank_src_and_tag(monkeypatch):
     ("ring", True, 2, "worker 1 backward round 0", "block", 0),
     ("ring", True, 4, "worker 1 backward epilogue", "block", 1),
 ])
-def test_wrong_block_id_fails_naming_expected_block(monkeypatch, strategy, backward, tag,
+def test_wrong_block_id_fails_naming_expected_block(monkeypatch, strategy, backward, index,
                                                     where, key, expected):
     monkeypatch.setenv("LVX_TIMEOUT_SECS", "5")
     send = cluster.Cluster.send
+    sends = {}
     n = 3
 
-    def relabeling_send(self, src, dst, tag_, payload, meta=None):
-        if (src, dst, tag_) == (0, 1, tag):
+    def relabeling_send(self, src, dst, payload, meta=None):
+        if (src, dst, next(sends.setdefault((src, dst), itertools.count()))) == (0, 1, index):
             meta = {k: v + n for k, v in meta.items()}
-        return send(self, src, dst, tag_, payload, meta=meta)
+        return send(self, src, dst, payload, meta=meta)
 
     monkeypatch.setattr(cluster.Cluster, "send", relabeling_send)
     Q, K, V, dO = rand_problem(2, 7, 8, 3, seed=34)
