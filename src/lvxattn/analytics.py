@@ -258,9 +258,9 @@ def lvx_ring_forward_volume_ratio(w: WorkloadSpec) -> float:
 
 
 def volume_report(w: WorkloadSpec) -> dict:
-    """Accounting-only run: exact per-worker byte counts for every strategy
-    that fits the worker and head counts, computed from the balanced row
-    partition without materializing tensors.
+    """The volume part of the `cost` report: exact per-worker byte counts for
+    every strategy that fits the worker and head counts, computed from the
+    balanced row partition without materializing tensors.
     These equal the transport counters of a numeric run bit for bit."""
     q_sizes = [b - a for a, b in partition_rows(w.s_q, w.n)]
     kv_sizes = [b - a for a, b in partition_rows(w.s_kv, w.n)]

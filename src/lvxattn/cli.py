@@ -2,10 +2,10 @@
 
 Subcommands:
 
-    run     execute one distributed attention problem (numeric, writing LVXT
-            tensors + stats JSON) or an accounting-only volume report
-    cost    closed-form round times, speedups, regime, and memory for a
-            workload/hardware point (JSON)
+    run     execute one distributed attention problem, writing LVXT tensors
+            and a stats JSON
+    cost    closed-form per-worker byte volumes, round times, speedups,
+            regime, and memory for a workload/hardware point (JSON)
     sweep   speedup/regime grid over S_Q x S_KV (CSV)
     mllm    toy cross-attention model: one forward+backward with a memory
             ledger, or a max-frames-under-budget query
@@ -34,11 +34,9 @@ from .tensorio import (dtype_from_name, load_tensor, seeded_random_tensor,
                        store_tensor)
 from .verify import SUITES, run_suite
 
-# numeric mode refuses runs whose peak working set exceeds this many bytes;
-# production-scale workloads go through --mode accounting-only
+# run refuses runs whose peak working set exceeds this many bytes;
+# production-scale workloads go through cost
 MAX_NUMERIC_BYTES = 1_600_000_000
-
-_ELEM_BYTES = {"f16": 2, "f32": 4, "f64": 8}
 
 
 def _write_json(data: dict, path: str | None) -> None:
@@ -75,25 +73,22 @@ def _require_positive(args, names) -> None:
 
 def _workload_from_args(args) -> tuple[analytics.WorkloadSpec, int]:
     """Resolve preset/flags into a WorkloadSpec plus a d_model for the memory
-    block (preset value, --d-model, or h*d)."""
-    elem_bytes = args.elem_bytes
-    if elem_bytes is None and getattr(args, "dtype", None):
-        elem_bytes = _ELEM_BYTES[args.dtype]
-    d_model_flag = getattr(args, "d_model", None)
+    block (preset value, --d-model, or h*d). A preset fixes the shape;
+    --n, --elem-bytes and --d-model override it."""
+    shape = {f"--{f}": getattr(args, f) for f in ("sq", "skv", "h", "d")}
     if args.preset:
-        preset = analytics.get_preset(args.preset, n=args.n, elem_bytes=elem_bytes)
-        w = preset.workload
-        d_model = d_model_flag or preset.d_model
-    else:
-        missing = [f for f in ("sq", "skv", "h", "d") if getattr(args, f) is None]
-        if missing:
-            raise ValueError(f"missing flags without --preset: "
-                             f"{', '.join('--' + m for m in missing)}")
-        n = args.n if args.n is not None else 1
-        w = analytics.WorkloadSpec(s_q=args.sq, s_kv=args.skv, h=args.h, d=args.d,
-                                   n=n, elem_bytes=elem_bytes or 2)
-        d_model = d_model_flag or (w.h * w.d)
-    return w, d_model
+        given = [flag for flag, value in shape.items() if value is not None]
+        if given:
+            raise ValueError(f"--preset sets the shape; drop {', '.join(given)}")
+        preset = analytics.get_preset(args.preset, n=args.n, elem_bytes=args.elem_bytes)
+        return preset.workload, args.d_model or preset.d_model
+    missing = [flag for flag, value in shape.items() if value is None]
+    if missing:
+        raise ValueError(f"missing flags without --preset: {', '.join(missing)}")
+    w = analytics.WorkloadSpec(s_q=args.sq, s_kv=args.skv, h=args.h, d=args.d,
+                               n=1 if args.n is None else args.n,
+                               elem_bytes=args.elem_bytes or 2)
+    return w, args.d_model or w.h * w.d
 
 
 def _numeric_working_set(strategy: str, s_q: int, s_kv: int, h: int, d: int,
@@ -139,21 +134,13 @@ def cmd_run(args) -> int:
     for flag in ("bandwidth", "latency"):
         if getattr(args, flag) is not None and args.transport != "throttled":
             raise ValueError(f"--{flag} needs --transport throttled")
-    if args.mode == "numeric" and args.elem_bytes is not None:
-        raise ValueError("--elem-bytes is for accounting-only mode; numeric runs take "
-                         "their element size from --dtype")
-    w, _ = _workload_from_args(args)
-    if args.mode == "accounting-only":
-        _write_json(analytics.volume_report(w), args.stats)
-        return 0
-
-    s_q, s_kv, h, d, n = w.s_q, w.s_kv, w.h, w.d, w.n
-    dtype = dtype_from_name(args.dtype or "f64")
+    s_q, s_kv, h, d, n = args.sq, args.skv, args.h, args.d, args.n
+    dtype = dtype_from_name(args.dtype)
     total_bytes = _numeric_working_set(args.strategy, s_q, s_kv, h, d, dtype.itemsize,
                                        backward=args.backward, n=n)
     if total_bytes > MAX_NUMERIC_BYTES:
-        raise ValueError(f"numeric mode would hold {total_bytes} bytes at its peak; "
-                         f"use --mode accounting-only for workloads of this size")
+        raise ValueError(f"run would hold {total_bytes} bytes at its peak; "
+                         f"use cost for workloads of this size")
 
     if args.transport == "throttled":
         if args.bandwidth is None:
@@ -196,7 +183,7 @@ def cmd_run(args) -> int:
         "strategy": args.strategy,
         "n": n,
         "workload": {"s_q": s_q, "s_kv": s_kv, "h": h, "d": d,
-                     "dtype": args.dtype or "f64", "seed": args.seed},
+                     "dtype": args.dtype, "seed": args.seed},
         "transport": ({"kind": "throttled", "bandwidth": args.bandwidth,
                        "latency": transport.latency} if args.transport == "throttled"
                       else {"kind": "instant"}),
@@ -223,16 +210,16 @@ def cmd_cost(args) -> int:
     hw = analytics.HardwareSpec(gpu_flops=args.gpu_flops, net_bandwidth=args.net_bandwidth)
     times = analytics.round_times(w, hw)
     regime = analytics.classify_regime(w, hw)
-    mem_bytes = args.elem_bytes or _ELEM_BYTES.get(args.dtype or "f32", 4)
+    # the workload's traffic defaults to bf16, the memory anchors to f32
+    mem_bytes = args.elem_bytes or 4
     memory = analytics.memory_cross_attention(w.s_q, w.s_kv, d_model, mem_bytes)
     out = {
-        "workload": asdict(w),
+        **analytics.volume_report(w),
         "hardware": asdict(hw),
         "round_times": {name: t.as_dict() for name, t in times.items()},
         "speedup": analytics.speedup(w, hw),
         "speedup_closed_form": analytics.speedup_closed_form(w, hw),
         "regime": regime.as_dict(),
-        "lvx_ring_forward_volume_ratio": analytics.lvx_ring_forward_volume_ratio(w),
         "memory": {
             "d_model": d_model,
             "elem_bytes": mem_bytes,
@@ -341,14 +328,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run one distributed attention problem")
     p_run.add_argument("--strategy", choices=[kind.value for kind in PROTOCOLS],
                        default="lvx")
-    p_run.add_argument("--n", type=int, default=None, help="worker count")
-    p_run.add_argument("--sq", type=int, default=None, help="query rows S_Q")
-    p_run.add_argument("--skv", type=int, default=None, help="key/value rows S_KV")
-    p_run.add_argument("--h", type=int, default=None, help="attention heads")
-    p_run.add_argument("--d", type=int, default=None, help="per-head dimension")
-    p_run.add_argument("--dtype", choices=["f32", "f64"], default=None)
-    p_run.add_argument("--elem-bytes", type=int, default=None,
-                       help="element size for accounting-only mode")
+    p_run.add_argument("--n", type=int, default=1, help="worker count")
+    p_run.add_argument("--sq", type=int, required=True, help="query rows S_Q")
+    p_run.add_argument("--skv", type=int, required=True, help="key/value rows S_KV")
+    p_run.add_argument("--h", type=int, required=True, help="attention heads")
+    p_run.add_argument("--d", type=int, required=True, help="per-head dimension")
+    p_run.add_argument("--dtype", choices=["f32", "f64"], default="f64")
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--scale", type=float, default=None,
                        help="score scale (default 1/sqrt(d))")
@@ -358,9 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="bytes/second (throttled only)")
     p_run.add_argument("--latency", type=float, default=None,
                        help="seconds (throttled only; default 0)")
-    p_run.add_argument("--mode", choices=["numeric", "accounting-only"],
-                       default="numeric")
-    p_run.add_argument("--preset", choices=sorted(analytics.PRESETS), default=None)
     p_run.add_argument("--backward", action="store_true",
                        help="also run the backward pass")
     p_run.add_argument("--input-q", default=None, help="LVXT file for Q")
@@ -379,8 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cost.add_argument("--h", type=int, default=None)
     p_cost.add_argument("--d", type=int, default=None)
     p_cost.add_argument("--n", type=int, default=None)
-    p_cost.add_argument("--dtype", choices=["f16", "f32", "f64"], default=None)
-    p_cost.add_argument("--elem-bytes", type=int, default=None)
+    p_cost.add_argument("--elem-bytes", type=int, default=None,
+                        help="element size (default: 2 for traffic, 4 for memory)")
     p_cost.add_argument("--d-model", type=int, default=None,
                         help="model width for the memory block (default preset or h*d)")
     p_cost.add_argument("--gpu-flops", type=float, default=312e12)

@@ -35,7 +35,6 @@ A y block is what one worker's y shard would be in a sequence-parallel step.
 
 from __future__ import annotations
 
-import json
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from enum import Enum
 
@@ -124,10 +123,6 @@ class ToyMllmConfig:
         if missing:
             raise ValueError(f"missing config fields: {sorted(missing)}")
         return cls(**data)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ToyMllmConfig":
-        return cls.from_dict(json.loads(text))
 
     def as_dict(self) -> dict:
         return {**asdict(self), "ca_positions": list(self.ca_positions)}

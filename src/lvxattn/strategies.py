@@ -17,7 +17,7 @@ Four strategies, all exact:
 Each strategy is one `Protocol` record in PROTOCOLS: its forward and backward
 bodies, which share one signature, and the worker-count rule; the messages
 they send are its rows of the hop table in `volumes`. `run_distributed`,
-the verify suites, the accounting-only report and the CLI all read PROTOCOLS.
+the verify suites, the `cost` report and the CLI all read PROTOCOLS.
 No body runs the dense oracle; it is only the reference that `verify`, the
 tests and the benchmark hold the protocols to.
 A body runs its kernels through `ctx.compute` and closes each round on its

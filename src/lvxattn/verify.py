@@ -244,7 +244,7 @@ def volumes_suite() -> list[Check]:
     """Transport byte counters equal the documented closed forms exactly (per
     phase via the round traces, per worker via the link stats), every round
     record and epilogue equals its hop-table entry class by class, and the
-    accounting-only predictions equal the measured counters."""
+    `cost` report's per-worker predictions equal the measured counters."""
     checks = []
     d = EXACTNESS_HEAD_DIM
     for idx, (strategy, n, h, s_q, s_kv) in enumerate(iter_exactness_configs()):

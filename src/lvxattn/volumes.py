@@ -1,9 +1,9 @@
 """Closed-form communication volumes for the distributed attention protocols.
 
 This module is the single place that pins down which tensor classes travel in
-each protocol round, so the analytic cost model, the accounting-only report
-and the byte counters measured by the transport cannot drift apart. Counts
-are tensor payload bytes only, matching the transport's accounting, and a
+each protocol round, so the analytic cost model, the `cost` report and the
+byte counters measured by the transport cannot drift apart. Counts are
+tensor payload bytes only, matching the transport's accounting, and a
 message a worker addresses to itself costs 0 because loopback delivery is
 free (so every count is 0 for n = 1).
 

@@ -56,10 +56,10 @@ def test_criterion_3_volumes():
 
 
 def test_criterion_4_volume_ratio(tmp_path):
-    stats_path = tmp_path / "stats.json"
-    rc = cli_main(["run", "--mode", "accounting-only", "--preset",
-                   "video-mme-llama3v", "--n", "16", "--stats", str(stats_path)])
-    data = json.loads(stats_path.read_text())
+    cost_path = tmp_path / "cost.json"
+    rc = cli_main(["cost", "--preset", "video-mme-llama3v", "--n", "16",
+                   "--out", str(cost_path)])
+    data = json.loads(cost_path.read_text())
     ratio = data["lvx_ring_forward_volume_ratio"]
     ok = (rc == 0 and 3.5e-4 <= ratio <= 3.7e-4
           and data["lvx_ring_forward_volume_percent"] == "0.04%")

@@ -1,7 +1,10 @@
 import json
+import re
+import shlex
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -67,11 +70,11 @@ class TestRun:
         assert np.max(np.abs(got - oracle.O)) <= 1e-12
 
     def test_accounting_only_preset_ratio(self, tmp_path):
-        stats = tmp_path / "stats.json"
-        rc = run_cli("run", "--mode", "accounting-only", "--preset",
-                     "video-mme-llama3v", "--n", "16", "--stats", str(stats))
+        out = tmp_path / "cost.json"
+        rc = run_cli("cost", "--preset", "video-mme-llama3v", "--n", "16",
+                     "--out", str(out))
         assert rc == 0
-        report = json.loads(stats.read_text())
+        report = json.loads(out.read_text())
         assert report["lvx_ring_forward_volume_ratio_rounded"] == 0.0004
         assert report["lvx_ring_forward_volume_percent"] == "0.04%"
         assert report["workload"]["s_q"] == 5514
@@ -84,9 +87,10 @@ class TestRun:
         assert "not divisible" in capsys.readouterr().err
 
     def test_numeric_production_scale_refused(self, capsys):
-        rc = run_cli("run", "--preset", "video-mme-llama3v", "--n", "16")
+        rc = run_cli("run", "--sq", "5514", "--skv", "15279944", "--h", "32",
+                     "--d", "128", "--n", "16")
         assert rc == 2
-        assert "accounting-only" in capsys.readouterr().err
+        assert "use cost" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", [np.inf, np.nan])
     @pytest.mark.parametrize("name", ["Q", "K", "V", "dO"])
@@ -132,7 +136,7 @@ class TestRun:
         rc = run_cli("run", "--strategy", "single", "--sq", "1000000",
                      "--skv", "1000", "--h", "1", "--d", "1")
         assert rc == 2
-        assert "accounting-only" in capsys.readouterr().err
+        assert "use cost" in capsys.readouterr().err
 
     @pytest.mark.parametrize("backward", [False, True])
     @pytest.mark.parametrize("dtype", ["f64", "f32"])
@@ -210,18 +214,22 @@ class TestRun:
         assert f"{flag} needs --transport throttled" in capsys.readouterr().err
         assert not (tmp_path / "stats.json").exists()
 
-    def test_elem_bytes_in_numeric_mode_is_usage_error(self, tmp_path, capsys):
-        rc = run_cli("run", "--n", "2", "--sq", "4", "--skv", "8", "--h", "1", "--d", "2",
-                     "--dtype", "f32", "--elem-bytes", "2", "--out-dir", str(tmp_path))
-        assert rc == 2
-        assert "--elem-bytes is for accounting-only mode" in capsys.readouterr().err
+    @pytest.mark.parametrize("flag,value", [("--elem-bytes", "2"),
+                                            ("--preset", "owl3-3600frames"),
+                                            ("--mode", "accounting-only")])
+    def test_cost_only_flag_is_usage_error(self, tmp_path, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc_info:
+            run_cli("run", "--n", "2", "--sq", "4", "--skv", "8", "--h", "1", "--d", "2",
+                    "--dtype", "f32", flag, value, "--out-dir", str(tmp_path))
+        assert exc_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
         assert not (tmp_path / "stats.json").exists()
 
 
 class TestCost:
     def test_owl3_memory_anchor(self, tmp_path):
         out = tmp_path / "cost.json"
-        rc = run_cli("cost", "--preset", "owl3-3600frames", "--dtype", "f32",
+        rc = run_cli("cost", "--preset", "owl3-3600frames", "--elem-bytes", "4",
                      "--out", str(out))
         assert rc == 0
         data = json.loads(out.read_text())
@@ -241,6 +249,25 @@ class TestCost:
         rc = run_cli("cost", "--sq", "10", "--skv", "10", "--h", "1", "--d", "2",
                      "--gpu-flops", "-5")
         assert rc == 2
+
+    @pytest.mark.parametrize("flag", ["--sq", "--skv", "--h", "--d"])
+    def test_shape_flag_with_preset_is_usage_error(self, tmp_path, capsys, flag):
+        out = tmp_path / "cost.json"
+        rc = run_cli("cost", "--preset", "owl3-3600frames", flag, "5", "--out", str(out))
+        assert rc == 2
+        assert f"drop {flag}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("strategy,n", [("lvx", 2), ("ring", 2), ("head", 2), ("single", 1)])
+    def test_predicted_volumes_equal_run_counters(self, tmp_path, strategy, n):
+        shape = ["--n", str(n), "--sq", "5", "--skv", "7", "--h", "2", "--d", "3"]
+        assert run_cli("cost", *shape, "--elem-bytes", "8",
+                       "--out", str(tmp_path / "cost.json")) == 0
+        assert run_cli("run", "--strategy", strategy, *shape, "--dtype", "f64",
+                       "--backward", "--out-dir", str(tmp_path)) == 0
+        predicted = json.loads((tmp_path / "cost.json").read_text())["per_worker_bytes"][strategy]
+        measured = json.loads((tmp_path / "stats.json").read_text())["per_worker_bytes_sent"]
+        assert [f + b for f, b in zip(predicted["forward"], predicted["backward"])] == measured
 
 
 class TestSweep:
@@ -353,6 +380,23 @@ class TestVerify:
         assert run_cli("verify", "exactness") == 0
         out = capsys.readouterr().out
         assert "all passed" in out
+
+
+def test_readme_commands_parse():
+    # every `lvxattn ...` line in the README's sh fences, continuations joined;
+    # parsed only, nothing runs
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = [line for fence in re.findall(r"^```sh\n(.*?)^```", readme, flags=re.M | re.S)
+             for line in fence.replace("\\\n", " ").splitlines()
+             if line.startswith("lvxattn ")]
+    assert lines
+    refused = []
+    for line in lines:
+        try:
+            cli.build_parser().parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            refused.append(line)
+    assert refused == []
 
 
 def test_console_script_help():

@@ -32,7 +32,7 @@ def build(config, seed=1):
 class TestConfig:
     def test_json_roundtrip(self):
         text = json.dumps(SMALL.as_dict())
-        assert ToyMllmConfig.from_json(text) == SMALL
+        assert ToyMllmConfig.from_dict(json.loads(text)) == SMALL
 
     def test_ca_position_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
@@ -59,7 +59,7 @@ class TestConfig:
 
     def test_non_object_config_rejected(self):
         with pytest.raises(ValueError, match="config must be an object"):
-            ToyMllmConfig.from_json("5")
+            ToyMllmConfig.from_dict(json.loads("5"))
 
     def test_skv_derived(self):
         assert SMALL.s_kv == 8
