@@ -201,52 +201,28 @@ def workload_from_video(model: str, duration_s: float, fps: float,
                         h=h, d=d, n=n, elem_bytes=elem_bytes)
 
 
-@dataclass(frozen=True)
-class WorkloadPreset:
-    name: str
-    workload: WorkloadSpec
-    d_model: int
-    description: str
-
-
-def _build_presets() -> dict[str, WorkloadPreset]:
-    presets = {}
-    presets["video-mme-llama3v"] = WorkloadPreset(
-        name="video-mme-llama3v",
-        workload=workload_from_video("llama3v", 2386, 1, 3128, n=16),
-        d_model=4096,
-        description="average long-video benchmark input: 2386 s at 1 fps, 3128-word prompt",
-    )
-    presets["llama3v-20min"] = WorkloadPreset(
-        name="llama3v-20min",
-        workload=workload_from_video("llama3v", 1200, 1, 2048, n=16),
-        d_model=4096,
-        description="20-minute video at 1 fps with a 2048-token text sequence",
-    )
-    presets["owl3-3600frames"] = WorkloadPreset(
-        name="owl3-3600frames",
-        workload=workload_from_video("owl3", 3600, 1, 2048, n=16),
-        d_model=3584,
-        description="3600-frame video, 729 tokens per frame",
-    )
-    return presets
-
-
-PRESETS = _build_presets()
+# the paper's workloads; `cost` sizes their memory anchors at the model
+# width h * d
+PRESETS = {
+    # average long-video benchmark input: 2386 s at 1 fps, 3128-word prompt
+    "video-mme-llama3v": workload_from_video("llama3v", 2386, 1, 3128, n=16),
+    # 20-minute video at 1 fps with a 2048-token text sequence
+    "llama3v-20min": workload_from_video("llama3v", 1200, 1, 2048, n=16),
+    # 3600-frame video, 729 tokens per frame
+    "owl3-3600frames": workload_from_video("owl3", 3600, 1, 2048, n=16),
+}
 
 
 def get_preset(name: str, n: int | None = None,
-               elem_bytes: int | None = None) -> WorkloadPreset:
+               elem_bytes: int | None = None) -> WorkloadSpec:
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}, expected one of {sorted(PRESETS)}")
-    p = PRESETS[name]
-    w = p.workload
+    w = PRESETS[name]
     if n is not None:
         w = replace(w, n=n)
     if elem_bytes is not None:
         w = replace(w, elem_bytes=elem_bytes)
-    return WorkloadPreset(name=p.name, workload=w, d_model=p.d_model,
-                          description=p.description)
+    return w
 
 
 def lvx_ring_forward_volume_ratio(w: WorkloadSpec) -> float:

@@ -19,12 +19,13 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
 
 from . import analytics
-from .cluster import ClusterError, ClusterSpec, Instant, Throttled
+from .cluster import ClusterError, ClusterSpec, Throttled
 from .kernels import DEFAULT_TILE_ROWS
 from .mllm import (ActivationPolicy, ModelParams, OpCounter, ToyMllmConfig,
                    TOY_CONFIG, max_frames_under_budget, measured_activation_bytes,
@@ -71,24 +72,21 @@ def _require_positive(args, names) -> None:
             raise ValueError(f"--{name.replace('_', '-')} must be positive, got {value}")
 
 
-def _workload_from_args(args) -> tuple[analytics.WorkloadSpec, int]:
-    """Resolve preset/flags into a WorkloadSpec plus a d_model for the memory
-    block (preset value, --d-model, or h*d). A preset fixes the shape;
-    --n, --elem-bytes and --d-model override it."""
+def _workload_from_args(args) -> analytics.WorkloadSpec:
+    """Resolve preset/flags into a WorkloadSpec. A preset fixes the shape;
+    --n and --elem-bytes override it."""
     shape = {f"--{f}": getattr(args, f) for f in ("sq", "skv", "h", "d")}
     if args.preset:
         given = [flag for flag, value in shape.items() if value is not None]
         if given:
             raise ValueError(f"--preset sets the shape; drop {', '.join(given)}")
-        preset = analytics.get_preset(args.preset, n=args.n, elem_bytes=args.elem_bytes)
-        return preset.workload, args.d_model or preset.d_model
+        return analytics.get_preset(args.preset, n=args.n, elem_bytes=args.elem_bytes)
     missing = [flag for flag, value in shape.items() if value is None]
     if missing:
         raise ValueError(f"missing flags without --preset: {', '.join(missing)}")
-    w = analytics.WorkloadSpec(s_q=args.sq, s_kv=args.skv, h=args.h, d=args.d,
-                               n=1 if args.n is None else args.n,
-                               elem_bytes=args.elem_bytes or 2)
-    return w, args.d_model or w.h * w.d
+    return analytics.WorkloadSpec(s_q=args.sq, s_kv=args.skv, h=args.h, d=args.d,
+                                  n=1 if args.n is None else args.n,
+                                  elem_bytes=args.elem_bytes or 2)
 
 
 def _numeric_working_set(strategy: str, s_q: int, s_kv: int, h: int, d: int,
@@ -131,9 +129,6 @@ def _numeric_working_set(strategy: str, s_q: int, s_kv: int, h: int, d: int,
 
 def cmd_run(args) -> int:
     _require_positive(args, ["n", "sq", "skv", "h", "d", "bandwidth"])
-    for flag in ("bandwidth", "latency"):
-        if getattr(args, flag) is not None and args.transport != "throttled":
-            raise ValueError(f"--{flag} needs --transport throttled")
     s_q, s_kv, h, d, n = args.sq, args.skv, args.h, args.d, args.n
     dtype = dtype_from_name(args.dtype)
     total_bytes = _numeric_working_set(args.strategy, s_q, s_kv, h, d, dtype.itemsize,
@@ -141,14 +136,8 @@ def cmd_run(args) -> int:
     if total_bytes > MAX_NUMERIC_BYTES:
         raise ValueError(f"run would hold {total_bytes} bytes at its peak; "
                          f"use cost for workloads of this size")
-
-    if args.transport == "throttled":
-        if args.bandwidth is None:
-            raise ValueError("--bandwidth is required with --transport throttled")
-        latency = 0.0 if args.latency is None else args.latency
-        transport = Throttled(bandwidth=args.bandwidth, latency=latency)
-    else:
-        transport = Instant()
+    link = Throttled(bandwidth=math.inf if args.bandwidth is None else args.bandwidth,
+                     latency=args.latency)
 
     def load_or_random(path, shape, stream):
         if path:
@@ -166,7 +155,7 @@ def cmd_run(args) -> int:
         dO = load_or_random(args.input_do, (h, s_q, d), 3)
 
     res = run_distributed(StrategyKind(args.strategy), Q, K, V, dO=dO,
-                          spec=ClusterSpec(n, transport), scale=args.scale)
+                          spec=ClusterSpec(n, link))
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -184,9 +173,7 @@ def cmd_run(args) -> int:
         "n": n,
         "workload": {"s_q": s_q, "s_kv": s_kv, "h": h, "d": d,
                      "dtype": args.dtype, "seed": args.seed},
-        "transport": ({"kind": "throttled", "bandwidth": args.bandwidth,
-                       "latency": transport.latency} if args.transport == "throttled"
-                      else {"kind": "instant"}),
+        "transport": {"bandwidth": args.bandwidth, "latency": args.latency},
         "links": res.stats.as_dict(),
         "total_bytes": res.stats.total_bytes(),
         "per_worker_bytes_sent": [res.stats.bytes_sent_by(i) for i in range(n)],
@@ -199,19 +186,21 @@ def cmd_run(args) -> int:
         },
         "outputs": written,
     }
-    _write_json(stats, str(out_dir / "stats.json") if args.stats is None else args.stats)
+    _write_json(stats, str(out_dir / "stats.json"))
     return 0
 
 
 def cmd_cost(args) -> int:
     _require_positive(args, ["gpu_flops", "net_bandwidth", "sq", "skv", "h", "d",
-                             "d_model", "elem_bytes"])
-    w, d_model = _workload_from_args(args)
+                             "elem_bytes"])
+    w = _workload_from_args(args)
     hw = analytics.HardwareSpec(gpu_flops=args.gpu_flops, net_bandwidth=args.net_bandwidth)
     times = analytics.round_times(w, hw)
     regime = analytics.classify_regime(w, hw)
     # the workload's traffic defaults to bf16, the memory anchors to f32
     mem_bytes = args.elem_bytes or 4
+    # the model width of every preset is h * d
+    d_model = w.h * w.d
     memory = analytics.memory_cross_attention(w.s_q, w.s_kv, d_model, mem_bytes)
     out = {
         **analytics.volume_report(w),
@@ -266,6 +255,10 @@ def cmd_mllm(args) -> int:
     config = _load_mllm_config(args)
     policy = ActivationPolicy(args.policy)
     if args.budget is not None:
+        ignored = [flag for flag, value in (("--seed", args.seed), ("--out-dir", args.out_dir))
+                   if value is not None]
+        if ignored:
+            raise ValueError(f"--budget runs no step; drop {', '.join(ignored)}")
         if args.budget <= 0:
             raise ValueError(f"--budget must be positive, got {args.budget}")
         frames = max_frames_under_budget(config, policy, args.budget)
@@ -275,16 +268,17 @@ def cmd_mllm(args) -> int:
         print(f"{frames} frames", file=sys.stderr)
         return 0
 
+    seed = 0 if args.seed is None else args.seed
     dtype = config.np_dtype
-    params = ModelParams.init_random(config, seed=args.seed)
-    x0 = seeded_random_tensor(args.seed, (config.s_q, config.d_embed), dtype, stream=101)
-    y = seeded_random_tensor(args.seed, (config.s_kv, config.d_embed), dtype, stream=102)
-    g_out = seeded_random_tensor(args.seed, (config.s_q, config.d_embed), dtype, stream=103)
+    params = ModelParams.init_random(config, seed=seed)
+    x0 = seeded_random_tensor(seed, (config.s_q, config.d_embed), dtype, stream=101)
+    y = seeded_random_tensor(seed, (config.s_kv, config.d_embed), dtype, stream=102)
+    g_out = seeded_random_tensor(seed, (config.s_q, config.d_embed), dtype, stream=103)
     output, saved, ledger = mllm_forward(x0, y, params, config, policy)
     counter = OpCounter()
     grads = mllm_backward(g_out, saved, y, params, config, policy, counter=counter)
 
-    out_dir = Path(args.out_dir)
+    out_dir = Path(args.out_dir or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     store_tensor(output, out_dir / "output.lvxt")
     store_tensor(grads.d_x0, out_dir / "dx0.lvxt")
@@ -292,7 +286,7 @@ def cmd_mllm(args) -> int:
     report = {
         "policy": policy.value,
         "config": config.as_dict(),
-        "seed": args.seed,
+        "seed": seed,
         "ledger": ledger.as_dict(),
         "measured_activation_bytes": measured_activation_bytes(saved),
         "backward_projection_flops": counter.projection_flops,
@@ -335,14 +329,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--d", type=int, required=True, help="per-head dimension")
     p_run.add_argument("--dtype", choices=["f32", "f64"], default="f64")
     p_run.add_argument("--seed", type=int, default=0)
-    p_run.add_argument("--scale", type=float, default=None,
-                       help="score scale (default 1/sqrt(d))")
-    p_run.add_argument("--transport", choices=["instant", "throttled"],
-                       default="instant")
     p_run.add_argument("--bandwidth", type=float, default=None,
-                       help="bytes/second (throttled only)")
-    p_run.add_argument("--latency", type=float, default=None,
-                       help="seconds (throttled only; default 0)")
+                       help="link bytes/second (default: unlimited)")
+    p_run.add_argument("--latency", type=float, default=0.0,
+                       help="link seconds per message (default 0)")
     p_run.add_argument("--backward", action="store_true",
                        help="also run the backward pass")
     p_run.add_argument("--input-q", default=None, help="LVXT file for Q")
@@ -350,8 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--input-v", default=None, help="LVXT file for V")
     p_run.add_argument("--input-do", default=None, help="LVXT file for dO")
     p_run.add_argument("--out-dir", default=".", help="directory for LVXT outputs")
-    p_run.add_argument("--stats", default=None,
-                       help="stats JSON path (default OUT_DIR/stats.json; '-' for stdout)")
     p_run.set_defaults(func=cmd_run)
 
     p_cost = sub.add_parser("cost", help="closed-form cost model for one point")
@@ -363,8 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cost.add_argument("--n", type=int, default=None)
     p_cost.add_argument("--elem-bytes", type=int, default=None,
                         help="element size (default: 2 for traffic, 4 for memory)")
-    p_cost.add_argument("--d-model", type=int, default=None,
-                        help="model width for the memory block (default preset or h*d)")
     p_cost.add_argument("--gpu-flops", type=float, default=312e12)
     p_cost.add_argument("--net-bandwidth", type=float, default=25e9)
     p_cost.add_argument("--out", default=None, help="JSON path (default stdout)")
@@ -390,8 +376,9 @@ def build_parser() -> argparse.ArgumentParser:
                         required=True)
     p_mllm.add_argument("--budget", type=int, default=None,
                         help="memory budget in bytes: report max frames instead of running")
-    p_mllm.add_argument("--seed", type=int, default=0)
-    p_mllm.add_argument("--out-dir", default=".")
+    p_mllm.add_argument("--seed", type=int, default=None, help="default 0; not with --budget")
+    p_mllm.add_argument("--out-dir", default=None,
+                        help="directory for outputs (default .; not with --budget)")
     p_mllm.add_argument("--out", default=None,
                         help="report JSON path (default OUT_DIR/ledger.json)")
     p_mllm.set_defaults(func=cmd_mllm)

@@ -10,9 +10,10 @@ it after sending it on.
 
 Payloads map tensor class names ("Q", "dK", ...) to arrays. Byte accounting
 counts tensor payload bytes only (no framing, no metadata), and only for
-src != dst: loopback delivery is free. The throttled transport delays
-delivery in wall-clock time by latency + bytes/bandwidth per message,
-serialized per directed link, so a blocked recv really waits.
+src != dst: loopback delivery is free. The one link model, `Throttled`,
+delays delivery in wall-clock time by latency + bytes/bandwidth per message,
+serialized per directed link, so a blocked recv really waits. Its defaults,
+infinite bandwidth and no latency, are the instant link: modeled time 0.
 
 A message is addressed by its directed link alone: a receive takes the
 oldest message from the named source. A run that ends with a message still
@@ -59,19 +60,12 @@ class WorkerFailed(ClusterError):
 
 
 @dataclass(frozen=True)
-class Instant:
-    """Zero-delay transport; modeled time is 0."""
-
-    def message_seconds(self, nbytes: int) -> float:
-        return 0.0
-
-
-@dataclass(frozen=True)
 class Throttled:
-    """Per-message modeled time latency + bytes/bandwidth, applied in wall clock."""
+    """Per-message modeled time latency + bytes/bandwidth, applied in wall
+    clock. The defaults are the instant link: 0 + bytes/inf = 0 seconds."""
 
-    bandwidth: float            # bytes per second
-    latency: float = 0.0        # seconds
+    bandwidth: float = math.inf     # bytes per second
+    latency: float = 0.0            # seconds
 
     def __post_init__(self):
         if not self.bandwidth > 0:
@@ -86,7 +80,7 @@ class Throttled:
 @dataclass(frozen=True)
 class ClusterSpec:
     n: int
-    transport: Instant | Throttled = Instant()
+    transport: Throttled = Throttled()
 
     def __post_init__(self):
         if self.n < 1:

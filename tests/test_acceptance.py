@@ -13,7 +13,7 @@ import numpy as np
 
 from lvxattn import analytics
 from lvxattn.cli import main as cli_main
-from lvxattn.cluster import ClusterSpec, Instant, Throttled
+from lvxattn.cluster import ClusterSpec, Throttled
 from lvxattn.kernels import blockwise_attention
 from lvxattn.strategies import run_distributed
 from lvxattn.tensorio import seeded_random_tensor
@@ -71,13 +71,12 @@ def test_criterion_4_volume_ratio(tmp_path):
 
 def test_criterion_5_memory_anchors():
     owl = analytics.get_preset("owl3-3600frames")
-    owl_mem = analytics.memory_cross_attention(owl.workload.s_q, owl.workload.s_kv,
-                                               owl.d_model, elem_bytes=4)
+    owl_mem = analytics.memory_cross_attention(owl.s_q, owl.s_kv, owl.h * owl.d,
+                                               elem_bytes=4)
     owl_gib = owl_mem["kv_bytes"] / 2**30
     llama = analytics.get_preset("llama3v-20min")
-    llama_mem = analytics.memory_cross_attention(llama.workload.s_q,
-                                                 llama.workload.s_kv,
-                                                 llama.d_model, elem_bytes=4)
+    llama_mem = analytics.memory_cross_attention(llama.s_q, llama.s_kv,
+                                                 llama.h * llama.d, elem_bytes=4)
     ok = abs(owl_gib - 70.08) / 70.08 <= 1e-3 and llama_mem["kv_bytes"] >= 234e9
     report(5, "memory anchors", ok,
            f"owl3 {owl_gib:.2f} GiB, llama3v {llama_mem['kv_bytes'] / 1e9:.1f} GB")
@@ -87,7 +86,7 @@ def test_criterion_5_memory_anchors():
 
 def test_criterion_6_regime_and_sweep():
     start = time.perf_counter()
-    w = analytics.get_preset("video-mme-llama3v").workload
+    w = analytics.get_preset("video-mme-llama3v")
     regime = analytics.classify_regime(w, HW)
     quadrant_ok = (regime.lvx_bound == analytics.COMPUTE_BOUND
                    and regime.ring_bound == analytics.COMM_BOUND
@@ -147,11 +146,11 @@ def test_criterion_7_overlap():
 
     throttle = Throttled(bandwidth=bandwidth, latency=latency)
     for _ in range(2):                      # warmup, both arms
-        wall(Instant())
+        wall(Throttled())
         wall(throttle)
     instant_walls, throttled = [], []
     for _ in range(5):                      # interleaved so load hits both arms
-        instant_walls.append(wall(Instant())[0])
+        instant_walls.append(wall(Throttled())[0])
         throttled.append(wall(throttle))
     throttled_walls = [t for t, _ in throttled]
     ratio = statistics.mean(throttled_walls) / statistics.mean(instant_walls)

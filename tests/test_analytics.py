@@ -172,17 +172,17 @@ class TestWorkloadFromVideo:
 
 class TestPresets:
     def test_video_mme_preset(self):
-        p = A.get_preset("video-mme-llama3v")
-        assert p.workload.s_q == 5514
-        assert p.workload.s_kv == 15_279_944
-        assert p.workload.n == 16
-        assert p.d_model == 4096
+        w = A.get_preset("video-mme-llama3v")
+        assert w.s_q == 5514
+        assert w.s_kv == 15_279_944
+        assert w.n == 16
+        assert w.h * w.d == 4096
 
     def test_overrides(self):
-        p = A.get_preset("owl3-3600frames", n=4, elem_bytes=4)
-        assert p.workload.n == 4
-        assert p.workload.elem_bytes == 4
-        assert p.d_model == 3584
+        w = A.get_preset("owl3-3600frames", n=4, elem_bytes=4)
+        assert w.n == 4
+        assert w.elem_bytes == 4
+        assert w.h * w.d == 3584
 
     def test_unknown_preset(self):
         with pytest.raises(ValueError, match="unknown preset"):

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import shlex
 import subprocess
@@ -117,15 +118,6 @@ class TestRun:
         assert "--n must be positive" in capsys.readouterr().err
         assert not (tmp_path / "stats.json").exists()
 
-    @pytest.mark.parametrize("scale", ["inf", "-inf", "nan"])
-    def test_non_finite_scale_is_usage_error(self, tmp_path, capsys, scale):
-        rc = run_cli("run", "--strategy", "lvx", "--n", "2", "--sq", "4",
-                     "--skv", "4", "--h", "1", "--d", "2", f"--scale={scale}",
-                     "--out-dir", str(tmp_path))
-        assert rc == 2
-        assert "scale must be finite" in capsys.readouterr().err
-        assert not (tmp_path / "o.lvxt").exists()
-
     def test_score_matrix_counted_before_tensors_built(self, monkeypatch, capsys):
         # the inputs are 1e6 elements; the forward's one [1, 1e6, 256] float64
         # score tile alone is 2.0e9 bytes, over the 1.6e9 limit
@@ -184,8 +176,8 @@ class TestRun:
 
         monkeypatch.setattr(strategies, "spawn_cluster", no_spawn)
         rc = run_cli("run", "--strategy", "lvx", "--n", "2", "--sq", "4",
-                     "--skv", "4", "--h", "1", "--d", "2", "--transport", "throttled",
-                     "--bandwidth", "1e9", "--latency", latency, "--out-dir", str(tmp_path))
+                     "--skv", "4", "--h", "1", "--d", "2", "--bandwidth", "1e9",
+                     "--latency", latency, "--out-dir", str(tmp_path))
         assert rc == 2
         assert "latency must be finite" in capsys.readouterr().err
         assert not (tmp_path / "stats.json").exists()
@@ -199,24 +191,31 @@ class TestRun:
         assert "LVX_TIMEOUT_SECS must be finite and positive" in capsys.readouterr().err
         assert not (tmp_path / "stats.json").exists()
 
-    def test_throttled_requires_bandwidth(self, capsys):
-        rc = run_cli("run", "--strategy", "lvx", "--n", "2", "--sq", "4",
-                     "--skv", "4", "--h", "1", "--d", "2",
-                     "--transport", "throttled")
-        assert rc == 2
-        assert "bandwidth" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("flag", ["--bandwidth", "--latency"])
-    def test_link_flag_without_throttled_is_usage_error(self, tmp_path, capsys, flag):
-        rc = run_cli("run", "--n", "2", "--sq", "4", "--skv", "8", "--h", "1", "--d", "2",
-                     flag, "1000", "--out-dir", str(tmp_path))
-        assert rc == 2
-        assert f"{flag} needs --transport throttled" in capsys.readouterr().err
-        assert not (tmp_path / "stats.json").exists()
+    # the latency stays far below LVX_TIMEOUT_SECS: a receive waits out each
+    # message's modeled time
+    @pytest.mark.parametrize("flags,bandwidth,latency", [
+        ([], None, 0.0),
+        (["--bandwidth", "1e8"], 1e8, 0.0),
+        (["--latency", "1e-3"], None, 1e-3),
+    ])
+    def test_link_flags_model_each_message(self, tmp_path, flags, bandwidth, latency):
+        rc = run_cli("run", "--strategy", "ring", "--n", "2", "--sq", "5", "--skv", "30",
+                     "--h", "2", "--d", "4", "--backward", *flags, "--out-dir", str(tmp_path))
+        assert rc == 0
+        stats = json.loads((tmp_path / "stats.json").read_text())
+        assert stats["transport"] == {"bandwidth": bandwidth, "latency": latency}
+        assert stats["links"]
+        for link in stats["links"].values():
+            expected = (link["message_count"] * latency
+                        + link["bytes_sent"] / (bandwidth or math.inf))
+            assert link["modeled_time_seconds"] == pytest.approx(expected, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("flag,value", [("--elem-bytes", "2"),
                                             ("--preset", "owl3-3600frames"),
-                                            ("--mode", "accounting-only")])
+                                            ("--mode", "accounting-only"),
+                                            ("--transport", "throttled"),
+                                            ("--stats", "-"),
+                                            ("--scale", "0.5")])
     def test_cost_only_flag_is_usage_error(self, tmp_path, capsys, flag, value):
         with pytest.raises(SystemExit) as exc_info:
             run_cli("run", "--n", "2", "--sq", "4", "--skv", "8", "--h", "1", "--d", "2",
@@ -258,6 +257,15 @@ class TestCost:
         assert f"drop {flag}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_d_model_flag_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "cost.json"
+        with pytest.raises(SystemExit) as exc_info:
+            run_cli("cost", "--preset", "owl3-3600frames", "--d-model", "4096",
+                    "--out", str(out))
+        assert exc_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("strategy,n", [("lvx", 2), ("ring", 2), ("head", 2), ("single", 1)])
     def test_predicted_volumes_equal_run_counters(self, tmp_path, strategy, n):
         shape = ["--n", str(n), "--sq", "5", "--skv", "7", "--h", "2", "--d", "3"]
@@ -294,6 +302,17 @@ class TestMllm:
                      "--out", str(out))
         assert rc == 0
         assert json.loads(out.read_text())["max_frames"] == 0
+
+    @pytest.mark.parametrize("flag", ["--seed", "--out-dir"])
+    def test_budget_with_step_flag_is_usage_error(self, tmp_path, capsys, flag):
+        out = tmp_path / "frames.json"
+        value = {"--seed": "3", "--out-dir": str(tmp_path / "D")}[flag]
+        rc = run_cli("mllm", "--policy", "store", "--budget", str(512 * 2**20),
+                     flag, value, "--out", str(out))
+        assert rc == 2
+        assert f"drop {flag}" in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "D").exists()
 
     def test_policy_gradient_files_agree(self, tmp_path):
         for policy in ("store", "recompute"):
