@@ -12,8 +12,8 @@ from .analytics import (HardwareSpec, RegimeReport, WorkloadSpec, classify_regim
                         get_preset, memory_cross_attention, round_times, speedup,
                         speedup_closed_form, sweep, volume_report,
                         workload_from_video)
-from .cluster import (ClusterSpec, Message, RoundTrace, Throttled,
-                      TransportStats, WorkerContext, spawn_cluster)
+from .cluster import (ClusterSpec, RoundTrace, Throttled, TransportStats,
+                      WorkerContext, spawn_cluster)
 from .kernels import (AttentionState, GradientBundle, blockwise_attention,
                       blockwise_attention_backward, dense_attention,
                       dense_attention_backward, empty_state, merge_states,
@@ -28,7 +28,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ActivationPolicy", "AttentionState", "ClusterSpec", "GradientBundle",
-    "HardwareSpec", "MemoryLedger", "Message", "ModelParams",
+    "HardwareSpec", "MemoryLedger", "ModelParams",
     "RegimeReport", "RoundTrace", "ShardSpec", "StrategyKind", "Throttled",
     "ToyMllmConfig", "TransportStats", "WorkerContext", "WorkloadSpec",
     "analytic_ledger", "blockwise_attention", "blockwise_attention_backward",

@@ -136,8 +136,6 @@ def speedup(w: WorkloadSpec, hw: HardwareSpec) -> dict[str, float]:
     round times. Equals the closed form exactly when query rotation is
     compute-bound and kv rotation is communication-bound."""
     t = round_times(w, hw)
-    if w.n == 1:
-        return {"forward": 1.0, "backward": 1.0}
 
     def ratio(a: float, b: float) -> float:
         if a == b:        # covers the all-zero degenerate workload

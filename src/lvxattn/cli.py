@@ -173,7 +173,9 @@ def cmd_run(args) -> int:
         "n": n,
         "workload": {"s_q": s_q, "s_kv": s_kv, "h": h, "d": d,
                      "dtype": args.dtype, "seed": args.seed},
-        "transport": {"bandwidth": args.bandwidth, "latency": args.latency},
+        # an unlimited link writes null: JSON has no infinity
+        "transport": {"bandwidth": link.bandwidth if math.isfinite(link.bandwidth) else None,
+                      "latency": link.latency},
         "links": res.stats.as_dict(),
         "total_bytes": res.stats.total_bytes(),
         "per_worker_bytes_sent": [res.stats.bytes_sent_by(i) for i in range(n)],

@@ -9,15 +9,19 @@ one owns it and adds its round's contribution in place; it never writes to
 it after sending it on.
 
 Payloads map tensor class names ("Q", "dK", ...) to arrays. Byte accounting
-counts tensor payload bytes only (no framing, no metadata), and only for
+counts tensor payload bytes only (no framing, no block id), and only for
 src != dst: loopback delivery is free. The one link model, `Throttled`,
 delays delivery in wall-clock time by latency + bytes/bandwidth per message,
 serialized per directed link, so a blocked recv really waits. Its defaults,
 infinite bandwidth and no latency, are the instant link: modeled time 0.
 
 A message is addressed by its directed link alone: a receive takes the
-oldest message from the named source. A run that ends with a message still
-queued fails, as a later receive on its link would have read it.
+oldest message from the named source. A message may carry one block id, which
+the receiving worker context checks against the id it expects. A receive
+waits for a message already sent until it arrives, however slow its link;
+the timeout bounds only the wait for a message that no worker has sent. A run
+that ends with a message still queued fails, as a later receive on its link
+would have read it.
 
 The transport is the one accounting path: each worker context adds the bytes
 per class that `Cluster.send` counted, and the modeled time of the messages
@@ -127,7 +131,7 @@ class TransportStats:
 @dataclass
 class Message:
     payload: dict[str, np.ndarray]
-    meta: dict | None = None
+    block: int | None = None
     modeled_seconds: float = 0.0
 
 
@@ -158,7 +162,7 @@ class Cluster:
             with box.cond:
                 box.cond.notify_all()
 
-    def send(self, src: int, dst: int, payload: dict, meta=None) -> dict[str, int]:
+    def send(self, src: int, dst: int, payload: dict, block: int | None = None) -> dict[str, int]:
         """Queue a payload keyed by tensor class for dst; returns the bytes
         per class that the transport counted, 0 for each class on loopback."""
         self._check_rank("send dst", dst)
@@ -171,7 +175,7 @@ class Cluster:
         else:
             modeled = self.transport.message_seconds(nbytes)
             self.stats.record(src, dst, nbytes, modeled)
-        msg = Message(payload=payload, meta=meta, modeled_seconds=modeled)
+        msg = Message(payload=payload, block=block, modeled_seconds=modeled)
         box = self._mailboxes[dst]
         with box.cond:
             # a message departs once the one queued before it on its link
@@ -196,10 +200,10 @@ class Cluster:
                 now = time.monotonic()
                 if queue and queue[0][0] <= now:
                     return queue.popleft()[1]
-                if now >= deadline:
+                if not queue and now >= deadline:
                     raise CollectiveTimeout(f"worker {rank}: recv(src={src}) "
                                             f"timed out after {self.timeout}s")
-                wake = min(queue[0][0], deadline) if queue else deadline
+                wake = queue[0][0] if queue else deadline
                 box.cond.wait(timeout=max(wake - now, 1e-4))
 
     def _check_rank(self, what: str, rank: int) -> None:
@@ -261,8 +265,9 @@ class RoundTrace:
 
 class WorkerContext:
     """Per-worker handle: point-to-point send/recv plus an all-to-all
-    collective. send is non-blocking (buffered); recv(src) blocks until the
-    next message that src sent this worker arrives, in send order. A worker
+    collective. send is non-blocking (buffered); recv(src, block=) blocks
+    until the next message that src sent this worker arrives, in send order,
+    checks its block id when one is expected, and returns its payload. A worker
     may hold one outstanding send, one outstanding recv, and local compute at
     the same time.
 
@@ -296,13 +301,16 @@ class WorkerContext:
         for cls, nbytes in sizes.items():
             self._sent[cls] = self._sent.get(cls, 0) + nbytes
 
-    def send(self, dst: int, payload: dict, meta=None) -> None:
-        self._count(self.cluster.send(self.rank, dst, payload, meta=meta))
+    def send(self, dst: int, payload: dict, block: int | None = None) -> None:
+        self._count(self.cluster.send(self.rank, dst, payload, block=block))
 
-    def recv(self, src: int) -> Message:
+    def recv(self, src: int, block: int | None = None) -> dict:
         msg = self.cluster.recv(self.rank, src)
         self._waited += msg.modeled_seconds
-        return msg
+        if block is not None and msg.block != block:
+            raise ClusterError(f"worker {self.rank} round {len(self._rounds)}: recv(src={src}) "
+                               f"expected block {block}, got {msg.block}")
+        return msg.payload
 
     def all_to_all(self, chunks: list) -> list:
         """Deliver chunk w (a payload keyed by class) to worker w; returns the

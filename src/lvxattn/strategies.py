@@ -28,10 +28,11 @@ looked up at call time, so a wrapper installed on this module sees every call.
 Every kernel call keeps the default KV tile.
 
 Row partitions may be uneven (sizes differ by at most one). Each link
-delivers in send order. A rotated block carries only its block id, which the
-sender takes from the round index and every receive checks: a block's rows
-follow from its id, so a protocol bug fails loudly instead of corrupting
-results.
+delivers in send order. A rotated message carries one block id, which the
+sender takes from the round index and every receive names as the id it
+expects (`ctx.recv(src, block=)`): a block's rows follow from its id, so a
+protocol bug fails loudly, naming the worker and round, instead of
+corrupting results.
 Workers with empty shards participate in all collectives with zero-row
 tensors.
 """
@@ -104,10 +105,6 @@ class ShardSpec:
                    kv_ranges=tuple(partition_rows(s_kv, n)))
 
     @property
-    def n(self) -> int:
-        return len(self.q_ranges)
-
-    @property
     def q_sizes(self) -> list[int]:
         return [b - a for a, b in self.q_ranges]
 
@@ -116,53 +113,43 @@ class ShardSpec:
         return [b - a for a, b in self.kv_ranges]
 
 
-def _expect_block(msg_meta: dict | None, key: str, block: int, where: str) -> None:
-    if msg_meta is None or msg_meta.get(key) != block:
-        got = None if msg_meta is None else msg_meta.get(key)
-        raise ClusterError(f"{where}: expected {key}={block}, got {got}")
-
-
-def lvx_forward(ctx: WorkerContext, shards: ShardSpec, q_block: np.ndarray,
-                k_block: np.ndarray, v_block: np.ndarray, scale: float) -> AttentionState:
+def lvx_forward(ctx: WorkerContext, shards: ShardSpec, q_i: np.ndarray,
+                k_i: np.ndarray, v_i: np.ndarray, scale: float) -> AttentionState:
     """Query-rotation forward for one worker; collective over all n.
 
     Round r: send the state finished last round (block i-r+1) together with
-    the query block about to be consumed downstream (block i-r), receive the
-    counterpart from the predecessor, and meanwhile run the blockwise kernel
-    of block i-r against the resident K/V. Round 0 ships the zero-initialized
-    state rather than skipping the hop. After n rounds the worker holds the
-    completed state of block i+1; one epilogue hop sends it home.
+    the query block about to be consumed downstream (block i-r), under the
+    query block's id, receive the counterpart from the predecessor, and
+    meanwhile run the blockwise kernel of block i-r against the resident K/V.
+    Round 0 ships the zero-initialized state rather than skipping the hop.
+    After n rounds the worker holds the completed state of block i+1; one
+    epilogue hop sends it home.
     """
     n, i = ctx.n, ctx.rank
-    h, _, d = q_block.shape
-    dtype = q_block.dtype
+    h, _, d = q_i.shape
+    dtype = q_i.dtype
 
     send_state = empty_state(h, shards.q_sizes[(i + 1) % n], d, dtype)
-    q_cur = q_block
+    q_cur = q_i
     for r in range(n):
         j = (i - r) % n
         j_next = (i - r - 1) % n
-        ctx.send(ctx.successor, {"O": send_state.O, "L": send_state.L, "Q": q_cur},
-                 meta={"state_block": (j + 1) % n, "q_block": j})
-        delta = ctx.compute(blockwise_attention, q_cur, k_block, v_block, scale)
-        msg = ctx.recv(ctx.predecessor)
-        _expect_block(msg.meta, "state_block", j, f"worker {i} round {r}")
-        _expect_block(msg.meta, "q_block", j_next, f"worker {i} round {r}")
-        recv_state = AttentionState(O=msg.payload["O"], L=msg.payload["L"])
-        send_state = merge_states(recv_state, delta)
-        q_cur = msg.payload["Q"]
+        ctx.send(ctx.successor, {"O": send_state.O, "L": send_state.L, "Q": q_cur}, block=j)
+        delta = ctx.compute(blockwise_attention, q_cur, k_i, v_i, scale)
+        # query block j_next arrives with the state of block j_next + 1 = j
+        got = ctx.recv(ctx.predecessor, block=j_next)
+        send_state = merge_states(AttentionState(O=got["O"], L=got["L"]), delta)
+        q_cur = got["Q"]
         ctx.close_round()
 
-    ctx.send(ctx.successor, {"O": send_state.O, "L": send_state.L},
-             meta={"state_block": (i + 1) % n})
-    msg = ctx.recv(ctx.predecessor)
-    _expect_block(msg.meta, "state_block", i, f"worker {i} epilogue")
-    return AttentionState(O=msg.payload["O"], L=msg.payload["L"])
+    ctx.send(ctx.successor, {"O": send_state.O, "L": send_state.L}, block=(i + 1) % n)
+    got = ctx.recv(ctx.predecessor, block=i)
+    return AttentionState(O=got["O"], L=got["L"])
 
 
-def lvx_backward(ctx: WorkerContext, shards: ShardSpec, q_block: np.ndarray,
-                 k_block: np.ndarray, v_block: np.ndarray, state: AttentionState,
-                 do_block: np.ndarray, scale: float):
+def lvx_backward(ctx: WorkerContext, shards: ShardSpec, q_i: np.ndarray,
+                 k_i: np.ndarray, v_i: np.ndarray, state: AttentionState,
+                 do_i: np.ndarray, scale: float):
     """Query-rotation backward: the tuple (Q, dO, L, D, dQ-accumulator) of each
     block rotates once around the ring; every worker adds its K/V block's
     contribution, accumulating dK/dV into its one local pair and dQ into the
@@ -171,75 +158,65 @@ def lvx_backward(ctx: WorkerContext, shards: ShardSpec, q_block: np.ndarray,
     checked to be block (i - n) mod n = i, is the homecoming. Returns
     (dQ_i, dK_i, dV_i)."""
     n, i = ctx.n, ctx.rank
-    dtype = q_block.dtype
+    dtype = q_i.dtype
 
-    d_own = attention_row_stats(state, do_block).astype(dtype)
-    tup = {"Q": q_block, "dO": do_block, "L": state.L, "D": d_own,
-           "dQ": np.zeros_like(q_block)}
-    dk = np.zeros_like(k_block)
-    dv = np.zeros_like(v_block)
+    d_own = attention_row_stats(state, do_i).astype(dtype)
+    tup = {"Q": q_i, "dO": do_i, "L": state.L, "D": d_own, "dQ": np.zeros_like(q_i)}
+    dk = np.zeros_like(k_i)
+    dv = np.zeros_like(v_i)
     for r in range(n):
-        ctx.compute(blockwise_attention_backward, tup["Q"], k_block, v_block, tup["L"],
+        ctx.compute(blockwise_attention_backward, tup["Q"], k_i, v_i, tup["L"],
                     tup["D"], tup["dO"], scale, out=(tup["dQ"], dk, dv))
-        ctx.send(ctx.successor, tup, meta={"block": (i - r) % n})
-        msg = ctx.recv(ctx.predecessor)
-        _expect_block(msg.meta, "block", (i - r - 1) % n, f"worker {i} backward round {r}")
-        tup = msg.payload
+        ctx.send(ctx.successor, tup, block=(i - r) % n)
+        tup = ctx.recv(ctx.predecessor, block=(i - r - 1) % n)
         ctx.close_round()
     return tup["dQ"], dk, dv
 
 
-def ring_forward(ctx: WorkerContext, shards: ShardSpec, q_block: np.ndarray,
-                 k_block: np.ndarray, v_block: np.ndarray, scale: float) -> AttentionState:
+def ring_forward(ctx: WorkerContext, shards: ShardSpec, q_i: np.ndarray,
+                 k_i: np.ndarray, v_i: np.ndarray, scale: float) -> AttentionState:
     """KV-rotation forward: Q/O/L stay resident, (K, V) blocks shift n-1 times;
     each round's shift overlaps the blockwise kernel on the block in hand."""
     n, i = ctx.n, ctx.rank
 
-    kv = {"K": k_block, "V": v_block}
+    kv = {"K": k_i, "V": v_i}
     for r in range(n):
         if r < n - 1:
-            ctx.send(ctx.successor, kv, meta={"block": (i - r) % n})
-        delta = ctx.compute(blockwise_attention, q_block, kv["K"], kv["V"], scale)
+            ctx.send(ctx.successor, kv, block=(i - r) % n)
+        delta = ctx.compute(blockwise_attention, q_i, kv["K"], kv["V"], scale)
         # round 0's state is taken as is: merging it into the empty state
         # would only copy it
         state = delta if r == 0 else merge_states(state, delta)
         if r < n - 1:
-            msg = ctx.recv(ctx.predecessor)
-            _expect_block(msg.meta, "block", (i - r - 1) % n, f"worker {i} round {r}")
-            kv = msg.payload
+            kv = ctx.recv(ctx.predecessor, block=(i - r - 1) % n)
         ctx.close_round()
     return state
 
 
-def ring_backward(ctx: WorkerContext, shards: ShardSpec, q_block: np.ndarray,
-                  k_block: np.ndarray, v_block: np.ndarray, state: AttentionState,
-                  do_block: np.ndarray, scale: float):
+def ring_backward(ctx: WorkerContext, shards: ShardSpec, q_i: np.ndarray,
+                  k_i: np.ndarray, v_i: np.ndarray, state: AttentionState,
+                  do_i: np.ndarray, scale: float):
     """KV-rotation backward: (K, V, dK, dV) rotate together for n-1 shifts while
     dQ accumulates locally; each worker adds into the dK/dV pair it holds,
     only between its receive and its send. An epilogue hop returns each
     (dK, dV) pair to its owner. Returns (dQ_i, dK_i, dV_i)."""
     n, i = ctx.n, ctx.rank
-    dtype = q_block.dtype
+    dtype = q_i.dtype
 
-    d_own = attention_row_stats(state, do_block).astype(dtype)
-    dq = np.zeros_like(q_block)
-    kv = {"K": k_block, "V": v_block, "dK": np.zeros_like(k_block),
-          "dV": np.zeros_like(v_block)}
+    d_own = attention_row_stats(state, do_i).astype(dtype)
+    dq = np.zeros_like(q_i)
+    kv = {"K": k_i, "V": v_i, "dK": np.zeros_like(k_i), "dV": np.zeros_like(v_i)}
     for r in range(n):
-        ctx.compute(blockwise_attention_backward, q_block, kv["K"], kv["V"], state.L, d_own,
-                    do_block, scale, out=(dq, kv["dK"], kv["dV"]))
+        ctx.compute(blockwise_attention_backward, q_i, kv["K"], kv["V"], state.L, d_own,
+                    do_i, scale, out=(dq, kv["dK"], kv["dV"]))
         if r < n - 1:
-            ctx.send(ctx.successor, kv, meta={"block": (i - r) % n})
-            msg = ctx.recv(ctx.predecessor)
-            _expect_block(msg.meta, "block", (i - r - 1) % n, f"worker {i} backward round {r}")
-            kv = msg.payload
+            ctx.send(ctx.successor, kv, block=(i - r) % n)
+            kv = ctx.recv(ctx.predecessor, block=(i - r - 1) % n)
         ctx.close_round()
     # kv's dK/dV now belong to block i+1; send them home
-    ctx.send(ctx.successor, {"dK": kv["dK"], "dV": kv["dV"]},
-             meta={"block": (i + 1) % n})
-    msg = ctx.recv(ctx.predecessor)
-    _expect_block(msg.meta, "block", i, f"worker {i} backward epilogue")
-    return dq, msg.payload["dK"], msg.payload["dV"]
+    ctx.send(ctx.successor, {"dK": kv["dK"], "dV": kv["dV"]}, block=(i + 1) % n)
+    got = ctx.recv(ctx.predecessor, block=i)
+    return dq, got["dK"], got["dV"]
 
 
 @dataclass(frozen=True)
@@ -254,17 +231,16 @@ def _gather(received: list[dict], cls: str, axis: int) -> np.ndarray:
     return np.concatenate([c[cls] for c in received], axis=axis)
 
 
-def head_parallel_forward(ctx: WorkerContext, shards: ShardSpec, q_block: np.ndarray,
-                          k_block: np.ndarray, v_block: np.ndarray,
-                          scale: float) -> AttentionState:
+def head_parallel_forward(ctx: WorkerContext, shards: ShardSpec, q_i: np.ndarray,
+                          k_i: np.ndarray, v_i: np.ndarray, scale: float) -> AttentionState:
     """All-to-all from sequence sharding to head sharding, local attention on
     the owned heads over the full sequence, all-to-all back."""
     n = ctx.n
-    hpw = q_block.shape[0] // n
+    hpw = q_i.shape[0] // n
 
-    received = ctx.all_to_all([{"Q": q_block[w * hpw:(w + 1) * hpw],
-                                "K": k_block[w * hpw:(w + 1) * hpw],
-                                "V": v_block[w * hpw:(w + 1) * hpw]} for w in range(n)])
+    received = ctx.all_to_all([{"Q": q_i[w * hpw:(w + 1) * hpw],
+                                "K": k_i[w * hpw:(w + 1) * hpw],
+                                "V": v_i[w * hpw:(w + 1) * hpw]} for w in range(n)])
     q_full, k_full, v_full = (_gather(received, cls, 1) for cls in ("Q", "K", "V"))
 
     st = ctx.compute(blockwise_attention, q_full, k_full, v_full, scale)
@@ -275,16 +251,16 @@ def head_parallel_forward(ctx: WorkerContext, shards: ShardSpec, q_block: np.nda
                            saved=(q_full, k_full, v_full, st))
 
 
-def head_parallel_backward(ctx: WorkerContext, shards: ShardSpec, q_block: np.ndarray,
-                           k_block: np.ndarray, v_block: np.ndarray, state: _HeadSplitState,
-                           do_block: np.ndarray, scale: float):
+def head_parallel_backward(ctx: WorkerContext, shards: ShardSpec, q_i: np.ndarray,
+                           k_i: np.ndarray, v_i: np.ndarray, state: _HeadSplitState,
+                           do_i: np.ndarray, scale: float):
     """Mirror image of the forward: all-to-all dO to head sharding, local dense
     backward on owned heads, all-to-all dQ/dK/dV back to sequence sharding."""
     n = ctx.n
     q_full, k_full, v_full, st = state.saved
     hpw = q_full.shape[0]
 
-    received = ctx.all_to_all([{"dO": do_block[w * hpw:(w + 1) * hpw]} for w in range(n)])
+    received = ctx.all_to_all([{"dO": do_i[w * hpw:(w + 1) * hpw]} for w in range(n)])
     do_full = _gather(received, "dO", 1)
 
     gb = ctx.compute(dense_attention_backward, q_full, k_full, v_full, st.O, st.L, do_full,

@@ -191,24 +191,36 @@ class TestRun:
         assert "LVX_TIMEOUT_SECS must be finite and positive" in capsys.readouterr().err
         assert not (tmp_path / "stats.json").exists()
 
-    # the latency stays far below LVX_TIMEOUT_SECS: a receive waits out each
-    # message's modeled time
+    # a receive waits out each message's modeled time. `--bandwidth inf` is
+    # the default link, written as null: JSON has no infinity
     @pytest.mark.parametrize("flags,bandwidth,latency", [
         ([], None, 0.0),
         (["--bandwidth", "1e8"], 1e8, 0.0),
         (["--latency", "1e-3"], None, 1e-3),
+        (["--bandwidth", "inf"], None, 0.0),
     ])
     def test_link_flags_model_each_message(self, tmp_path, flags, bandwidth, latency):
+        def no_constants(name):
+            raise ValueError(f"stats.json holds {name}")
+
         rc = run_cli("run", "--strategy", "ring", "--n", "2", "--sq", "5", "--skv", "30",
                      "--h", "2", "--d", "4", "--backward", *flags, "--out-dir", str(tmp_path))
         assert rc == 0
-        stats = json.loads((tmp_path / "stats.json").read_text())
+        stats = json.loads((tmp_path / "stats.json").read_text(), parse_constant=no_constants)
         assert stats["transport"] == {"bandwidth": bandwidth, "latency": latency}
         assert stats["links"]
         for link in stats["links"].values():
             expected = (link["message_count"] * latency
                         + link["bytes_sent"] / (bandwidth or math.inf))
             assert link["modeled_time_seconds"] == pytest.approx(expected, rel=1e-12, abs=0)
+
+    def test_latency_above_timeout_completes(self, monkeypatch, tmp_path):
+        # every message is sent: the receive waits out its 0.15 s crossing,
+        # however short LVX_TIMEOUT_SECS is
+        monkeypatch.setenv("LVX_TIMEOUT_SECS", "0.1")
+        rc = run_cli("run", "--strategy", "lvx", "--n", "2", "--sq", "4", "--skv", "8",
+                     "--h", "1", "--d", "2", "--latency", "0.15", "--out-dir", str(tmp_path))
+        assert rc == 0
 
     @pytest.mark.parametrize("flag,value", [("--elem-bytes", "2"),
                                             ("--preset", "owl3-3600frames"),

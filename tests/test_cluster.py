@@ -19,8 +19,8 @@ def test_ping_pong_counts_payload_bytes_only():
 
     def body(ctx):
         peer = 1 - ctx.rank
-        ctx.send(peer, {0: data}, meta={"note": "metadata is free"})
-        return ctx.recv(peer).payload[0]
+        ctx.send(peer, {0: data}, block=7)
+        return ctx.recv(peer, block=7)[0]
 
     res = spawn_cluster(ClusterSpec(2), body)
     assert np.array_equal(res.results[0], data)
@@ -60,6 +60,23 @@ def test_throttled_recv_not_earlier_than_modeled():
         assert waited < 1.0
 
 
+def test_recv_awaits_a_sent_message_past_the_timeout(monkeypatch):
+    # each message takes 0.5 s to cross its link, longer than the 0.2 s
+    # timeout: the timeout bounds only the wait for a message never sent
+    monkeypatch.setenv("LVX_TIMEOUT_SECS", "0.2")
+
+    def body(ctx):
+        peer = 1 - ctx.rank
+        ctx.send(peer, {0: np.array([ctx.rank]), 1: np.array([time.monotonic()])})
+        got = ctx.recv(peer)
+        return int(got[0][0]), time.monotonic() - got[1][0]
+
+    res = spawn_cluster(ClusterSpec(2, Throttled(latency=0.5)), body)
+    for rank, (got, since_sent) in enumerate(res.results):
+        assert got == 1 - rank
+        assert since_sent >= 0.5
+
+
 def test_send_is_buffered_nonblocking():
     # three sends complete before the peer posts any recv
     def body(ctx):
@@ -71,8 +88,8 @@ def test_send_is_buffered_nonblocking():
             ctx.send(1, {0: np.array([elapsed])})
             return None
         time.sleep(0.2)
-        values = [int(ctx.recv(0).payload[0][0]) for _ in range(3)]
-        send_elapsed = float(ctx.recv(0).payload[0][0])
+        values = [int(ctx.recv(0)[0][0]) for _ in range(3)]
+        send_elapsed = float(ctx.recv(0)[0][0])
         return values, send_elapsed
 
     res = spawn_cluster(ClusterSpec(2), body)
@@ -89,8 +106,8 @@ def test_fifo_per_link_stream():
             for i in range(3):
                 ctx.send(1, {0: np.array([10 * ctx.rank + i])})
             return None
-        late = [int(ctx.recv(2).payload[0][0]) for _ in range(3)]
-        early = [int(ctx.recv(0).payload[0][0]) for _ in range(3)]
+        late = [int(ctx.recv(2)[0][0]) for _ in range(3)]
+        early = [int(ctx.recv(0)[0][0]) for _ in range(3)]
         return late, early
 
     res = spawn_cluster(ClusterSpec(3), body)
@@ -110,7 +127,7 @@ def test_link_order_holds_under_contention():
                     ctx.send(dst, {0: np.array([step])})
             for src in range(n):
                 if src != ctx.rank:
-                    got = int(ctx.recv(src).payload[0][0])
+                    got = int(ctx.recv(src)[0][0])
                     assert got == step, f"{src}->{ctx.rank}: got step {got}, expected {step}"
 
     interval = sys.getswitchinterval()
@@ -129,7 +146,7 @@ def test_link_order_holds_under_contention():
 def test_ring_shift_rotation():
     def body(ctx):
         ctx.send(ctx.successor, {0: np.array([ctx.rank])})
-        return int(ctx.recv(ctx.predecessor).payload[0][0])
+        return int(ctx.recv(ctx.predecessor)[0][0])
 
     res = spawn_cluster(ClusterSpec(3), body)
     assert res.results == [2, 0, 1]
@@ -138,7 +155,7 @@ def test_ring_shift_rotation():
 def test_ring_shift_loopback():
     def body(ctx):
         ctx.send(ctx.successor, {0: np.array([99])})
-        return int(ctx.recv(ctx.predecessor).payload[0][0])
+        return int(ctx.recv(ctx.predecessor)[0][0])
 
     res = spawn_cluster(ClusterSpec(1), body)
     assert res.results == [99]
@@ -152,7 +169,7 @@ def test_ring_shift_n_times_is_identity():
         value = np.array([ctx.rank * 100])
         for step in range(n):
             ctx.send(ctx.successor, {0: value})
-            value = ctx.recv(ctx.predecessor).payload[0]
+            value = ctx.recv(ctx.predecessor)[0]
         return int(value[0])
 
     res = spawn_cluster(ClusterSpec(n), body)
@@ -298,7 +315,7 @@ def test_instant_results_independent_of_scheduling():
         for step in range(5):
             ctx.send(ctx.successor, {0: np.full(4, float(ctx.rank))})
             got = ctx.recv(ctx.predecessor)
-            total = total + got.payload[0]
+            total = total + got[0]
         return total.tobytes()
 
     baseline = spawn_cluster(ClusterSpec(3), body).results

@@ -358,10 +358,10 @@ def test_payloads_unchanged_between_send_and_recv(monkeypatch, strategy, n):
     sent, sends, recvs = {}, {}, {}
     send, recv = cluster.Cluster.send, cluster.Cluster.recv
 
-    def snapshotting_send(self, src, dst, payload, meta=None):
+    def snapshotting_send(self, src, dst, payload, block=None):
         index = next(sends.setdefault((src, dst), itertools.count()))
         sent[(src, dst, index)] = _snapshot(payload)
-        return send(self, src, dst, payload, meta=meta)
+        return send(self, src, dst, payload, block=block)
 
     def checking_recv(self, rank, src):
         msg = recv(self, rank, src)
@@ -475,7 +475,7 @@ def test_dropped_message_times_out_naming_rank_and_src(monkeypatch):
     sends = {}
     dropped = []
 
-    def lossy_send(self, src, dst, payload, meta=None):
+    def lossy_send(self, src, dst, payload, block=None):
         # message 2 on link 0->1 is the epilogue of a 2-worker forward:
         # worker 0's (O, L) never reaches worker 1, while worker 0 finishes
         # normally
@@ -483,7 +483,7 @@ def test_dropped_message_times_out_naming_rank_and_src(monkeypatch):
         if (src, dst, index) == (0, 1, 2):
             dropped.append(index)
             return dict.fromkeys(payload, 0)
-        return send(self, src, dst, payload, meta=meta)
+        return send(self, src, dst, payload, block=block)
 
     monkeypatch.setattr(cluster.Cluster, "send", lossy_send)
     Q, K, V, _ = rand_problem(2, 6, 9, 3, seed=32)
@@ -511,33 +511,36 @@ def test_stalled_worker_times_out_naming_rank_and_src(monkeypatch):
     assert "worker 0: recv(src=1) timed out after 1.0s" in str(err.cause)
 
 
-# (strategy, backward, index, where, key, expected): with n = 3 the forward of
-# lvx sends messages 0-3 on each link (message 3 is its epilogue) and that of
-# ring messages 0-1, so ring's backward starts at message 2 and lvx's at
-# message 4. Each row rewrites the block id of message `index` on link 0->1.
-@pytest.mark.parametrize("strategy,backward,index,where,key,expected", [
-    ("lvx", False, 0, "worker 1 round 0", "state_block", 1),
-    ("lvx", False, 3, "worker 1 epilogue", "state_block", 1),
-    ("lvx", True, 6, "worker 1 backward round 2", "block", 1),
-    ("ring", False, 0, "worker 1 round 0", "block", 0),
-    ("ring", True, 2, "worker 1 backward round 0", "block", 0),
-    ("ring", True, 4, "worker 1 backward epilogue", "block", 1),
+# (strategy, backward, index, receive, round, expected): with n = 3 the
+# forward of lvx sends messages 0-3 on each link (message 3 is its epilogue)
+# and that of ring messages 0-1, so ring's backward starts at message 2 and
+# lvx's at message 4. Each row rewrites the block id of message `index` on
+# link 0->1, which worker 1 reads at `receive`; an epilogue receive falls in
+# round n, after the phase's n rounds.
+@pytest.mark.parametrize("strategy,backward,index,receive,round_index,expected", [
+    ("lvx", False, 0, "worker 1 round 0", 0, 0),
+    ("lvx", False, 3, "worker 1 epilogue", 3, 1),
+    ("lvx", True, 6, "worker 1 backward round 2", 2, 1),
+    ("ring", False, 0, "worker 1 round 0", 0, 0),
+    ("ring", True, 2, "worker 1 backward round 0", 0, 0),
+    ("ring", True, 4, "worker 1 backward epilogue", 3, 1),
 ])
 def test_wrong_block_id_fails_naming_expected_block(monkeypatch, strategy, backward, index,
-                                                    where, key, expected):
+                                                    receive, round_index, expected):
     monkeypatch.setenv("LVX_TIMEOUT_SECS", "5")
     send = cluster.Cluster.send
     sends = {}
     n = 3
 
-    def relabeling_send(self, src, dst, payload, meta=None):
+    def relabeling_send(self, src, dst, payload, block=None):
         if (src, dst, next(sends.setdefault((src, dst), itertools.count()))) == (0, 1, index):
-            meta = {k: v + n for k, v in meta.items()}
-        return send(self, src, dst, payload, meta=meta)
+            block += n
+        return send(self, src, dst, payload, block=block)
 
     monkeypatch.setattr(cluster.Cluster, "send", relabeling_send)
     Q, K, V, dO = rand_problem(2, 7, 8, 3, seed=34)
     err = _failure_of(strategy, Q, K, V, dO=dO if backward else None, spec=ClusterSpec(n))
     assert err.worker == 1
     assert type(err.cause) is ClusterError
-    assert str(err.cause) == f"{where}: expected {key}={expected}, got {expected + n}"
+    assert str(err.cause) == (f"worker 1 round {round_index}: recv(src=0) "
+                              f"expected block {expected}, got {expected + n}"), receive
