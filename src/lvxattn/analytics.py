@@ -9,7 +9,9 @@ Per-round times (n workers, elements of size b bytes, h heads of dim d):
     query-rotation comm_fwd = (2 (S_Q/n) h d + (S_Q/n) h) b / net_bandwidth
                    comm_bwd = (3 (S_Q/n) h d + 2 (S_Q/n) h) b / net_bandwidth
 
-A round costs max(compute, comm) because the transfer overlaps the kernel.
+A round costs max(compute, comm) because the transfer overlaps the kernel,
+in the backward too: there a block's read-only part leaves before the kernel
+and its gradient accumulator after it (see `strategies`).
 In the regime where query rotation is compute-bound and kv rotation is
 communication-bound, the speedup ratio collapses to the closed forms
 

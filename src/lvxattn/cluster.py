@@ -3,17 +3,22 @@
 Workers are threads, not OS processes; the transport mailboxes are the only
 shared state and are internally synchronized. Tensors in payloads are passed
 by reference and are immutable once sent. Two protocols hand a gradient
-accumulator downstream: the dQ of `lvx`'s rotating backward tuple and the dK
-and dV that travel with `ring`'s backward K/V block. The worker that receives
-one owns it and adds its round's contribution in place; it never writes to
-it after sending it on.
+accumulator downstream in a message of its own: the dQ of each `lvx`
+backward query block and the dK and dV of each `ring` backward K/V block.
+The worker that receives one owns it: after its round's kernel it adds the
+kernel's contribution, which the kernel wrote into the worker's own scratch,
+and sends the accumulator on; it never writes to it after that.
 
 Payloads map tensor class names ("Q", "dK", ...) to arrays. Byte accounting
 counts tensor payload bytes only (no framing, no block id), and only for
 src != dst: loopback delivery is free. The one link model, `Throttled`,
-delays delivery in wall-clock time by latency + bytes/bandwidth per message,
-serialized per directed link, so a blocked recv really waits. Its defaults,
-infinite bandwidth and no latency, are the instant link: modeled time 0.
+models each message as latency + bytes/bandwidth seconds and delays its
+delivery in wall-clock time, so a blocked recv really waits. A message holds
+its directed link for bytes/bandwidth only: it starts to leave once the
+message before it has left, and arrives `latency` after it has left, so the
+latencies of messages sent back to back overlap while their transfers
+serialize. Its defaults, infinite bandwidth and no latency, are the instant
+link: modeled time 0.
 
 A message is addressed by its directed link alone: a receive takes the
 oldest message from the named source. A message may carry one block id, which
@@ -66,7 +71,9 @@ class WorkerFailed(ClusterError):
 @dataclass(frozen=True)
 class Throttled:
     """Per-message modeled time latency + bytes/bandwidth, applied in wall
-    clock. The defaults are the instant link: 0 + bytes/inf = 0 seconds."""
+    clock. Only the bytes/bandwidth part holds the link; the latency of
+    messages sent back to back overlaps. The defaults are the instant link:
+    0 + bytes/inf = 0 seconds."""
 
     bandwidth: float = math.inf     # bytes per second
     latency: float = 0.0            # seconds
@@ -77,8 +84,11 @@ class Throttled:
         if not (math.isfinite(self.latency) and self.latency >= 0):
             raise ValueError(f"latency must be finite and nonnegative, got {self.latency}")
 
+    def transfer_seconds(self, nbytes: int) -> float:
+        return nbytes / self.bandwidth
+
     def message_seconds(self, nbytes: int) -> float:
-        return self.latency + nbytes / self.bandwidth
+        return self.latency + self.transfer_seconds(nbytes)
 
 
 @dataclass(frozen=True)
@@ -137,11 +147,12 @@ class Message:
 
 class _Mailbox:
     """One destination's inbox: per source, its (arrival, message) pairs in
-    send order."""
+    send order, and when the link from that source is next free."""
 
     def __init__(self):
         self.cond = threading.Condition()
         self.queues: defaultdict[int, deque] = defaultdict(deque)
+        self.free_at: defaultdict[int, float] = defaultdict(float)
 
 
 class Cluster:
@@ -170,20 +181,21 @@ class Cluster:
         sizes = {cls: int(np.asarray(a).nbytes) for cls, a in payload.items()}
         nbytes = sum(sizes.values())
         if src == dst:
-            modeled = 0.0
+            modeled = transfer = 0.0
             sizes = dict.fromkeys(sizes, 0)
         else:
             modeled = self.transport.message_seconds(nbytes)
+            transfer = self.transport.transfer_seconds(nbytes)
             self.stats.record(src, dst, nbytes, modeled)
         msg = Message(payload=payload, block=block, modeled_seconds=modeled)
         box = self._mailboxes[dst]
         with box.cond:
-            # a message departs once the one queued before it on its link
-            # has arrived, so each link delivers in send order
-            queue = box.queues[src]
-            now = time.monotonic()
-            depart = max(now, queue[-1][0]) if queue else now
-            queue.append((depart + modeled, msg))
+            # a message starts to leave once the one before it on its link
+            # has left, takes bytes/bandwidth to leave and arrives latency
+            # later: one latency for all, so each link delivers in send order
+            depart = max(time.monotonic(), box.free_at[src])
+            box.free_at[src] = depart + transfer
+            box.queues[src].append((depart + modeled, msg))
             box.cond.notify_all()
         return sizes
 
@@ -265,11 +277,11 @@ class RoundTrace:
 
 class WorkerContext:
     """Per-worker handle: point-to-point send/recv plus an all-to-all
-    collective. send is non-blocking (buffered); recv(src, block=) blocks
-    until the next message that src sent this worker arrives, in send order,
-    checks its block id when one is expected, and returns its payload. A worker
-    may hold one outstanding send, one outstanding recv, and local compute at
-    the same time.
+    collective, whole or as its sending and receiving halves. send is
+    non-blocking (buffered); recv(src, block=) blocks until the next message
+    that src sent this worker arrives, in send order, checks its block id
+    when one is expected, and returns its payload. A worker may have any
+    number of sends in flight while it computes.
 
     The context also keeps the worker's round trace. Every `compute` adds the
     wall seconds of its kernel call to the open round, every send the bytes
@@ -316,11 +328,21 @@ class WorkerContext:
         """Deliver chunk w (a payload keyed by class) to worker w; returns the
         n received payloads ordered by source id. The self-chunk takes the
         free loopback link; its classes count 0 bytes."""
+        self.all_to_all_send(chunks)
+        return self.all_to_all_recv()
+
+    def all_to_all_send(self, chunks: list) -> None:
+        """The sending half of `all_to_all`: chunk w goes to worker w. A
+        worker may post several before it receives the first."""
         if len(chunks) != self.n:
             raise ClusterError(f"worker {self.rank}: all_to_all expects {self.n} chunks, "
                                f"got {len(chunks)}")
         for dst, chunk in enumerate(chunks):
             self.send(dst, chunk)
+
+    def all_to_all_recv(self) -> list:
+        """The receiving half of `all_to_all`: the next message from every
+        worker, ordered by source id. The round waits for the slowest."""
         msgs = [self.cluster.recv(self.rank, src) for src in range(self.n)]
         self._waited += max(msg.modeled_seconds for msg in msgs)
         return [msg.payload for msg in msgs]

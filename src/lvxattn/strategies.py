@@ -10,9 +10,20 @@ Four strategies, all exact:
   head    head parallelism: one all-to-all reshards sequence-split Q/K/V into
           head-split full-sequence tensors, attention runs locally per owned
           head, a second all-to-all restores sequence sharding. Requires the
-          head count to be divisible by the worker count.
+          head count to be divisible by the worker count. The inputs and the
+          gradients travel one head at a time, so a head's kernel overlaps
+          the next head's transfer.
   single  ring on one worker: the same tiled kernels, and nothing travels but
           ring's backward epilogue, which a lone worker sends to itself free.
+
+Every send leaves as soon as its data exists. In the backward of `lvx` and
+`ring` a block's gradient accumulator (dQ; dK and dV) travels apart from its
+read-only part: the read-only part leaves before the round's kernel, the
+kernel writes into the worker's own zeroed scratch, and the worker that
+receives the accumulator adds the scratch into it and sends it on. The
+kernel rounds each gradient to the accumulator dtype before it adds, and
+0 + x = x, so the sums are bit for bit those of adding into the accumulator
+directly.
 
 Each strategy is one `Protocol` record in PROTOCOLS: its forward and backward
 bodies, which share one signature, and the worker-count rule; the messages
@@ -147,30 +158,57 @@ def lvx_forward(ctx: WorkerContext, shards: ShardSpec, q_i: np.ndarray,
     return AttentionState(O=got["O"], L=got["L"])
 
 
+def _scratch(block: np.ndarray, sizes: list[int]) -> np.ndarray:
+    """A gradient scratch buffer shaped like `block` with the largest of the
+    block row counts `sizes`, for a worker to reuse every round."""
+    h, _, d = block.shape
+    return np.empty((h, max(sizes), d), dtype=block.dtype)
+
+
+def _zeroed(scratch: np.ndarray, rows: int) -> np.ndarray:
+    view = scratch[:, :rows]
+    view.fill(0)
+    return view
+
+
 def lvx_backward(ctx: WorkerContext, shards: ShardSpec, q_i: np.ndarray,
                  k_i: np.ndarray, v_i: np.ndarray, state: AttentionState,
                  do_i: np.ndarray, scale: float):
-    """Query-rotation backward: the tuple (Q, dO, L, D, dQ-accumulator) of each
-    block rotates once around the ring; every worker adds its K/V block's
-    contribution, accumulating dK/dV into its one local pair and dQ into the
-    tuple it holds. A tuple is only written between its receive and its send.
-    The round n-1 send delivers each tuple to its owner, so the final receive,
-    checked to be block (i - n) mod n = i, is the homecoming. Returns
-    (dQ_i, dK_i, dV_i)."""
+    """Query-rotation backward: each query block rotates once around the ring
+    as two messages, its read-only part (Q, dO, L, D) and its dQ accumulator;
+    every worker adds its K/V block's contribution, accumulating dK/dV into
+    its one local pair and dQ into the accumulator of the block in hand.
+
+    Round r handles block j = i-r: the read-only part goes to the successor
+    before the kernel, the kernel writes dQ into a zeroed scratch, and then
+    the accumulator of block j arrives from the predecessor, takes the
+    scratch and leaves under the same id. So the round's transfers overlap
+    its kernel. In round 0 the block is the worker's own, and the kernel
+    adds straight into its zeroed accumulator. The round n-1 sends deliver
+    each block to its owner, so the final receives, checked to be block
+    (i - n) mod n = i, are the homecoming. Returns (dQ_i, dK_i, dV_i)."""
     n, i = ctx.n, ctx.rank
     dtype = q_i.dtype
 
     d_own = attention_row_stats(state, do_i).astype(dtype)
-    tup = {"Q": q_i, "dO": do_i, "L": state.L, "D": d_own, "dQ": np.zeros_like(q_i)}
+    ro = {"Q": q_i, "dO": do_i, "L": state.L, "D": d_own}
     dk = np.zeros_like(k_i)
     dv = np.zeros_like(v_i)
+    acc = np.zeros_like(q_i)
+    dq_scratch = _scratch(q_i, shards.q_sizes)
     for r in range(n):
-        ctx.compute(blockwise_attention_backward, tup["Q"], k_i, v_i, tup["L"],
-                    tup["D"], tup["dO"], scale, out=(tup["dQ"], dk, dv))
-        ctx.send(ctx.successor, tup, block=(i - r) % n)
-        tup = ctx.recv(ctx.predecessor, block=(i - r - 1) % n)
+        j = (i - r) % n
+        ctx.send(ctx.successor, ro, block=j)
+        dq = _zeroed(dq_scratch, ro["Q"].shape[1]) if r else acc
+        ctx.compute(blockwise_attention_backward, ro["Q"], k_i, v_i, ro["L"], ro["D"],
+                    ro["dO"], scale, out=(dq, dk, dv))
+        if r:
+            acc = ctx.recv(ctx.predecessor, block=j)["dQ"]
+            acc += dq
+        ctx.send(ctx.successor, {"dQ": acc}, block=j)
+        ro = ctx.recv(ctx.predecessor, block=(j - 1) % n)
         ctx.close_round()
-    return tup["dQ"], dk, dv
+    return ctx.recv(ctx.predecessor, block=i)["dQ"], dk, dv
 
 
 def ring_forward(ctx: WorkerContext, shards: ShardSpec, q_i: np.ndarray,
@@ -196,25 +234,44 @@ def ring_forward(ctx: WorkerContext, shards: ShardSpec, q_i: np.ndarray,
 def ring_backward(ctx: WorkerContext, shards: ShardSpec, q_i: np.ndarray,
                   k_i: np.ndarray, v_i: np.ndarray, state: AttentionState,
                   do_i: np.ndarray, scale: float):
-    """KV-rotation backward: (K, V, dK, dV) rotate together for n-1 shifts while
-    dQ accumulates locally; each worker adds into the dK/dV pair it holds,
-    only between its receive and its send. An epilogue hop returns each
-    (dK, dV) pair to its owner. Returns (dQ_i, dK_i, dV_i)."""
+    """KV-rotation backward: each K/V block shifts n-1 times as two messages,
+    (K, V) and its (dK, dV) accumulator, while dQ accumulates locally.
+
+    Round r handles block j = i-r: (K, V) goes to the successor before the
+    kernel, the kernel writes dK/dV into a zeroed scratch pair, and then the
+    accumulator of block j arrives from the predecessor and takes the
+    scratch. It leaves under the same id after the kernel, so the round's
+    transfers overlap its kernel. In round 0 the block is the worker's own,
+    and the kernel adds straight into its zeroed accumulator. The last
+    round's accumulator belongs to block i+1, and an epilogue hop sends it
+    home. Returns (dQ_i, dK_i, dV_i)."""
     n, i = ctx.n, ctx.rank
     dtype = q_i.dtype
 
     d_own = attention_row_stats(state, do_i).astype(dtype)
     dq = np.zeros_like(q_i)
-    kv = {"K": k_i, "V": v_i, "dK": np.zeros_like(k_i), "dV": np.zeros_like(v_i)}
+    kv = {"K": k_i, "V": v_i}
+    acc = {"dK": np.zeros_like(k_i), "dV": np.zeros_like(v_i)}
+    dk_scratch, dv_scratch = _scratch(k_i, shards.kv_sizes), _scratch(v_i, shards.kv_sizes)
     for r in range(n):
-        ctx.compute(blockwise_attention_backward, q_i, kv["K"], kv["V"], state.L, d_own,
-                    do_i, scale, out=(dq, kv["dK"], kv["dV"]))
+        j = (i - r) % n
         if r < n - 1:
-            ctx.send(ctx.successor, kv, block=(i - r) % n)
-            kv = ctx.recv(ctx.predecessor, block=(i - r - 1) % n)
+            ctx.send(ctx.successor, kv, block=j)
+        rows = kv["K"].shape[1]
+        dk, dv = ((_zeroed(dk_scratch, rows), _zeroed(dv_scratch, rows)) if r
+                  else (acc["dK"], acc["dV"]))
+        ctx.compute(blockwise_attention_backward, q_i, kv["K"], kv["V"], state.L, d_own,
+                    do_i, scale, out=(dq, dk, dv))
+        if r:
+            acc = ctx.recv(ctx.predecessor, block=j)
+            acc["dK"] += dk
+            acc["dV"] += dv
+        if r < n - 1:
+            ctx.send(ctx.successor, acc, block=j)
+            kv = ctx.recv(ctx.predecessor, block=(j - 1) % n)
         ctx.close_round()
-    # kv's dK/dV now belong to block i+1; send them home
-    ctx.send(ctx.successor, {"dK": kv["dK"], "dV": kv["dV"]}, block=(i + 1) % n)
+    # acc now belongs to block i+1; send it home
+    ctx.send(ctx.successor, acc, block=(i + 1) % n)
     got = ctx.recv(ctx.predecessor, block=i)
     return dq, got["dK"], got["dV"]
 
@@ -227,35 +284,51 @@ class _HeadSplitState(AttentionState):
     saved: tuple
 
 
-def _gather(received: list[dict], cls: str, axis: int) -> np.ndarray:
-    return np.concatenate([c[cls] for c in received], axis=axis)
+def _gather(received: list[dict], cls: str, axis: int, out=None) -> np.ndarray:
+    return np.concatenate([c[cls] for c in received], axis=axis, out=out)
 
 
 def head_parallel_forward(ctx: WorkerContext, shards: ShardSpec, q_i: np.ndarray,
                           k_i: np.ndarray, v_i: np.ndarray, scale: float) -> AttentionState:
     """All-to-all from sequence sharding to head sharding, local attention on
-    the owned heads over the full sequence, all-to-all back."""
+    the owned heads over the full sequence, all-to-all back.
+
+    The first all-to-all goes out as one per owned head, all posted before
+    the first receive: head k's kernel runs while head k+1 is in flight."""
     n = ctx.n
     hpw = q_i.shape[0] // n
+    for k in range(hpw):
+        ctx.all_to_all_send([{"Q": q_i[w * hpw + k][None], "K": k_i[w * hpw + k][None],
+                              "V": v_i[w * hpw + k][None]} for w in range(n)])
+    d, s_q, s_kv = q_i.shape[2], shards.q_ranges[-1][1], shards.kv_ranges[-1][1]
+    full = {cls: np.empty((hpw, rows, d), dtype=t.dtype)
+            for cls, rows, t in (("Q", s_q, q_i), ("K", s_kv, k_i), ("V", s_kv, v_i))}
+    out_dt = np.result_type(q_i, k_i, v_i)
+    st = AttentionState(O=np.empty((hpw, s_q, d), out_dt), L=np.empty((hpw, s_q), out_dt))
+    for k in range(hpw):
+        head = slice(k, k + 1)
+        received = ctx.all_to_all_recv()
+        for cls, t in full.items():
+            _gather(received, cls, 1, out=t[head])
+        head_st = ctx.compute(blockwise_attention, full["Q"][head], full["K"][head],
+                              full["V"][head], scale)
+        st.O[head], st.L[head] = head_st.O, head_st.L
 
-    received = ctx.all_to_all([{"Q": q_i[w * hpw:(w + 1) * hpw],
-                                "K": k_i[w * hpw:(w + 1) * hpw],
-                                "V": v_i[w * hpw:(w + 1) * hpw]} for w in range(n)])
-    q_full, k_full, v_full = (_gather(received, cls, 1) for cls in ("Q", "K", "V"))
-
-    st = ctx.compute(blockwise_attention, q_full, k_full, v_full, scale)
     received = ctx.all_to_all([{"O": st.O[:, a:b], "L": st.L[:, a:b]}
                                for a, b in shards.q_ranges])
     ctx.close_round()
     return _HeadSplitState(O=_gather(received, "O", 0), L=_gather(received, "L", 0),
-                           saved=(q_full, k_full, v_full, st))
+                           saved=(full["Q"], full["K"], full["V"], st))
 
 
 def head_parallel_backward(ctx: WorkerContext, shards: ShardSpec, q_i: np.ndarray,
                            k_i: np.ndarray, v_i: np.ndarray, state: _HeadSplitState,
                            do_i: np.ndarray, scale: float):
     """Mirror image of the forward: all-to-all dO to head sharding, local dense
-    backward on owned heads, all-to-all dQ/dK/dV back to sequence sharding."""
+    backward on owned heads, all-to-all dQ/dK/dV back to sequence sharding.
+
+    The backward runs one owned head at a time, and each head's dQ, dK and
+    dV leave as their own all-to-all as soon as that head is done."""
     n = ctx.n
     q_full, k_full, v_full, st = state.saved
     hpw = q_full.shape[0]
@@ -263,14 +336,19 @@ def head_parallel_backward(ctx: WorkerContext, shards: ShardSpec, q_i: np.ndarra
     received = ctx.all_to_all([{"dO": do_i[w * hpw:(w + 1) * hpw]} for w in range(n)])
     do_full = _gather(received, "dO", 1)
 
-    gb = ctx.compute(dense_attention_backward, q_full, k_full, v_full, st.O, st.L, do_full,
-                     scale)
-    received = ctx.all_to_all([{"dQ": gb.dQ[:, qa:qb], "dK": gb.dK[:, ka:kb],
-                                "dV": gb.dV[:, ka:kb]}
-                               for (qa, qb), (ka, kb) in zip(shards.q_ranges,
-                                                             shards.kv_ranges)])
+    for k in range(hpw):
+        head = slice(k, k + 1)
+        gb = ctx.compute(dense_attention_backward, q_full[head], k_full[head], v_full[head],
+                         st.O[head], st.L[head], do_full[head], scale)
+        ctx.all_to_all_send([{"dQ": gb.dQ[:, qa:qb], "dK": gb.dK[:, ka:kb],
+                              "dV": gb.dV[:, ka:kb]}
+                             for (qa, qb), (ka, kb) in zip(shards.q_ranges,
+                                                           shards.kv_ranges)])
+    by_head = [ctx.all_to_all_recv() for _ in range(hpw)]
     ctx.close_round()
-    return tuple(_gather(received, cls, 0) for cls in ("dQ", "dK", "dV"))
+    # source w's heads are w*hpw + k: order the parts source first, head second
+    return tuple(np.concatenate([by_head[k][w][cls] for w in range(n) for k in range(hpw)])
+                 for cls in ("dQ", "dK", "dV"))
 
 
 @dataclass(frozen=True)

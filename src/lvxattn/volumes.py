@@ -7,11 +7,12 @@ tensor payload bytes only, matching the transport's accounting, and a
 message a worker addresses to itself costs 0 because loopback delivery is
 free (so every count is 0 for n = 1).
 
-`HOPS[(strategy, phase)]` lists the messages of one protocol phase. A hop
-carries its tensor `classes`; each class row holds h*d elements (Q, K, V, O
-and the gradients) or h elements (the L and D row statistics). Its rows are
-those of one block along its `axis`: |q_j| or |kv_j| for block j, indices
-mod n, b bytes per element. On worker i the hop fires as its `when` says:
+`HOPS[(strategy, phase)]` lists the hops of one protocol phase in the
+order a worker sends them. A hop carries its tensor `classes`; each class
+row holds h*d elements (Q, K, V, O and the gradients) or h elements (the L
+and D row statistics). Its rows are those of one block along its `axis`:
+|q_j| or |kv_j| for block j, indices mod n, b bytes per element. On worker
+i the hop fires as its `when` says:
 
   ROUND     in ring round r = 0..n-1 (0..n-2 with `skips_last_round`) it sends
             block i-r+offset to the successor
@@ -20,6 +21,13 @@ mod n, b bytes per element. On worker i the hop fires as its `when` says:
             rows of h/n heads
   PEER      an all-to-all in round 0: to every other worker w, w's rows of
             h/n heads
+
+The ROUND hops of one round travel as one message, except in the backward
+of `lvx` and `ring`, where each is a message of its own: the read-only part
+(Q, dO, L, D or K, V) leaves before the round's kernel and the gradient
+accumulator (dQ or dK, dV) after it. The OWN or PEER hops of `head` travel
+as one message to each worker, except its forward Q, K, V and its backward
+dQ, dK, dV, which go out as one message per head.
 
 So query rotation forward sends (|q_{i-r+1}| (h*d + h) + |q_{i-r}| h*d) b in
 round r (the O, L just finished plus the Q in flight) and |q_{i+1}| (h*d + h) b
@@ -55,10 +63,11 @@ class Hop:
 HOPS = {
     ("lvx", "forward"): (Hop(("O", "L"), "q", ROUND, offset=1), Hop(("Q",), "q", ROUND),
                          Hop(("O", "L"), "q", EPILOGUE, offset=1)),
-    # the round n-1 send doubles as the homecoming hop
-    ("lvx", "backward"): (Hop(("Q", "dO", "L", "D", "dQ"), "q", ROUND),),
+    # the round n-1 sends double as the homecoming hops
+    ("lvx", "backward"): (Hop(("Q", "dO", "L", "D"), "q", ROUND), Hop(("dQ",), "q", ROUND)),
     ("ring", "forward"): (Hop(("K", "V"), "kv", ROUND, skips_last_round=True),),
-    ("ring", "backward"): (Hop(("K", "V", "dK", "dV"), "kv", ROUND, skips_last_round=True),
+    ("ring", "backward"): (Hop(("K", "V"), "kv", ROUND, skips_last_round=True),
+                           Hop(("dK", "dV"), "kv", ROUND, skips_last_round=True),
                            Hop(("dK", "dV"), "kv", EPILOGUE, offset=1)),
     ("head", "forward"): (Hop(("Q",), "q", OWN), Hop(("K", "V"), "kv", OWN),
                           Hop(("O", "L"), "q", PEER)),

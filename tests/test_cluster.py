@@ -77,6 +77,41 @@ def test_recv_awaits_a_sent_message_past_the_timeout(monkeypatch):
         assert since_sent >= 0.5
 
 
+def _arrival_offsets(link, payloads):
+    """Worker 0 sends the payloads to worker 1 back to back; returns how long
+    after the first send each one arrived."""
+    def body(ctx):
+        if ctx.rank == 0:
+            ctx.send(1, {0: np.array([time.monotonic()])})
+            for payload in payloads:
+                ctx.send(1, {0: payload})
+            return None
+        start = ctx.recv(0)[0][0]
+        offsets = []
+        for _ in payloads:
+            ctx.recv(0)
+            offsets.append(time.monotonic() - start)
+        return offsets
+
+    return spawn_cluster(ClusterSpec(2, link), body).results[1]
+
+
+def test_latencies_of_back_to_back_messages_overlap():
+    # only bytes/bandwidth holds a link: two empty messages sent together
+    # both arrive one latency after they were sent, not the second after two
+    latency = 0.4
+    offsets = _arrival_offsets(Throttled(latency=latency), [np.zeros(0)] * 2)
+    assert all(latency * 0.9 <= t < latency * 1.5 for t in offsets), offsets
+
+
+def test_transfers_of_back_to_back_messages_serialize():
+    # each message takes 0.1 s to leave its link: the second leaves after the
+    # first and arrives at 0.2 s
+    payload = np.zeros(125_000, dtype=np.float64)
+    offsets = _arrival_offsets(Throttled(bandwidth=payload.nbytes / 0.1), [payload] * 2)
+    assert offsets[0] >= 0.09 and 0.18 <= offsets[1] < 0.5, offsets
+
+
 def test_send_is_buffered_nonblocking():
     # three sends complete before the peer posts any recv
     def body(ctx):
@@ -185,6 +220,20 @@ def test_all_to_all_exchange():
     res = spawn_cluster(ClusterSpec(2), body)
     assert res.results[0] == [0, 10]    # A0, B0
     assert res.results[1] == [1, 11]    # A1, B1
+
+
+def test_all_to_all_halves_deliver_in_posting_order():
+    # two all-to-alls posted before either is received arrive in the order
+    # they were posted, each ordered by source
+    def body(ctx):
+        for step in range(2):
+            ctx.all_to_all_send([{0: np.array([100 * step + 10 * ctx.rank + dst])}
+                                 for dst in range(2)])
+        return [[int(g[0][0]) for g in ctx.all_to_all_recv()] for _ in range(2)]
+
+    res = spawn_cluster(ClusterSpec(2, Throttled(latency=1e-3)), body)
+    assert res.results[0] == [[0, 10], [100, 110]]
+    assert res.results[1] == [[1, 11], [101, 111]]
 
 
 def test_all_to_all_bytes_exclude_self_chunk():

@@ -411,6 +411,58 @@ def test_worker_memory_flat_in_n(strategy, dtype):
     assert two_workers <= one_worker + in_flight
 
 
+# The backward kernel is held to a fixed 50 ms, so that the wall times show
+# the schedule and not the host's BLAS speed, and the link moves one round's
+# bytes in that time. Sending the read-only part before the kernel and the
+# accumulator after it makes a round cost max(kernel, link): at n = 2 the
+# throttled backward then takes 1.17 (lvx) and 1.25 (ring) times the instant
+# one, for the homecoming dQ (a third of a round's bytes) and the (dK, dV)
+# epilogue (half of them) cannot overlap a kernel. Sending a whole block
+# after the kernel costs kernel + link per round, about 2.0 and 1.75.
+BACKWARD_KERNEL_S = 0.05
+BACKWARD_OVERLAP_BOUND = 1.5
+
+
+@pytest.mark.parametrize("strategy", ["lvx", "ring"])
+def test_backward_transfer_overlaps_kernel(monkeypatch, strategy):
+    n, h, d = 2, 2, 8
+    s_q, s_kv = 16 * n, 64 * n
+    Q, K, V, dO = rand_problem(h, s_q, s_kv, d, seed=35)
+    kernel = strategies.blockwise_attention_backward
+
+    def fixed_time_kernel(*args, **kwargs):
+        t0 = time.perf_counter()
+        out = kernel(*args, **kwargs)
+        time.sleep(max(0.0, BACKWARD_KERNEL_S - (time.perf_counter() - t0)))
+        return out
+
+    kind = strategies.StrategyKind(strategy)
+    protocol = strategies.PROTOCOLS[kind]
+    walls = {}
+
+    def timed_backward(ctx, *args):
+        t0 = time.perf_counter()
+        out = protocol.backward(ctx, *args)
+        walls[ctx.rank] = time.perf_counter() - t0
+        return out
+
+    monkeypatch.setattr(strategies, "blockwise_attention_backward", fixed_time_kernel)
+    monkeypatch.setitem(strategies.PROTOCOLS, kind, replace(protocol, backward=timed_backward))
+    round_bytes = volumes.round_model_elems(strategy, "backward", s_q, s_kv, n, h, d) * 8
+    link = Throttled(bandwidth=round_bytes / BACKWARD_KERNEL_S)
+
+    def backward_wall(transport):
+        run_distributed(strategy, Q, K, V, dO=dO, spec=ClusterSpec(n, transport))
+        return max(walls.values())
+
+    instant, throttled = [], []
+    for _ in range(3):                      # interleaved so load hits both arms
+        instant.append(backward_wall(Throttled()))
+        throttled.append(backward_wall(link))
+    ratio = float(np.median(throttled) / np.median(instant))
+    assert ratio <= BACKWARD_OVERLAP_BOUND, f"{strategy} backward wall ratio {ratio:.3f}"
+
+
 def _failure_of(*args, **kwargs) -> WorkerFailed:
     """The WorkerFailed that run_distributed(*args, **kwargs) raises. It runs
     in a helper thread, so a hang fails the test after 20 s instead of
@@ -514,16 +566,25 @@ def test_stalled_worker_times_out_naming_rank_and_src(monkeypatch):
 # (strategy, backward, index, receive, round, expected): with n = 3 the
 # forward of lvx sends messages 0-3 on each link (message 3 is its epilogue)
 # and that of ring messages 0-1, so ring's backward starts at message 2 and
-# lvx's at message 4. Each row rewrites the block id of message `index` on
-# link 0->1, which worker 1 reads at `receive`; an epilogue receive falls in
-# round n, after the phase's n rounds.
+# lvx's at message 4. A backward round sends two messages, the read-only part
+# before the kernel and the accumulator after it: on link 0->1, lvx sends
+# (Q, dO, L, D) of blocks 0, 2, 1 as messages 4, 6, 8 and their dQ as 5, 7, 9;
+# ring sends (K, V) of blocks 0, 2 as messages 2, 4, their (dK, dV) as 3, 5,
+# and the (dK, dV) of block 1 home as its epilogue, message 6. Each row
+# rewrites the block id of message `index` on link 0->1, which worker 1
+# reads at `receive`: an accumulator in the round after it was sent, and a
+# read-only part at the end of the round it was sent in. A receive after
+# the phase's n rounds falls in round n.
 @pytest.mark.parametrize("strategy,backward,index,receive,round_index,expected", [
     ("lvx", False, 0, "worker 1 round 0", 0, 0),
     ("lvx", False, 3, "worker 1 epilogue", 3, 1),
-    ("lvx", True, 6, "worker 1 backward round 2", 2, 1),
+    ("lvx", True, 5, "worker 1 backward round 1, dQ", 1, 0),
+    ("lvx", True, 8, "worker 1 backward round 2", 2, 1),
+    ("lvx", True, 9, "worker 1 backward homecoming, dQ", 3, 1),
     ("ring", False, 0, "worker 1 round 0", 0, 0),
     ("ring", True, 2, "worker 1 backward round 0", 0, 0),
-    ("ring", True, 4, "worker 1 backward epilogue", 3, 1),
+    ("ring", True, 3, "worker 1 backward round 1, dK and dV", 1, 0),
+    ("ring", True, 6, "worker 1 backward epilogue", 3, 1),
 ])
 def test_wrong_block_id_fails_naming_expected_block(monkeypatch, strategy, backward, index,
                                                     receive, round_index, expected):
