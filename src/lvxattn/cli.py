@@ -101,36 +101,45 @@ def _numeric_working_set(strategy: str, s_q: int, s_kv: int, h: int, d: int,
     output (the workers' parts and the gathered copy; in the backward the
     gradient accumulators are the parts), in the backward the gradient
     scratch that each `lvx`/`ring` worker reuses every round (one query
-    block on `lvx`, one K and one V block on `ring` and `single`), and on
-    `head` the head-split input copies and the local gradients. The kernels
-    of all workers hold six O- and L-shaped float64 arrays (Q in float64,
-    the running O and its update, dQ and its tile update, merge
-    temporaries), four K/V tiles (K and V staged in float64, a gradient tile
-    and its rounding) and one score tile per worker in the forward, two in
-    the backward. A worker's score tile is [h, its query rows,
+    block on `lvx`; a tile-sized K and V piece on `ring` and `single`, plus
+    the K/V-sized (dK, dV) accumulator pieces that a `ring` worker starts
+    in round 1 and that travel until their owner takes them), and on `head`
+    the head-split input copies and the local gradients. The kernels of all
+    workers hold six O- and L-shaped float64 arrays (Q in float64, the
+    running O and its update, dQ and its tile update, merge temporaries),
+    four K/V tiles (K and V staged in float64, a gradient tile and its
+    rounding) and one score tile per worker in the forward, two in the
+    backward. A worker's score tile is [h, its query rows,
     min(DEFAULT_TILE_ROWS, its KV rows)]: `lvx` and `ring` workers see KV
     blocks of ceil(S_KV / n) rows, `head` workers all S_KV rows of h/n
     heads, and the one `single` worker all S_KV rows of all heads, which is
-    the `lvx`/`ring` count at n = 1. Python objects (the argument parser, the
-    n(n+1) messages, round records and stats) add 256 KiB + 6 KiB n², and
-    6 KiB more for each of the 2n(h - n) messages that `head` adds by
-    sending its inputs and gradients one head at a time. The default n=1 is
-    the bound for one worker holding every row."""
+    the `lvx`/`ring` count at n = 1. Python objects (the argument parser,
+    the n(n+1) messages, round records and stats) add 256 KiB + 6 KiB n²,
+    and 6 KiB more for each message of a K/V block or its gradient sent in
+    pieces of DEFAULT_TILE_ROWS rows: 3n(n - 1) per piece of a block on
+    `ring`, and 2nh per piece on `head`, whose blocks are cut at the tile
+    boundaries of the full sequence and so span one piece more. The default
+    n=1 is the bound for one worker holding every row."""
     q, kv, rows = h * s_q * d, h * s_kv * d, h * s_q
     inputs = q + 2 * kv + (q if backward else 0)
     outputs = q + rows + (q + 2 * kv if backward else 0)
     run = 2 * outputs * elem_bytes + 6 * (q + rows) * 8
     head = strategy == StrategyKind.HEAD_PARALLEL.value
-    kv_rows = s_kv if head else -(-s_kv // n)
+    kv_block = -(-s_kv // n)
+    kv_rows = s_kv if head else kv_block
     cols = min(DEFAULT_TILE_ROWS, kv_rows)
     staged_heads = h if head else n * h
     run += 4 * staged_heads * cols * d * 8 + (2 if backward else 1) * rows * cols * 8
     if head:
         run += (inputs + (q + 2 * kv if backward else 0)) * elem_bytes
     elif backward:
-        scratch_rows = -(-s_q // n) if strategy == StrategyKind.LVX.value else 2 * kv_rows
+        scratch_rows = (-(-s_q // n) if strategy == StrategyKind.LVX.value
+                        else 2 * kv_rows + 2 * cols)
         run += n * h * scratch_rows * d * elem_bytes
-    objects = (256 + 6 * n * n + (12 * n * (h - n) if head else 0)) * 1024
+    pieces = -(-kv_block // DEFAULT_TILE_ROWS) + head
+    piece_messages = (2 * n * h if head
+                      else 0 if strategy == StrategyKind.LVX.value else 3 * n * (n - 1))
+    objects = (256 + 6 * n * n + 6 * piece_messages * pieces) * 1024
     return objects + inputs * elem_bytes + max(max(q, kv) * 8, run)
 
 

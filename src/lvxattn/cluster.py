@@ -3,11 +3,14 @@
 Workers are threads, not OS processes; the transport mailboxes are the only
 shared state and are internally synchronized. Tensors in payloads are passed
 by reference and are immutable once sent. Two protocols hand a gradient
-accumulator downstream in a message of its own: the dQ of each `lvx`
-backward query block and the dK and dV of each `ring` backward K/V block.
-The worker that receives one owns it: after its round's kernel it adds the
-kernel's contribution, which the kernel wrote into the worker's own scratch,
-and sends the accumulator on; it never writes to it after that.
+accumulator downstream in messages of its own: the dQ of each `lvx`
+backward query block, and the dK and dV of each `ring` backward K/V block,
+one piece per kernel tile. A `ring` accumulator piece is created by the
+worker after the block's owner, which writes its kernel's contribution into
+it and sends it on. The worker that receives one owns it: it adds its
+kernel's contribution, which the kernel wrote into the worker's own
+scratch, and sends it on, never writing to it after that; the last receiver
+is the block's owner, which adds the piece into its own contribution.
 
 Payloads map tensor class names ("Q", "dK", ...) to arrays. Byte accounting
 counts tensor payload bytes only (no framing, no block id), and only for

@@ -18,6 +18,13 @@ rounded to the accumulator's dtype before each add, so an f32 accumulator
 rounds exactly as adding separately returned f32 gradients would. Kernel
 scratch is O(h * rows * tile + h * (rows + tile) * d) whatever the KV block
 size; only the dense oracle builds the full [h, S_Q, S_KV] score matrix.
+
+Both walks can stop and resume between tiles, so K/V that arrives in pieces
+meets the kernel as it lands: a `SoftmaxCarry` holds the forward's float64
+m, l and O between calls and a `GradientCarry` the backward's float64 dQ
+sum. Fed pieces that start at tile boundaries of the walk, a carry gives
+the one-shot call's result bit for bit; the one-shot call is the same walk
+fed one piece.
 """
 
 from __future__ import annotations
@@ -131,12 +138,45 @@ def _add_rounded(acc: np.ndarray, grad: np.ndarray, buf: np.ndarray | None) -> N
     acc += grad
 
 
+@dataclass
+class SoftmaxCarry:
+    """The float64 online-softmax state of a forward walked over consecutive
+    KV pieces: row max m and row sum l [h, rows], the unnormalized output O
+    [h, rows, d], and the count of KV rows walked."""
+
+    m: np.ndarray
+    l: np.ndarray
+    O: np.ndarray
+    kv_rows: int = 0
+
+    @classmethod
+    def start(cls, Q: np.ndarray) -> "SoftmaxCarry":
+        """The state before any KV row, for the query block Q."""
+        h, s_q, d = Q.shape
+        return cls(m=np.full((h, s_q), -np.inf), l=np.zeros((h, s_q)), O=np.zeros((h, s_q, d)))
+
+    def state(self, dtype) -> AttentionState:
+        """The partial state over the rows walked, in dtype; it consumes the
+        carry. No rows walked gives the empty state."""
+        if self.kv_rows == 0:
+            return empty_state(*self.O.shape, dtype)
+        self.O /= self.l[..., None]
+        L = self.m + np.log(self.l)
+        return AttentionState(O=self.O.astype(dtype, copy=False), L=L.astype(dtype, copy=False))
+
+
 def blockwise_attention(Q: np.ndarray, K: np.ndarray, V: np.ndarray,
                         scale: float | None = None,
-                        tile_rows: int = DEFAULT_TILE_ROWS) -> AttentionState:
+                        tile_rows: int = DEFAULT_TILE_ROWS,
+                        carry: SoftmaxCarry | None = None):
     """Partial state for one KV block, via a running (m, l) online softmax over
     KV tiles of at most tile_rows rows (clamped to the block size). Restricted
     to this block, the result equals dense_attention on it.
+
+    Given a carry, the call instead continues it over K and V, the next KV
+    rows, and returns it; `carry.state(dtype)` ends the walk. Pieces that
+    start at multiples of tile_rows from the walk's first row give the
+    one-shot result bit for bit, which is this same walk fed one piece.
 
     Each K/V tile is copied into a reused float64 buffer, and the tile's
     scores are scaled, shifted and exponentiated in one reused score buffer,
@@ -147,21 +187,21 @@ def blockwise_attention(Q: np.ndarray, K: np.ndarray, V: np.ndarray,
         scale = default_scale(Q.shape[2])
     if tile_rows < 1:
         raise ValueError(f"tile_rows must be >= 1, got {tile_rows}")
-    out_dt = np.result_type(Q, K, V)
+    one_shot = carry is None
+    if one_shot:
+        carry = SoftmaxCarry.start(Q)
+    elif carry.O.shape != Q.shape:
+        raise ValueError(f"carry rows {carry.O.shape} != Q shape {Q.shape}")
     h, s_q, d = Q.shape
     s_kv = K.shape[1]
-    if s_kv == 0:
-        return empty_state(h, s_q, d, out_dt)
     Qf = Q.astype(np.float64, copy=False)
-    tile = min(tile_rows, s_kv)
+    tile = max(1, min(tile_rows, s_kv))
 
     k_buf = np.empty(h * tile * d)
     v_buf = np.empty(h * tile * d)
     s_buf = np.empty(h * s_q * tile)
     pv = np.empty((h, s_q, d))
-    m = np.full((h, s_q), -np.inf)
-    l = np.zeros((h, s_q))
-    O = np.zeros((h, s_q, d))
+    m, l, O = carry.m, carry.l, carry.O
     for t0 in range(0, s_kv, tile):
         Kt = _stage(k_buf, K[:, t0:t0 + tile])
         Vt = _stage(v_buf, V[:, t0:t0 + tile])
@@ -179,9 +219,9 @@ def blockwise_attention(Q: np.ndarray, K: np.ndarray, V: np.ndarray,
         O *= alpha[..., None]
         O += np.matmul(S, Vt, out=pv)
         m = m_new
-    O /= l[..., None]
-    L = m + np.log(l)
-    return AttentionState(O=O.astype(out_dt, copy=False), L=L.astype(out_dt, copy=False))
+    carry.m = m
+    carry.kv_rows += s_kv
+    return carry.state(np.result_type(Q, K, V)) if one_shot else carry
 
 
 def merge_states(a: AttentionState, b: AttentionState) -> AttentionState:
@@ -237,12 +277,33 @@ def dense_attention_backward(Q: np.ndarray, K: np.ndarray, V: np.ndarray,
     return GradientBundle(dQ=dQ, dK=dK, dV=dV)
 
 
+@dataclass
+class GradientCarry:
+    """The float64 sum of the dQ tile updates of a backward walked over
+    consecutive KV pieces, before the score scale."""
+
+    dQ: np.ndarray
+
+    @classmethod
+    def start(cls, Q: np.ndarray) -> "GradientCarry":
+        """The sum before any KV row, for the query block Q."""
+        return cls(dQ=np.zeros(Q.shape))
+
+    def close(self, dQ: np.ndarray, scale: float) -> None:
+        """Scale the sum and add it, rounded to dQ's dtype, into the
+        accumulator dQ; it consumes the carry."""
+        self.dQ *= scale
+        _add_rounded(dQ, self.dQ, (None if dQ.dtype == np.float64
+                                   else np.empty(dQ.size, dtype=dQ.dtype)))
+
+
 def blockwise_attention_backward(Q_block: np.ndarray, K_block: np.ndarray,
                                  V_block: np.ndarray, L_full: np.ndarray,
                                  D_full: np.ndarray, dO_block: np.ndarray,
                                  scale: float | None = None,
                                  tile_rows: int = DEFAULT_TILE_ROWS,
-                                 out: tuple | None = None):
+                                 out: tuple | None = None,
+                                 carry: GradientCarry | None = None):
     """Add the gradient contributions of one (Q block, KV block) pair into
     the accumulators out = (dQ, dK, dV), shaped like Q_block, K_block and
     V_block, and return them. Zero-filled accumulators of the inputs' result
@@ -256,10 +317,16 @@ def blockwise_attention_backward(Q_block: np.ndarray, K_block: np.ndarray,
     as in the FlashAttention-2 backward: each tile is copied into a reused
     float64 buffer, recomputes P = exp(scale Q K_t^T - L) from the saved L,
     adds dV_t = P^T dO and dK_t = scale dS^T Q into its rows of the dV and dK
-    accumulators, and adds scale dS K_t to a float64 dQ that is added into
-    the dQ accumulator once, at the end. Each gradient is rounded to its
-    accumulator's dtype before the add. Scratch memory is
+    accumulators, and adds dS K_t to a float64 dQ sum that is scaled and
+    added into the dQ accumulator once, at the end. Each gradient is rounded
+    to its accumulator's dtype before the add. Scratch memory is
     O(h * rows * tile + h * (rows + tile) * d), reused by every tile.
+
+    Given a carry, the call instead walks K_block and V_block as the next KV
+    rows of a longer walk: it adds into dK and dV and into the carry's dQ
+    sum, and leaves dQ to `carry.close(dQ, scale)`. Pieces that start at
+    multiples of tile_rows from the walk's first row give the one-shot
+    result bit for bit, which is this same walk fed one piece.
     """
     validate_qkv(Q_block, K_block, V_block)
     if dO_block.shape != Q_block.shape:
@@ -279,10 +346,25 @@ def blockwise_attention_backward(Q_block: np.ndarray, K_block: np.ndarray,
         if acc.shape != t.shape or acc.dtype != dQ_acc.dtype:
             raise ValueError(f"{name} accumulator {acc.shape} {acc.dtype} must have shape "
                              f"{t.shape} and the dtype of dQ, {dQ_acc.dtype}")
-    h, s_q, d = Q_block.shape
-    s_kv = K_block.shape[1]
-    Qs = scale * Q_block.astype(np.float64, copy=False)
-    dOf = dO_block.astype(np.float64, copy=False)
+    one_shot = carry is None
+    if one_shot:
+        carry = GradientCarry.start(Q_block)
+    elif carry.dQ.shape != Q_block.shape:
+        raise ValueError(f"carry rows {carry.dQ.shape} != Q shape {Q_block.shape}")
+    _backward_tiles(Q_block, K_block, V_block, L_full, D_full, dO_block, scale, tile_rows,
+                    dK_acc, dV_acc, carry.dQ)
+    if one_shot:
+        carry.close(dQ_acc, scale)
+    return out
+
+
+def _backward_tiles(Q, K, V, L_full, D_full, dO, scale, tile_rows, dK_acc, dV_acc, dQ):
+    """The tile loop of blockwise_attention_backward: dK and dV rows into
+    their accumulators, the unscaled dQ into the float64 sum dQ."""
+    h, s_q, d = Q.shape
+    s_kv = K.shape[1]
+    Qs = scale * Q.astype(np.float64, copy=False)
+    dOf = dO.astype(np.float64, copy=False)
     L = L_full.astype(np.float64, copy=False)[..., None]
     D = D_full.astype(np.float64, copy=False)[..., None]
     tile = max(1, min(tile_rows, s_kv))
@@ -292,16 +374,14 @@ def blockwise_attention_backward(Q_block: np.ndarray, K_block: np.ndarray,
     k_buf = np.empty(h * tile * d)
     v_buf = np.empty(h * tile * d)
     g_buf = np.empty(h * tile * d)
-    r_buf = (None if dQ_acc.dtype == np.float64
-             else np.empty(h * max(tile, s_q) * d, dtype=dQ_acc.dtype))
+    r_buf = None if dK_acc.dtype == np.float64 else np.empty(h * tile * d, dtype=dK_acc.dtype)
     p_buf = np.empty(h * s_q * tile)
     ds_buf = np.empty(h * s_q * tile)
     dq_tile = np.empty((h, s_q, d))
-    dQ = np.zeros((h, s_q, d))
     for t0 in range(0, s_kv, tile):
         t1 = min(t0 + tile, s_kv)
-        Kt = _stage(k_buf, K_block[:, t0:t1])
-        Vt = _stage(v_buf, V_block[:, t0:t1])
+        Kt = _stage(k_buf, K[:, t0:t1])
+        Vt = _stage(v_buf, V[:, t0:t1])
         P = p_buf[:h * s_q * (t1 - t0)].reshape(h, s_q, t1 - t0)
         dS = ds_buf[:P.size].reshape(P.shape)
         G = g_buf[:Kt.size].reshape(Kt.shape)
@@ -316,9 +396,6 @@ def blockwise_attention_backward(Q_block: np.ndarray, K_block: np.ndarray,
         dQ += np.matmul(dS, Kt, out=dq_tile)
         np.matmul(dS.transpose(0, 2, 1), Qs, out=G)
         _add_rounded(dK_acc[:, t0:t1], G, r_buf)
-    dQ *= scale
-    _add_rounded(dQ_acc, dQ, r_buf)
-    return dQ_acc, dK_acc, dV_acc
 
 
 def project(x: np.ndarray, W: np.ndarray, heads: int) -> np.ndarray:

@@ -6,15 +6,20 @@ Four strategies, all exact:
           the (Q, O, L) blocks travel around the ring. Per round the send,
           the recv, and the local blockwise kernel are all in flight at once;
           a final epilogue hop lands every (O, L) block on its owner.
-  ring    kv rotation: Q, O, L stay resident, (K, V) blocks travel n-1 times.
-  head    head parallelism: one all-to-all reshards sequence-split Q/K/V into
+  ring    kv rotation: Q, O, L stay resident, (K, V) blocks travel n-1 times
+          in pieces of one kernel tile, each fed to the kernel as it lands.
+          In the backward a block's (dK, dV) accumulator starts at the
+          worker after its owner and follows the block home piece by piece.
+  head    head parallelism: an all-to-all reshards sequence-split Q/K/V into
           head-split full-sequence tensors, attention runs locally per owned
           head, a second all-to-all restores sequence sharding. Requires the
-          head count to be divisible by the worker count. The inputs and the
-          gradients travel one head at a time, so a head's kernel overlaps
-          the next head's transfer.
-  single  ring on one worker: the same tiled kernels, and nothing travels but
-          ring's backward epilogue, which a lone worker sends to itself free.
+          head count to be divisible by the worker count. The K/V rows and
+          their gradients travel one head at a time, in pieces cut at the
+          kernel tile boundaries of the full sequence: the owner of a head
+          runs the kernel on its landed rows as they come, and sends a
+          worker's dK/dV rows as soon as the kernel has passed them.
+  single  ring on one worker: the same tiled kernels, called once per
+          phase, and nothing travels.
 
 Every send leaves as soon as its data exists. In the backward of `lvx` and
 `ring` a block's gradient accumulator (dQ; dK and dV) travels apart from its
@@ -23,7 +28,9 @@ kernel writes into the worker's own zeroed scratch, and the worker that
 receives the accumulator adds the scratch into it and sends it on. The
 kernel rounds each gradient to the accumulator dtype before it adds, and
 0 + x = x, so the sums are bit for bit those of adding into the accumulator
-directly.
+directly. A `ring` accumulator reaches the owner without the owner's
+contribution, which the owner adds last: at n <= 2 that is the same sum,
+and at n >= 3 the same terms in another order.
 
 Each strategy is one `Protocol` record in PROTOCOLS: its forward and backward
 bodies, which share one signature, and the worker-count rule; the messages
@@ -35,15 +42,18 @@ A body runs its kernels through `ctx.compute` and closes each round on its
 worker context; the round's kernel seconds, bytes and modeled wait come from
 those calls and the messages it sent and received (see
 `cluster.WorkerContext`). Bodies pass the kernels by their module-level names,
-looked up at call time, so a wrapper installed on this module sees every call.
-Every kernel call keeps the default KV tile.
+looked up at call time, so a wrapper installed on this module sees every call,
+one per piece where K/V travels in pieces. Every kernel call keeps the
+default KV tile, and a piece starts at a tile boundary of its walk, so a
+walk continued piece by piece (`carry=`) gives the one-shot call's bits.
 
 Row partitions may be uneven (sizes differ by at most one). Each link
-delivers in send order. A rotated message carries one block id, which the
-sender takes from the round index and every receive names as the id it
-expects (`ctx.recv(src, block=)`): a block's rows follow from its id, so a
-protocol bug fails loudly, naming the worker and round, instead of
-corrupting results.
+delivers in send order. A rotated message, every piece included, carries
+one block id, which the sender takes from the round index (`head`: from the
+head) and every receive names as the id it expects
+(`ctx.recv(src, block=)`): a block's rows follow from its id, so a protocol
+bug fails loudly, naming the worker and round, instead of corrupting
+results.
 Workers with empty shards participate in all collectives with zero-row
 tensors.
 """
@@ -58,12 +68,13 @@ import numpy as np
 
 from .cluster import (ClusterError, ClusterSpec, RoundTrace, TransportStats,
                       WorkerContext, spawn_cluster)
-from .kernels import (AttentionState, GradientBundle, attention_row_stats,
-                      blockwise_attention, blockwise_attention_backward, default_scale,
-                      dense_attention_backward, empty_state, merge_states,
-                      require_finite, validate_qkv)
-# no body calls the dense oracle; perfbench/tracer.py wraps it here by name
-from .kernels import dense_attention  # noqa: F401
+from .kernels import (DEFAULT_TILE_ROWS, AttentionState, GradientBundle, GradientCarry,
+                      SoftmaxCarry, attention_row_stats, blockwise_attention,
+                      blockwise_attention_backward, default_scale, empty_state,
+                      merge_states, require_finite, validate_qkv)
+# no body calls the dense oracle or the dense backward; perfbench/tracer.py
+# wraps them here by name
+from .kernels import dense_attention, dense_attention_backward  # noqa: F401
 
 
 class StrategyKind(str, Enum):
@@ -184,9 +195,11 @@ def lvx_backward(ctx: WorkerContext, shards: ShardSpec, q_i: np.ndarray,
     the accumulator of block j arrives from the predecessor, takes the
     scratch and leaves under the same id. So the round's transfers overlap
     its kernel. In round 0 the block is the worker's own, and the kernel
-    adds straight into its zeroed accumulator. The round n-1 sends deliver
-    each block to its owner, so the final receives, checked to be block
-    (i - n) mod n = i, are the homecoming. Returns (dQ_i, dK_i, dV_i)."""
+    adds straight into its zeroed accumulator. The round n-1 accumulator
+    sends deliver each dQ to its owner, so the final receive, checked to be
+    block (i - n) mod n = i, is the homecoming; the read-only part, which
+    the owner already holds, stays put in round n-1. Returns
+    (dQ_i, dK_i, dV_i)."""
     n, i = ctx.n, ctx.rank
     dtype = q_i.dtype
 
@@ -198,7 +211,8 @@ def lvx_backward(ctx: WorkerContext, shards: ShardSpec, q_i: np.ndarray,
     dq_scratch = _scratch(q_i, shards.q_sizes)
     for r in range(n):
         j = (i - r) % n
-        ctx.send(ctx.successor, ro, block=j)
+        if r < n - 1:
+            ctx.send(ctx.successor, ro, block=j)
         dq = _zeroed(dq_scratch, ro["Q"].shape[1]) if r else acc
         ctx.compute(blockwise_attention_backward, ro["Q"], k_i, v_i, ro["L"], ro["D"],
                     ro["dO"], scale, out=(dq, dk, dv))
@@ -206,27 +220,65 @@ def lvx_backward(ctx: WorkerContext, shards: ShardSpec, q_i: np.ndarray,
             acc = ctx.recv(ctx.predecessor, block=j)["dQ"]
             acc += dq
         ctx.send(ctx.successor, {"dQ": acc}, block=j)
-        ro = ctx.recv(ctx.predecessor, block=(j - 1) % n)
+        if r < n - 1:
+            ro = ctx.recv(ctx.predecessor, block=(j - 1) % n)
         ctx.close_round()
     return ctx.recv(ctx.predecessor, block=i)["dQ"], dk, dv
 
 
+def _pieces(a: int, b: int) -> list[tuple[int, int]]:
+    """Rows [a, b) cut at the multiples of the kernel tile DEFAULT_TILE_ROWS:
+    the pieces in which a K/V block, or its gradient, travels and meets the
+    kernel. An empty range is one empty piece, so a block is never less
+    than one message."""
+    cuts = [a, *range((a // DEFAULT_TILE_ROWS + 1) * DEFAULT_TILE_ROWS, b, DEFAULT_TILE_ROWS), b]
+    return list(zip(cuts, cuts[1:]))
+
+
+def _send_own_pieces(ctx: WorkerContext, k_i: np.ndarray, v_i: np.ndarray) -> None:
+    """Ring round 0's sends: the worker's own K/V block to the successor, in
+    pieces, all before the round's kernel."""
+    for a, b in _pieces(0, k_i.shape[1]) if ctx.n > 1 else ():
+        ctx.send(ctx.successor, {"K": k_i[:, a:b], "V": v_i[:, a:b]}, block=ctx.rank)
+
+
+def _received_pieces(ctx: WorkerContext, shards: ShardSpec, r: int):
+    """Yield (a, b, {"K", "V"}) for the pieces of ring round r's block
+    j = i-r, rows [a, b) of the block, as they arrive from the predecessor
+    (r >= 1). Each goes on to the successor before it is yielded, except in
+    the last round."""
+    j = (ctx.rank - r) % ctx.n
+    for a, b in _pieces(0, shards.kv_sizes[j]):
+        kv = ctx.recv(ctx.predecessor, block=j)
+        if r < ctx.n - 1:
+            ctx.send(ctx.successor, kv, block=j)
+        yield a, b, kv
+
+
 def ring_forward(ctx: WorkerContext, shards: ShardSpec, q_i: np.ndarray,
                  k_i: np.ndarray, v_i: np.ndarray, scale: float) -> AttentionState:
-    """KV-rotation forward: Q/O/L stay resident, (K, V) blocks shift n-1 times;
-    each round's shift overlaps the blockwise kernel on the block in hand."""
-    n, i = ctx.n, ctx.rank
+    """KV-rotation forward: Q/O/L stay resident, (K, V) blocks shift n-1 times
+    in pieces of one kernel tile.
 
-    kv = {"K": k_i, "V": v_i}
-    for r in range(n):
-        if r < n - 1:
-            ctx.send(ctx.successor, kv, block=(i - r) % n)
-        delta = ctx.compute(blockwise_attention, q_i, kv["K"], kv["V"], scale)
-        # round 0's state is taken as is: merging it into the empty state
-        # would only copy it
-        state = delta if r == 0 else merge_states(state, delta)
-        if r < n - 1:
-            kv = ctx.recv(ctx.predecessor, block=(i - r - 1) % n)
+    Round r handles block j = i-r. In round 0 the worker sends its own
+    block's pieces and runs the kernel on the whole block while they are in
+    flight. In a later round each piece goes on as it arrives and meets the
+    kernel at once, continuing the block's softmax carry, so a piece's
+    transfer overlaps the kernel on the pieces before it. The block's state
+    then merges into the running state."""
+    n = ctx.n
+    out_dt = np.result_type(q_i, k_i, v_i)
+
+    _send_own_pieces(ctx, k_i, v_i)
+    # round 0's state is taken as is: merging it into the empty state would
+    # only copy it
+    state = ctx.compute(blockwise_attention, q_i, k_i, v_i, scale)
+    ctx.close_round()
+    for r in range(1, n):
+        carry = SoftmaxCarry.start(q_i)
+        for _, _, kv in _received_pieces(ctx, shards, r):
+            ctx.compute(blockwise_attention, q_i, kv["K"], kv["V"], scale, carry=carry)
+        state = merge_states(state, ctx.compute(carry.state, out_dt))
         ctx.close_round()
     return state
 
@@ -234,46 +286,56 @@ def ring_forward(ctx: WorkerContext, shards: ShardSpec, q_i: np.ndarray,
 def ring_backward(ctx: WorkerContext, shards: ShardSpec, q_i: np.ndarray,
                   k_i: np.ndarray, v_i: np.ndarray, state: AttentionState,
                   do_i: np.ndarray, scale: float):
-    """KV-rotation backward: each K/V block shifts n-1 times as two messages,
-    (K, V) and its (dK, dV) accumulator, while dQ accumulates locally.
+    """KV-rotation backward: each K/V block shifts n-1 times in pieces of one
+    kernel tile, and a (dK, dV) accumulator piece follows each of its pieces
+    from the owner's successor back to the owner, while dQ accumulates
+    locally.
 
-    Round r handles block j = i-r: (K, V) goes to the successor before the
-    kernel, the kernel writes dK/dV into a zeroed scratch pair, and then the
-    accumulator of block j arrives from the predecessor and takes the
-    scratch. It leaves under the same id after the kernel, so the round's
-    transfers overlap its kernel. In round 0 the block is the worker's own,
-    and the kernel adds straight into its zeroed accumulator. The last
-    round's accumulator belongs to block i+1, and an epilogue hop sends it
-    home. Returns (dQ_i, dK_i, dV_i)."""
+    Round r handles block j = i-r. In round 0 the worker sends its own
+    block's pieces, and the kernel adds the whole block's contribution into
+    the worker's zeroed dK/dV. In a later round each piece goes on as it
+    arrives and meets the kernel at once, continuing the block's dQ carry.
+    In round 1 the kernel writes the piece's contribution into a new zeroed
+    accumulator piece, which leaves for the successor as soon as its tile is
+    done. In a later round it writes into a zeroed scratch pair, and then
+    the accumulator piece arrives from the predecessor, takes the scratch
+    and goes on. The round n-1 sends reach block j's owner, so after its
+    rounds a worker receives its own block's accumulator pieces and adds
+    them to its round-0 contribution. Returns (dQ_i, dK_i, dV_i)."""
     n, i = ctx.n, ctx.rank
     dtype = q_i.dtype
 
     d_own = attention_row_stats(state, do_i).astype(dtype)
-    dq = np.zeros_like(q_i)
-    kv = {"K": k_i, "V": v_i}
-    acc = {"dK": np.zeros_like(k_i), "dV": np.zeros_like(v_i)}
-    dk_scratch, dv_scratch = _scratch(k_i, shards.kv_sizes), _scratch(v_i, shards.kv_sizes)
-    for r in range(n):
+    dq, dk, dv = np.zeros_like(q_i), np.zeros_like(k_i), np.zeros_like(v_i)
+    _send_own_pieces(ctx, k_i, v_i)
+    ctx.compute(blockwise_attention_backward, q_i, k_i, v_i, state.L, d_own, do_i, scale,
+                out=(dq, dk, dv))
+    ctx.close_round()
+    tile_rows = [min(DEFAULT_TILE_ROWS, rows) for rows in shards.kv_sizes]
+    dk_scratch, dv_scratch = _scratch(k_i, tile_rows), _scratch(v_i, tile_rows)
+    for r in range(1, n):
         j = (i - r) % n
-        if r < n - 1:
-            ctx.send(ctx.successor, kv, block=j)
-        rows = kv["K"].shape[1]
-        dk, dv = ((_zeroed(dk_scratch, rows), _zeroed(dv_scratch, rows)) if r
-                  else (acc["dK"], acc["dV"]))
-        ctx.compute(blockwise_attention_backward, q_i, kv["K"], kv["V"], state.L, d_own,
-                    do_i, scale, out=(dq, dk, dv))
-        if r:
-            acc = ctx.recv(ctx.predecessor, block=j)
-            acc["dK"] += dk
-            acc["dV"] += dv
-        if r < n - 1:
-            ctx.send(ctx.successor, acc, block=j)
-            kv = ctx.recv(ctx.predecessor, block=(j - 1) % n)
+        carry = GradientCarry.start(q_i)
+        for a, b, kv in _received_pieces(ctx, shards, r):
+            if r == 1:
+                grads = {"dK": np.zeros_like(kv["K"]), "dV": np.zeros_like(kv["V"])}
+            else:
+                grads = {"dK": _zeroed(dk_scratch, b - a), "dV": _zeroed(dv_scratch, b - a)}
+            ctx.compute(blockwise_attention_backward, q_i, kv["K"], kv["V"], state.L, d_own,
+                        do_i, scale, out=(dq, grads["dK"], grads["dV"]), carry=carry)
+            if r > 1:
+                acc = ctx.recv(ctx.predecessor, block=j)
+                acc["dK"] += grads["dK"]
+                acc["dV"] += grads["dV"]
+                grads = acc
+            ctx.send(ctx.successor, grads, block=j)
+        ctx.compute(carry.close, dq, scale)
         ctx.close_round()
-    # acc now belongs to block i+1; send it home
-    ctx.send(ctx.successor, acc, block=(i + 1) % n)
-    got = ctx.recv(ctx.predecessor, block=i)
-    return dq, got["dK"], got["dV"]
+    for a, b in _pieces(0, k_i.shape[1]) if n > 1 else ():
+        got = ctx.recv(ctx.predecessor, block=i)
+        dk[:, a:b] += got["dK"]
+        dv[:, a:b] += got["dV"]
+    return dq, dk, dv
 
 
 @dataclass(frozen=True)
@@ -293,26 +355,55 @@ def head_parallel_forward(ctx: WorkerContext, shards: ShardSpec, q_i: np.ndarray
     """All-to-all from sequence sharding to head sharding, local attention on
     the owned heads over the full sequence, all-to-all back.
 
-    The first all-to-all goes out as one per owned head, all posted before
-    the first receive: head k's kernel runs while head k+1 is in flight."""
-    n = ctx.n
+    Each worker sends its rows of every head to the head's owner, the K/V
+    rows as pieces cut at the kernel tile boundaries of the full sequence
+    and the Q rows on the first piece, all posted before the first receive.
+    The owner writes each piece into the gathered head; once every source's
+    first piece has landed, it runs the kernel on each new tile-aligned
+    prefix of landed rows, continuing the head's softmax carry. So a head's
+    kernel overlaps the transfer of its later pieces and of the next head."""
+    n, i = ctx.n, ctx.rank
     hpw = q_i.shape[0] // n
+    ka = shards.kv_ranges[i][0]
+    own = [(a - ka, b - ka) for a, b in _pieces(*shards.kv_ranges[i])]
     for k in range(hpw):
-        ctx.all_to_all_send([{"Q": q_i[w * hpw + k][None], "K": k_i[w * hpw + k][None],
-                              "V": v_i[w * hpw + k][None]} for w in range(n)])
+        for w in range(n):
+            head = w * hpw + k
+            for p, (a, b) in enumerate(own):
+                piece = {"K": k_i[head, a:b][None], "V": v_i[head, a:b][None]}
+                ctx.send(w, {"Q": q_i[head][None], **piece} if p == 0 else piece, block=k)
     d, s_q, s_kv = q_i.shape[2], shards.q_ranges[-1][1], shards.kv_ranges[-1][1]
     full = {cls: np.empty((hpw, rows, d), dtype=t.dtype)
             for cls, rows, t in (("Q", s_q, q_i), ("K", s_kv, k_i), ("V", s_kv, v_i))}
     out_dt = np.result_type(q_i, k_i, v_i)
     st = AttentionState(O=np.empty((hpw, s_q, d), out_dt), L=np.empty((hpw, s_q), out_dt))
+    # every piece in sequence order, and the order they are received in:
+    # each source's first, which carries its Q rows, then the rest
+    seq = [(w, a, b) for w, rows in enumerate(shards.kv_ranges) for a, b in _pieces(*rows)]
+    firsts = [x for x, (w, _, _) in enumerate(seq) if x == 0 or seq[x - 1][0] != w]
+    order = firsts + [x for x in range(len(seq)) if x not in firsts]
     for k in range(hpw):
-        head = slice(k, k + 1)
-        received = ctx.all_to_all_recv()
-        for cls, t in full.items():
-            _gather(received, cls, 1, out=t[head])
-        head_st = ctx.compute(blockwise_attention, full["Q"][head], full["K"][head],
-                              full["V"][head], scale)
-        st.O[head], st.L[head] = head_st.O, head_st.L
+        q, kh, vh = (full[cls][k:k + 1] for cls in ("Q", "K", "V"))
+        carry = SoftmaxCarry.start(q)
+        landed = [False] * len(seq)
+        prefix = done = 0
+        for count, x in enumerate(order, 1):
+            w, a, b = seq[x]
+            got = ctx.recv(w, block=k)
+            if count <= n:
+                q[:, slice(*shards.q_ranges[w])] = got["Q"]
+            kh[:, a:b], vh[:, a:b] = got["K"], got["V"]
+            landed[x] = True
+            while prefix < len(seq) and landed[prefix]:
+                prefix += 1
+            end = seq[prefix - 1][2]
+            end = end if end == s_kv else end - end % DEFAULT_TILE_ROWS
+            if count >= n and end > done:
+                ctx.compute(blockwise_attention, q, kh[:, done:end], vh[:, done:end], scale,
+                            carry=carry)
+                done = end
+        head_st = ctx.compute(carry.state, out_dt)
+        st.O[k], st.L[k] = head_st.O[0], head_st.L[0]
 
     received = ctx.all_to_all([{"O": st.O[:, a:b], "L": st.L[:, a:b]}
                                for a, b in shards.q_ranges])
@@ -324,31 +415,56 @@ def head_parallel_forward(ctx: WorkerContext, shards: ShardSpec, q_i: np.ndarray
 def head_parallel_backward(ctx: WorkerContext, shards: ShardSpec, q_i: np.ndarray,
                            k_i: np.ndarray, v_i: np.ndarray, state: _HeadSplitState,
                            do_i: np.ndarray, scale: float):
-    """Mirror image of the forward: all-to-all dO to head sharding, local dense
-    backward on owned heads, all-to-all dQ/dK/dV back to sequence sharding.
+    """Mirror image of the forward: all-to-all dO to head sharding, the
+    backward kernel on each owned head over the full sequence, and dQ, dK
+    and dV back to sequence sharding.
 
-    The backward runs one owned head at a time, and each head's dQ, dK and
-    dV leave as their own all-to-all as soon as that head is done."""
-    n = ctx.n
+    The kernel walks an owned head one kernel tile at a time, continuing the
+    head's dQ carry, and each worker's dK/dV rows leave for it as soon as
+    the walk has passed them, as pieces cut at the tile boundaries. A
+    worker's last piece waits for the end of the head and carries its dQ
+    rows."""
+    n, i = ctx.n, ctx.rank
     q_full, k_full, v_full, st = state.saved
     hpw = q_full.shape[0]
+    out_dt = np.result_type(q_full, k_full, v_full)
 
     received = ctx.all_to_all([{"dO": do_i[w * hpw:(w + 1) * hpw]} for w in range(n)])
     do_full = _gather(received, "dO", 1)
-
+    dests = [_pieces(*rows) for rows in shards.kv_ranges]
     for k in range(hpw):
         head = slice(k, k + 1)
-        gb = ctx.compute(dense_attention_backward, q_full[head], k_full[head], v_full[head],
-                         st.O[head], st.L[head], do_full[head], scale)
-        ctx.all_to_all_send([{"dQ": gb.dQ[:, qa:qb], "dK": gb.dK[:, ka:kb],
-                              "dV": gb.dV[:, ka:kb]}
-                             for (qa, qb), (ka, kb) in zip(shards.q_ranges,
-                                                           shards.kv_ranges)])
-    by_head = [ctx.all_to_all_recv() for _ in range(hpw)]
+        q, do = q_full[head], do_full[head]
+        d_head = attention_row_stats(AttentionState(O=st.O[head], L=st.L[head]), do)
+        dq, dk, dv = (np.zeros(t[head].shape, out_dt) for t in (q_full, k_full, v_full))
+        carry = GradientCarry.start(q)
+        sent = [0] * n
+        for t0, t1 in _pieces(0, k_full.shape[1]):
+            ctx.compute(blockwise_attention_backward, q, k_full[head, t0:t1],
+                        v_full[head, t0:t1], st.L[head], d_head, do, scale,
+                        out=(dq, dk[:, t0:t1], dv[:, t0:t1]), carry=carry)
+            for w, pieces in enumerate(dests):
+                while sent[w] < len(pieces) - 1 and pieces[sent[w]][1] <= t1:
+                    a, b = pieces[sent[w]]
+                    ctx.send(w, {"dK": dk[:, a:b], "dV": dv[:, a:b]}, block=k)
+                    sent[w] += 1
+        ctx.compute(carry.close, dq, scale)
+        for w, ((qa, qb), pieces) in enumerate(zip(shards.q_ranges, dests)):
+            a, b = pieces[-1]
+            ctx.send(w, {"dQ": dq[:, qa:qb], "dK": dk[:, a:b], "dV": dv[:, a:b]}, block=k)
+
+    ka = shards.kv_ranges[i][0]
+    grads = {cls: np.empty(t.shape, out_dt) for cls, t in (("dQ", q_i), ("dK", k_i), ("dV", v_i))}
+    for k in range(hpw):
+        for w in range(n):
+            head = w * hpw + k
+            for a, b in dests[i]:
+                got = ctx.recv(w, block=k)
+                grads["dK"][head, a - ka:b - ka] = got["dK"][0]
+                grads["dV"][head, a - ka:b - ka] = got["dV"][0]
+            grads["dQ"][head] = got["dQ"][0]
     ctx.close_round()
-    # source w's heads are w*hpw + k: order the parts source first, head second
-    return tuple(np.concatenate([by_head[k][w][cls] for w in range(n) for k in range(hpw)])
-                 for cls in ("dQ", "dK", "dV"))
+    return grads["dQ"], grads["dK"], grads["dV"]
 
 
 @dataclass(frozen=True)

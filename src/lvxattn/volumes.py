@@ -14,25 +14,33 @@ and D row statistics). Its rows are those of one block along its `axis`:
 |q_j| or |kv_j| for block j, indices mod n, b bytes per element. On worker
 i the hop fires as its `when` says:
 
-  ROUND     in ring round r = 0..n-1 (0..n-2 with `skips_last_round`) it sends
-            block i-r+offset to the successor
+  ROUND     in ring round r = 0..n-1 it sends block i-r+offset to the
+            successor; `skips_last_round` drops round n-1 and
+            `skips_first_round` round 0
   EPILOGUE  once after the rounds, sending block i+offset to the successor
   OWN       an all-to-all in round 0: to every other worker, worker i's own
             rows of h/n heads
   PEER      an all-to-all in round 0: to every other worker w, w's rows of
             h/n heads
 
-The ROUND hops of one round travel as one message, except in the backward
-of `lvx` and `ring`, where each is a message of its own: the read-only part
-(Q, dO, L, D or K, V) leaves before the round's kernel and the gradient
-accumulator (dQ or dK, dV) after it. The OWN or PEER hops of `head` travel
-as one message to each worker, except its forward Q, K, V and its backward
-dQ, dK, dV, which go out as one message per head.
+How a hop is cut into messages changes no byte count. The ROUND hops of
+one `lvx` forward round travel as one message. In the `lvx` backward each
+is a message of its own: the read-only part (Q, dO, L, D) leaves before the
+round's kernel and the dQ accumulator after it. `ring` and `head` move K/V
+and dK/dV in pieces of one kernel tile (`kernels.DEFAULT_TILE_ROWS` rows),
+one message each; a block within one tile is one message. A `ring` (dK, dV)
+piece leaves as soon as its tile is done. The `head` forward sends, per
+head, the Q rows on the first K/V piece; the `head` backward sends a
+worker's dQ rows on its last dK/dV piece. Its other OWN and PEER hops,
+the forward O, L and the backward dO, travel as one message to each worker.
 
 So query rotation forward sends (|q_{i-r+1}| (h*d + h) + |q_{i-r}| h*d) b in
 round r (the O, L just finished plus the Q in flight) and |q_{i+1}| (h*d + h) b
-home in its epilogue; head parallelism gathers (n-1) (|q_i| + 2 |kv_i|) (h/n) d b
-and scatters sum_{w != i} |q_w| (h/n) (d + 1) b forward.
+home in its epilogue; kv rotation backward sends 4 |kv_{i-r}| h*d b per round,
+(K, V) in rounds 0..n-2 and the (dK, dV) accumulator in rounds 1..n-1, as
+the accumulator of block j starts at worker j+1 and ends at its owner;
+head parallelism gathers (n-1) (|q_i| + 2 |kv_i|) (h/n) d b and scatters
+sum_{w != i} |q_w| (h/n) (d + 1) b forward.
 """
 
 from __future__ import annotations
@@ -58,17 +66,18 @@ class Hop:
     when: str                       # ROUND, EPILOGUE, OWN or PEER
     offset: int = 0
     skips_last_round: bool = False
+    skips_first_round: bool = False
 
 
 HOPS = {
     ("lvx", "forward"): (Hop(("O", "L"), "q", ROUND, offset=1), Hop(("Q",), "q", ROUND),
                          Hop(("O", "L"), "q", EPILOGUE, offset=1)),
-    # the round n-1 sends double as the homecoming hops
-    ("lvx", "backward"): (Hop(("Q", "dO", "L", "D"), "q", ROUND), Hop(("dQ",), "q", ROUND)),
+    # the round n-1 accumulator sends double as the homecoming hops
+    ("lvx", "backward"): (Hop(("Q", "dO", "L", "D"), "q", ROUND, skips_last_round=True),
+                          Hop(("dQ",), "q", ROUND)),
     ("ring", "forward"): (Hop(("K", "V"), "kv", ROUND, skips_last_round=True),),
     ("ring", "backward"): (Hop(("K", "V"), "kv", ROUND, skips_last_round=True),
-                           Hop(("dK", "dV"), "kv", ROUND, skips_last_round=True),
-                           Hop(("dK", "dV"), "kv", EPILOGUE, offset=1)),
+                           Hop(("dK", "dV"), "kv", ROUND, skips_first_round=True)),
     ("head", "forward"): (Hop(("Q",), "q", OWN), Hop(("K", "V"), "kv", OWN),
                           Hop(("O", "L"), "q", PEER)),
     ("head", "backward"): (Hop(("dO",), "q", OWN), Hop(("dQ",), "q", PEER),
@@ -91,7 +100,8 @@ def sent_by_class(strategy: str, phase: str, i: int, r: int | None, q_sizes, kv_
     out = {}
     for hop in HOPS[(strategy, phase)]:
         rows = sizes[hop.axis]
-        if hop.when == ROUND and r is not None and r < n - hop.skips_last_round:
+        if (hop.when == ROUND and r is not None
+                and hop.skips_first_round <= r < n - hop.skips_last_round):
             messages = [((i + 1) % n, rows[(i - r + hop.offset) % n], h)]
         elif hop.when == EPILOGUE and r is None:
             messages = [((i + 1) % n, rows[(i + hop.offset) % n], h)]

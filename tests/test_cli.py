@@ -169,6 +169,25 @@ class TestRun:
                                          {"f64": 8, "f32": 4}[dtype], backward, n=n)
         assert peak <= guard
 
+    @pytest.mark.parametrize("backward", [False, True])
+    @pytest.mark.parametrize("strategy,n", [("lvx", 2), ("ring", 2), ("ring", 3), ("head", 2)])
+    def test_numeric_guard_bounds_many_piece_peak(self, tmp_path, strategy, n, backward):
+        # S_KV = 2100: every K/V block spans at least four 256-row pieces, so
+        # the messages' Python objects outweigh the tiny tensors
+        s_q, s_kv, h, d = 8, 2100, 2, 4
+        args = ["run", "--strategy", strategy, "--n", str(n), "--sq", str(s_q),
+                "--skv", str(s_kv), "--h", str(h), "--d", str(d), "--dtype", "f32",
+                "--out-dir", str(tmp_path)] + (["--backward"] if backward else [])
+        assert run_cli(*args) == 0
+        tracemalloc.start()
+        try:
+            assert run_cli(*args) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        guard = cli._numeric_working_set(strategy, s_q, s_kv, h, d, 4, backward, n=n)
+        assert peak <= guard
+
     @pytest.mark.parametrize("latency", ["nan", "inf"])
     def test_non_finite_latency_is_usage_error(self, monkeypatch, tmp_path, capsys, latency):
         def no_spawn(*args, **kwargs):

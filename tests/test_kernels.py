@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from lvxattn.kernels import (AttentionState, blockwise_attention,
-                             blockwise_attention_backward, dense_attention,
-                             dense_attention_backward, empty_state, merge_states,
-                             project, project_backward)
+from lvxattn.kernels import (AttentionState, GradientCarry, SoftmaxCarry,
+                             blockwise_attention, blockwise_attention_backward,
+                             dense_attention, dense_attention_backward, empty_state,
+                             merge_states, project, project_backward)
 from lvxattn.tensorio import seeded_random_tensor
 from lvxattn.verify import (gradient_oracle, max_norm_error,
                             untiled_backward_reference)
@@ -407,3 +407,58 @@ def test_attention_state_invariants():
         AttentionState(O=np.zeros((1, 2, 3)), L=np.zeros((1, 3)))
     st = empty_state(2, 4, 3)
     assert np.all(st.O[np.isneginf(st.L)] == 0.0)
+
+
+# (tile_rows, S_KV, piece sizes): one, two and three tile-aligned pieces,
+# with one piece of exactly one tile and one ending in a short tail tile
+CARRY_CASES = [(7, 25, (25,)), (7, 25, (7, 18)), (7, 25, (14, 7, 4)),
+               (256, 600, (600,)), (256, 600, (256, 344)), (256, 600, (512, 88)),
+               (256, 600, (256, 256, 88))]
+
+
+def _pieces(sizes):
+    starts = np.cumsum((0,) + sizes)
+    return list(zip(starts[:-1], starts[1:]))
+
+
+class TestCarry:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("tile_rows,s_kv,sizes", CARRY_CASES)
+    def test_forward_pieces_match_one_shot_bitwise(self, dtype, tile_rows, s_kv, sizes):
+        Q, K, V = (t.astype(dtype) for t in rand_qkv(2, 5, s_kv, 4, seed=60))
+        one_shot = blockwise_attention(Q, K, V, tile_rows=tile_rows)
+        carry = SoftmaxCarry.start(Q)
+        for a, b in _pieces(sizes):
+            assert blockwise_attention(Q, K[:, a:b], V[:, a:b], tile_rows=tile_rows,
+                                       carry=carry) is carry
+        got = carry.state(dtype)
+        assert got.O.dtype == dtype
+        assert got.O.tobytes() == one_shot.O.tobytes()
+        assert got.L.tobytes() == one_shot.L.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("tile_rows,s_kv,sizes", CARRY_CASES)
+    def test_backward_pieces_match_one_shot_bitwise(self, dtype, tile_rows, s_kv, sizes):
+        Q, K, V, L, D, dO = (t.astype(dtype) for t in
+                             backward_block_inputs(5, s_kv, seed=61))
+        one_shot = blockwise_attention_backward(Q, K, V, L, D, dO, 0.3, tile_rows)
+        dq, dk, dv = (np.zeros_like(t) for t in (Q, K, V))
+        carry = GradientCarry.start(Q)
+        for a, b in _pieces(sizes):
+            blockwise_attention_backward(Q, K[:, a:b], V[:, a:b], L, D, dO, 0.3, tile_rows,
+                                         out=(dq, dk[:, a:b], dv[:, a:b]), carry=carry)
+        assert not dq.any()         # dQ waits for the carry to close
+        carry.close(dq, 0.3)
+        for got, ref in zip((dq, dk, dv), one_shot):
+            assert got.dtype == dtype and got.tobytes() == ref.tobytes()
+
+    def test_carry_without_rows_is_the_empty_state(self):
+        Q, K, V = rand_qkv(2, 3, 0, 4, seed=62)
+        carry = blockwise_attention(Q, K, V, carry=SoftmaxCarry.start(Q))
+        got, empty = carry.state(np.float32), empty_state(2, 3, 4, np.float32)
+        assert got.O.tobytes() == empty.O.tobytes() and got.L.tobytes() == empty.L.tobytes()
+
+    def test_carry_for_other_query_rows_rejected(self):
+        Q, K, V = rand_qkv(2, 3, 8, 4, seed=63)
+        with pytest.raises(ValueError, match="carry rows"):
+            blockwise_attention(Q, K, V, carry=SoftmaxCarry.start(Q[:, :2]))

@@ -10,7 +10,7 @@ import pytest
 from lvxattn import cluster, strategies, volumes
 from lvxattn.cluster import (ClusterError, ClusterSpec, CollectiveTimeout, Throttled,
                              WorkerFailed, spawn_cluster)
-from lvxattn.kernels import dense_attention
+from lvxattn.kernels import DEFAULT_TILE_ROWS, dense_attention
 from lvxattn.strategies import (ShardSpec, lvx_forward, partition_rows,
                                 run_distributed)
 from lvxattn.tensorio import seeded_random_tensor
@@ -152,6 +152,20 @@ class TestVolumes:
         res = run_distributed("ring", Q, K, V, spec=ClusterSpec(n))
         for i in range(n):
             assert res.stats.bytes_sent_by(i) == expected
+
+    def test_ring_backward_even_shards_match_spec_formula(self):
+        # blocks of 600 rows travel as three pieces; no epilogue hop
+        n, h, d, b = 3, 2, 5, 8
+        s_q, s_kv = 6, 1800
+        kv = s_kv // n
+        expected = (n - 1) * 4 * kv * h * d * b
+        Q, K, V, dO = rand_problem(h, s_q, s_kv, d, seed=37)
+        res = run_distributed("ring", Q, K, V, dO=dO, spec=ClusterSpec(n))
+        for i in range(n):
+            assert res.traces_backward[i].total_sent_bytes() == expected
+            assert res.traces_backward[i].epilogue_bytes_by_class == {}
+        assert volumes.bytes_by_worker("ring", "backward", [s_q // n] * n, [kv] * n,
+                                       h, d, b) == [expected] * n
 
     def test_uneven_shards_counters_match_closed_form(self):
         n, h, d, b = 3, 2, 4, 8
@@ -411,14 +425,25 @@ def test_worker_memory_flat_in_n(strategy, dtype):
     assert two_workers <= one_worker + in_flight
 
 
-# The backward kernel is held to a fixed 50 ms, so that the wall times show
-# the schedule and not the host's BLAS speed, and the link moves one round's
-# bytes in that time. Sending the read-only part before the kernel and the
-# accumulator after it makes a round cost max(kernel, link): at n = 2 the
-# throttled backward then takes 1.17 (lvx) and 1.25 (ring) times the instant
-# one, for the homecoming dQ (a third of a round's bytes) and the (dK, dV)
-# epilogue (half of them) cannot overlap a kernel. Sending a whole block
-# after the kernel costs kernel + link per round, about 2.0 and 1.75.
+def _fixed_time(kernel, seconds):
+    """kernel, held to at least `seconds` per call, so that wall times show
+    the schedule and not the host's BLAS speed."""
+    def fixed_time_kernel(*args, **kwargs):
+        t0 = time.perf_counter()
+        out = kernel(*args, **kwargs)
+        time.sleep(max(0.0, seconds - (time.perf_counter() - t0)))
+        return out
+    return fixed_time_kernel
+
+
+# The backward kernel is held to a fixed 50 ms, and the link moves one
+# round's bytes in that time. Sending the read-only part before the kernel
+# and the accumulator after it makes a round cost max(kernel, link): at
+# n = 2 the throttled backward then takes 1.17 (lvx) and 1.25 (ring) times
+# the instant one, for the homecoming dQ (a third of a round's bytes) and
+# the homecoming (dK, dV) (half of them) cannot overlap a kernel. Sending a
+# whole block after the kernel costs kernel + link per round, about 2.0 and
+# 1.75.
 BACKWARD_KERNEL_S = 0.05
 BACKWARD_OVERLAP_BOUND = 1.5
 
@@ -428,14 +453,8 @@ def test_backward_transfer_overlaps_kernel(monkeypatch, strategy):
     n, h, d = 2, 2, 8
     s_q, s_kv = 16 * n, 64 * n
     Q, K, V, dO = rand_problem(h, s_q, s_kv, d, seed=35)
-    kernel = strategies.blockwise_attention_backward
-
-    def fixed_time_kernel(*args, **kwargs):
-        t0 = time.perf_counter()
-        out = kernel(*args, **kwargs)
-        time.sleep(max(0.0, BACKWARD_KERNEL_S - (time.perf_counter() - t0)))
-        return out
-
+    fixed_time_kernel = _fixed_time(strategies.blockwise_attention_backward,
+                                    BACKWARD_KERNEL_S)
     kind = strategies.StrategyKind(strategy)
     protocol = strategies.PROTOCOLS[kind]
     walls = {}
@@ -461,6 +480,37 @@ def test_backward_transfer_overlaps_kernel(monkeypatch, strategy):
         throttled.append(backward_wall(link))
     ratio = float(np.median(throttled) / np.median(instant))
     assert ratio <= BACKWARD_OVERLAP_BOUND, f"{strategy} backward wall ratio {ratio:.3f}"
+
+
+# Ring at n = 2 with blocks of four 256-row pieces: every kernel call is
+# held to 10 ms and the link moves one K/V block in T = 100 ms, so the link
+# sets the pace. Each piece meets the kernel as it lands and each (dK, dV)
+# piece leaves as its tile is done, from the owner's successor, so a
+# forward+backward takes about 3.1 T: the forward 1.1 T, the backward's
+# K/V 1 T and the (dK, dV) queued behind it 1 T. Whole-block messages, with
+# the accumulator starting at its owner and an epilogue hop home, take
+# about 4.2 T.
+PIECE_KERNEL_S = 0.01
+LINK_BLOCK_S = 0.1
+RING_LINK_FLOOR_BOUND = 3.5
+
+
+def test_ring_step_streams_pieces_at_link_pace(monkeypatch):
+    n, h, d = 2, 1, 8
+    s_q, s_kv = 8 * n, 4 * DEFAULT_TILE_ROWS * n
+    Q, K, V, dO = rand_problem(h, s_q, s_kv, d, seed=36)
+    for name in ("blockwise_attention", "blockwise_attention_backward"):
+        monkeypatch.setattr(strategies, name,
+                            _fixed_time(getattr(strategies, name), PIECE_KERNEL_S))
+    block_bytes = 2 * (s_kv // n) * h * d * 8
+    link = Throttled(bandwidth=block_bytes / LINK_BLOCK_S)
+    walls = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        run_distributed("ring", Q, K, V, dO=dO, spec=ClusterSpec(n, link))
+        walls.append(time.perf_counter() - t0)
+    ratio = float(np.median(walls)) / LINK_BLOCK_S
+    assert ratio <= RING_LINK_FLOOR_BOUND, f"ring step took {ratio:.2f} T"
 
 
 def _failure_of(*args, **kwargs) -> WorkerFailed:
@@ -563,35 +613,12 @@ def test_stalled_worker_times_out_naming_rank_and_src(monkeypatch):
     assert "worker 0: recv(src=1) timed out after 1.0s" in str(err.cause)
 
 
-# (strategy, backward, index, receive, round, expected): with n = 3 the
-# forward of lvx sends messages 0-3 on each link (message 3 is its epilogue)
-# and that of ring messages 0-1, so ring's backward starts at message 2 and
-# lvx's at message 4. A backward round sends two messages, the read-only part
-# before the kernel and the accumulator after it: on link 0->1, lvx sends
-# (Q, dO, L, D) of blocks 0, 2, 1 as messages 4, 6, 8 and their dQ as 5, 7, 9;
-# ring sends (K, V) of blocks 0, 2 as messages 2, 4, their (dK, dV) as 3, 5,
-# and the (dK, dV) of block 1 home as its epilogue, message 6. Each row
-# rewrites the block id of message `index` on link 0->1, which worker 1
-# reads at `receive`: an accumulator in the round after it was sent, and a
-# read-only part at the end of the round it was sent in. A receive after
-# the phase's n rounds falls in round n.
-@pytest.mark.parametrize("strategy,backward,index,receive,round_index,expected", [
-    ("lvx", False, 0, "worker 1 round 0", 0, 0),
-    ("lvx", False, 3, "worker 1 epilogue", 3, 1),
-    ("lvx", True, 5, "worker 1 backward round 1, dQ", 1, 0),
-    ("lvx", True, 8, "worker 1 backward round 2", 2, 1),
-    ("lvx", True, 9, "worker 1 backward homecoming, dQ", 3, 1),
-    ("ring", False, 0, "worker 1 round 0", 0, 0),
-    ("ring", True, 2, "worker 1 backward round 0", 0, 0),
-    ("ring", True, 3, "worker 1 backward round 1, dK and dV", 1, 0),
-    ("ring", True, 6, "worker 1 backward epilogue", 3, 1),
-])
-def test_wrong_block_id_fails_naming_expected_block(monkeypatch, strategy, backward, index,
-                                                    receive, round_index, expected):
+def _relabeled_failure(monkeypatch, strategy, backward, index, s_kv, n=3):
+    """The failure of an n-worker run whose message `index` on link 0->1
+    carries its block id plus n."""
     monkeypatch.setenv("LVX_TIMEOUT_SECS", "5")
     send = cluster.Cluster.send
     sends = {}
-    n = 3
 
     def relabeling_send(self, src, dst, payload, block=None):
         if (src, dst, next(sends.setdefault((src, dst), itertools.count()))) == (0, 1, index):
@@ -599,9 +626,63 @@ def test_wrong_block_id_fails_naming_expected_block(monkeypatch, strategy, backw
         return send(self, src, dst, payload, block=block)
 
     monkeypatch.setattr(cluster.Cluster, "send", relabeling_send)
-    Q, K, V, dO = rand_problem(2, 7, 8, 3, seed=34)
+    Q, K, V, dO = rand_problem(6, 7, s_kv, 3, seed=34)
     err = _failure_of(strategy, Q, K, V, dO=dO if backward else None, spec=ClusterSpec(n))
     assert err.worker == 1
     assert type(err.cause) is ClusterError
-    assert str(err.cause) == (f"worker 1 round {round_index}: recv(src=0) "
-                              f"expected block {expected}, got {expected + n}"), receive
+    return str(err.cause)
+
+
+# (strategy, backward, index, receive, round, expected, n): with S_KV = 8
+# every K/V block is one piece. With n = 3 the rest of this comment holds. The forward of lvx sends messages
+# 0-3 on each link (message 3 is its epilogue) and that of ring messages
+# 0-1, so ring's backward starts at message 2 and lvx's at message 4. An lvx
+# backward round sends the read-only part before the kernel, except in the
+# last round, and the accumulator after it: on link 0->1, (Q, dO, L, D) of
+# blocks 0, 2 as messages 4, 6 and the dQ of blocks 0, 2, 1 as 5, 7, 8, the
+# last one home. Ring sends (K, V) of blocks 0, 2 as messages 2, 3, the
+# (dK, dV) of block 2, which starts at worker 0, as 4, and that of block 1
+# home as 5. Each row rewrites the block id of message `index` on link
+# 0->1, which worker 1 reads at `receive`: a ring piece in the round that
+# computes it, an lvx accumulator in the round after it was sent and an lvx
+# read-only part at the end of the round it was sent in. A receive after the
+# phase's n rounds falls in round n. With n = 4 the lvx backward starts at
+# message 5 and sends the read-only part of blocks 0, 3, 2 as messages 5, 7,
+# 9, so a read-only part also lands in a round after the first.
+@pytest.mark.parametrize("strategy,backward,index,receive,round_index,expected,n", [
+    ("lvx", False, 0, "worker 1 round 0", 0, 0, 3),
+    ("lvx", False, 3, "worker 1 epilogue", 3, 1, 3),
+    ("lvx", True, 5, "worker 1 backward round 1, dQ", 1, 0, 3),
+    ("lvx", True, 6, "worker 1 backward round 1", 1, 2, 3),
+    ("lvx", True, 8, "worker 1 backward homecoming, dQ", 3, 1, 3),
+    ("lvx", True, 9, "worker 1 backward round 2", 2, 2, 4),
+    ("ring", False, 0, "worker 1 round 1", 1, 0, 3),
+    ("ring", True, 2, "worker 1 backward round 1", 1, 0, 3),
+    ("ring", True, 3, "worker 1 backward round 2", 2, 2, 3),
+    ("ring", True, 4, "worker 1 backward round 2, dK and dV", 2, 2, 3),
+    ("ring", True, 5, "worker 1 backward homecoming, dK and dV", 3, 1, 3),
+])
+def test_wrong_block_id_fails_naming_expected_block(monkeypatch, strategy, backward, index,
+                                                    receive, round_index, expected, n):
+    assert _relabeled_failure(monkeypatch, strategy, backward, index, s_kv=8, n=n) == (
+        f"worker 1 round {round_index}: recv(src=0) expected block {expected}, "
+        f"got {expected + n}"), receive
+
+
+# With S_KV = 1100 every block of n = 3 workers travels as two pieces, of
+# 256 rows and of the rest. On link 0->1, ring's forward sends the pieces of
+# block 0 as messages 0, 1 and forwards those of block 2 as 2, 3; its
+# backward sends block 0 as 4, 5, and in round 1 forwards each piece of
+# block 2 before the (dK, dV) piece it starts: 6, 7, 8, 9. On the same link
+# head's forward sends worker 0's two pieces of head 2 (worker 1's head
+# k = 0, block id 0) as messages 0, 1, the first with the Q rows.
+@pytest.mark.parametrize("strategy,backward,index,receive,round_index,expected", [
+    ("ring", False, 1, "worker 1 round 1, second piece", 1, 0),
+    ("ring", True, 9, "worker 1 backward round 2, second dK and dV piece", 2, 2),
+    ("head", False, 1, "worker 1 round 0, second piece", 0, 0),
+])
+def test_wrong_piece_id_fails_naming_expected_block(monkeypatch, strategy, backward, index,
+                                                    receive, round_index, expected):
+    assert _relabeled_failure(monkeypatch, strategy, backward, index, s_kv=1100) == (
+        f"worker 1 round {round_index}: recv(src=0) expected block {expected}, "
+        f"got {expected + 3}"), receive
