@@ -280,11 +280,10 @@ class RoundTrace:
 
 class WorkerContext:
     """Per-worker handle: point-to-point send/recv plus an all-to-all
-    collective, whole or as its sending and receiving halves. send is
-    non-blocking (buffered); recv(src, block=) blocks until the next message
-    that src sent this worker arrives, in send order, checks its block id
-    when one is expected, and returns its payload. A worker may have any
-    number of sends in flight while it computes.
+    collective. send is non-blocking (buffered); recv(src, block=) blocks
+    until the next message that src sent this worker arrives, in send order,
+    checks its block id when one is expected, and returns its payload. A
+    worker may have any number of sends in flight while it computes.
 
     The context also keeps the worker's round trace. Every `compute` adds the
     wall seconds of its kernel call to the open round, every send the bytes
@@ -330,22 +329,13 @@ class WorkerContext:
     def all_to_all(self, chunks: list) -> list:
         """Deliver chunk w (a payload keyed by class) to worker w; returns the
         n received payloads ordered by source id. The self-chunk takes the
-        free loopback link; its classes count 0 bytes."""
-        self.all_to_all_send(chunks)
-        return self.all_to_all_recv()
-
-    def all_to_all_send(self, chunks: list) -> None:
-        """The sending half of `all_to_all`: chunk w goes to worker w. A
-        worker may post several before it receives the first."""
+        free loopback link; its classes count 0 bytes. The round waits for
+        the slowest incoming chunk."""
         if len(chunks) != self.n:
             raise ClusterError(f"worker {self.rank}: all_to_all expects {self.n} chunks, "
                                f"got {len(chunks)}")
         for dst, chunk in enumerate(chunks):
             self.send(dst, chunk)
-
-    def all_to_all_recv(self) -> list:
-        """The receiving half of `all_to_all`: the next message from every
-        worker, ordered by source id. The round waits for the slowest."""
         msgs = [self.cluster.recv(self.rank, src) for src in range(self.n)]
         self._waited += max(msg.modeled_seconds for msg in msgs)
         return [msg.payload for msg in msgs]
@@ -386,7 +376,10 @@ def _resolve_timeout() -> float:
     """The recv timeout in seconds: the environment variable, else the
     default. It must be finite and positive."""
     timeout = os.environ.get(TIMEOUT_ENV_VAR) or DEFAULT_TIMEOUT_SECONDS
-    value = float(timeout)
+    try:
+        value = float(timeout)
+    except ValueError:
+        value = math.nan
     if not (math.isfinite(value) and value > 0):
         raise ValueError(f"{TIMEOUT_ENV_VAR} must be finite and positive seconds, "
                          f"got {timeout!r}")

@@ -7,7 +7,8 @@ Four strategies, all exact:
           the recv, and the local blockwise kernel are all in flight at once;
           a final epilogue hop lands every (O, L) block on its owner.
   ring    kv rotation: Q, O, L stay resident, (K, V) blocks travel n-1 times
-          in pieces of one kernel tile, each fed to the kernel as it lands.
+          in pieces of one kernel tile, each fed to the kernel as it lands;
+          round 0 feeds the whole own block once its pieces have left.
           In the backward a block's (dK, dV) accumulator starts at the
           worker after its owner and follows the block home piece by piece.
   head    head parallelism: an all-to-all reshards sequence-split Q/K/V into
@@ -16,8 +17,10 @@ Four strategies, all exact:
           head count to be divisible by the worker count. The K/V rows and
           their gradients travel one head at a time, in pieces cut at the
           kernel tile boundaries of the full sequence: the owner of a head
-          runs the kernel on its landed rows as they come, and sends a
-          worker's dK/dV rows as soon as the kernel has passed them.
+          reads every source's first piece, which carries the source's Q
+          rows, then the rest in sequence order, running the kernel as the
+          rows come, and sends a worker's dK/dV rows as soon as the kernel
+          has passed them.
   single  ring on one worker: the same tiled kernels, called once per
           phase, and nothing travels.
 
@@ -235,22 +238,23 @@ def _pieces(a: int, b: int) -> list[tuple[int, int]]:
     return list(zip(cuts, cuts[1:]))
 
 
-def _send_own_pieces(ctx: WorkerContext, k_i: np.ndarray, v_i: np.ndarray) -> None:
-    """Ring round 0's sends: the worker's own K/V block to the successor, in
-    pieces, all before the round's kernel."""
-    for a, b in _pieces(0, k_i.shape[1]) if ctx.n > 1 else ():
-        ctx.send(ctx.successor, {"K": k_i[:, a:b], "V": v_i[:, a:b]}, block=ctx.rank)
-
-
-def _received_pieces(ctx: WorkerContext, shards: ShardSpec, r: int):
-    """Yield (a, b, {"K", "V"}) for the pieces of ring round r's block
-    j = i-r, rows [a, b) of the block, as they arrive from the predecessor
-    (r >= 1). Each goes on to the successor before it is yielded, except in
-    the last round."""
-    j = (ctx.rank - r) % ctx.n
+def _round_pieces(ctx: WorkerContext, shards: ShardSpec, k_i: np.ndarray,
+                  v_i: np.ndarray, r: int):
+    """Yield (a, b, {"K", "V"}) for ring round r's block j = i-r, rows [a, b)
+    of the block. In round 0 the worker first sends its own block's pieces
+    to the successor, then yields the block whole. In a later round it
+    yields each piece as it arrives from the predecessor, having sent it on
+    to the successor, except in the last round."""
+    n, i = ctx.n, ctx.rank
+    if r == 0:
+        for a, b in _pieces(0, k_i.shape[1]) if n > 1 else ():
+            ctx.send(ctx.successor, {"K": k_i[:, a:b], "V": v_i[:, a:b]}, block=i)
+        yield 0, k_i.shape[1], {"K": k_i, "V": v_i}
+        return
+    j = (i - r) % n
     for a, b in _pieces(0, shards.kv_sizes[j]):
         kv = ctx.recv(ctx.predecessor, block=j)
-        if r < ctx.n - 1:
+        if r < n - 1:
             ctx.send(ctx.successor, kv, block=j)
         yield a, b, kv
 
@@ -260,25 +264,19 @@ def ring_forward(ctx: WorkerContext, shards: ShardSpec, q_i: np.ndarray,
     """KV-rotation forward: Q/O/L stay resident, (K, V) blocks shift n-1 times
     in pieces of one kernel tile.
 
-    Round r handles block j = i-r. In round 0 the worker sends its own
-    block's pieces and runs the kernel on the whole block while they are in
-    flight. In a later round each piece goes on as it arrives and meets the
-    kernel at once, continuing the block's softmax carry, so a piece's
-    transfer overlaps the kernel on the pieces before it. The block's state
-    then merges into the running state."""
-    n = ctx.n
+    Round r handles block j = i-r, fed to the kernel piece by piece as
+    `_round_pieces` yields it, continuing the block's softmax carry: in
+    round 0 the whole own block once its pieces have left, in a later round
+    each piece as it lands, so a piece's transfer overlaps the kernel on
+    the pieces before it. The block's state then merges into the running
+    state; round 0's is taken as is."""
     out_dt = np.result_type(q_i, k_i, v_i)
-
-    _send_own_pieces(ctx, k_i, v_i)
-    # round 0's state is taken as is: merging it into the empty state would
-    # only copy it
-    state = ctx.compute(blockwise_attention, q_i, k_i, v_i, scale)
-    ctx.close_round()
-    for r in range(1, n):
+    for r in range(ctx.n):
         carry = SoftmaxCarry.start(q_i)
-        for _, _, kv in _received_pieces(ctx, shards, r):
+        for _, _, kv in _round_pieces(ctx, shards, k_i, v_i, r):
             ctx.compute(blockwise_attention, q_i, kv["K"], kv["V"], scale, carry=carry)
-        state = merge_states(state, ctx.compute(carry.state, out_dt))
+        delta = ctx.compute(carry.state, out_dt)
+        state = merge_states(state, delta) if r else delta
         ctx.close_round()
     return state
 
@@ -291,13 +289,12 @@ def ring_backward(ctx: WorkerContext, shards: ShardSpec, q_i: np.ndarray,
     from the owner's successor back to the owner, while dQ accumulates
     locally.
 
-    Round r handles block j = i-r. In round 0 the worker sends its own
-    block's pieces, and the kernel adds the whole block's contribution into
-    the worker's zeroed dK/dV. In a later round each piece goes on as it
-    arrives and meets the kernel at once, continuing the block's dQ carry.
-    In round 1 the kernel writes the piece's contribution into a new zeroed
-    accumulator piece, which leaves for the successor as soon as its tile is
-    done. In a later round it writes into a zeroed scratch pair, and then
+    Round r handles block j = i-r, fed to the kernel as `_round_pieces`
+    yields it, continuing the block's dQ carry. In round 0 the kernel adds
+    the whole own block's contribution into the worker's zeroed dK/dV. In
+    round 1 it writes each piece's contribution into a new zeroed
+    accumulator piece, which leaves for the successor as soon as its tile
+    is done. In a later round it writes into a zeroed scratch pair, and then
     the accumulator piece arrives from the predecessor, takes the scratch
     and goes on. The round n-1 sends reach block j's owner, so after its
     rounds a worker receives its own block's accumulator pieces and adds
@@ -307,17 +304,15 @@ def ring_backward(ctx: WorkerContext, shards: ShardSpec, q_i: np.ndarray,
 
     d_own = attention_row_stats(state, do_i).astype(dtype)
     dq, dk, dv = np.zeros_like(q_i), np.zeros_like(k_i), np.zeros_like(v_i)
-    _send_own_pieces(ctx, k_i, v_i)
-    ctx.compute(blockwise_attention_backward, q_i, k_i, v_i, state.L, d_own, do_i, scale,
-                out=(dq, dk, dv))
-    ctx.close_round()
     tile_rows = [min(DEFAULT_TILE_ROWS, rows) for rows in shards.kv_sizes]
     dk_scratch, dv_scratch = _scratch(k_i, tile_rows), _scratch(v_i, tile_rows)
-    for r in range(1, n):
+    for r in range(n):
         j = (i - r) % n
         carry = GradientCarry.start(q_i)
-        for a, b, kv in _received_pieces(ctx, shards, r):
-            if r == 1:
+        for a, b, kv in _round_pieces(ctx, shards, k_i, v_i, r):
+            if r == 0:
+                grads = {"dK": dk, "dV": dv}
+            elif r == 1:
                 grads = {"dK": np.zeros_like(kv["K"]), "dV": np.zeros_like(kv["V"])}
             else:
                 grads = {"dK": _zeroed(dk_scratch, b - a), "dV": _zeroed(dv_scratch, b - a)}
@@ -328,7 +323,8 @@ def ring_backward(ctx: WorkerContext, shards: ShardSpec, q_i: np.ndarray,
                 acc["dK"] += grads["dK"]
                 acc["dV"] += grads["dV"]
                 grads = acc
-            ctx.send(ctx.successor, grads, block=j)
+            if r:
+                ctx.send(ctx.successor, grads, block=j)
         ctx.compute(carry.close, dq, scale)
         ctx.close_round()
     for a, b in _pieces(0, k_i.shape[1]) if n > 1 else ():
@@ -358,14 +354,18 @@ def head_parallel_forward(ctx: WorkerContext, shards: ShardSpec, q_i: np.ndarray
     Each worker sends its rows of every head to the head's owner, the K/V
     rows as pieces cut at the kernel tile boundaries of the full sequence
     and the Q rows on the first piece, all posted before the first receive.
-    The owner writes each piece into the gathered head; once every source's
-    first piece has landed, it runs the kernel on each new tile-aligned
-    prefix of landed rows, continuing the head's softmax carry. So a head's
+    For each owned head, the owner first receives every source's first
+    piece, since the kernel needs all the Q rows before its first tile.
+    Then it walks the pieces in sequence order, the first ones already in
+    hand, writes each into the gathered head, and runs the kernel up to
+    the last tile boundary the walk has reached (the end of the sequence
+    once it is there), continuing the head's softmax carry. So a head's
     kernel overlaps the transfer of its later pieces and of the next head."""
     n, i = ctx.n, ctx.rank
     hpw = q_i.shape[0] // n
+    sources = [_pieces(*rows) for rows in shards.kv_ranges]
     ka = shards.kv_ranges[i][0]
-    own = [(a - ka, b - ka) for a, b in _pieces(*shards.kv_ranges[i])]
+    own = [(a - ka, b - ka) for a, b in sources[i]]
     for k in range(hpw):
         for w in range(n):
             head = w * hpw + k
@@ -377,31 +377,22 @@ def head_parallel_forward(ctx: WorkerContext, shards: ShardSpec, q_i: np.ndarray
             for cls, rows, t in (("Q", s_q, q_i), ("K", s_kv, k_i), ("V", s_kv, v_i))}
     out_dt = np.result_type(q_i, k_i, v_i)
     st = AttentionState(O=np.empty((hpw, s_q, d), out_dt), L=np.empty((hpw, s_q), out_dt))
-    # every piece in sequence order, and the order they are received in:
-    # each source's first, which carries its Q rows, then the rest
-    seq = [(w, a, b) for w, rows in enumerate(shards.kv_ranges) for a, b in _pieces(*rows)]
-    firsts = [x for x, (w, _, _) in enumerate(seq) if x == 0 or seq[x - 1][0] != w]
-    order = firsts + [x for x in range(len(seq)) if x not in firsts]
     for k in range(hpw):
         q, kh, vh = (full[cls][k:k + 1] for cls in ("Q", "K", "V"))
+        first = [ctx.recv(w, block=k) for w in range(n)]
+        for (a, b), got in zip(shards.q_ranges, first):
+            q[:, a:b] = got["Q"]
         carry = SoftmaxCarry.start(q)
-        landed = [False] * len(seq)
-        prefix = done = 0
-        for count, x in enumerate(order, 1):
-            w, a, b = seq[x]
-            got = ctx.recv(w, block=k)
-            if count <= n:
-                q[:, slice(*shards.q_ranges[w])] = got["Q"]
-            kh[:, a:b], vh[:, a:b] = got["K"], got["V"]
-            landed[x] = True
-            while prefix < len(seq) and landed[prefix]:
-                prefix += 1
-            end = seq[prefix - 1][2]
-            end = end if end == s_kv else end - end % DEFAULT_TILE_ROWS
-            if count >= n and end > done:
-                ctx.compute(blockwise_attention, q, kh[:, done:end], vh[:, done:end], scale,
-                            carry=carry)
-                done = end
+        done = 0
+        for w, pieces in enumerate(sources):
+            for p, (a, b) in enumerate(pieces):
+                got = ctx.recv(w, block=k) if p else first[w]
+                kh[:, a:b], vh[:, a:b] = got["K"], got["V"]
+                end = b if b == s_kv else b - b % DEFAULT_TILE_ROWS
+                if end > done:
+                    ctx.compute(blockwise_attention, q, kh[:, done:end], vh[:, done:end], scale,
+                                carry=carry)
+                    done = end
         head_st = ctx.compute(carry.state, out_dt)
         st.O[k], st.L[k] = head_st.O[0], head_st.L[0]
 
@@ -421,9 +412,9 @@ def head_parallel_backward(ctx: WorkerContext, shards: ShardSpec, q_i: np.ndarra
 
     The kernel walks an owned head one kernel tile at a time, continuing the
     head's dQ carry, and each worker's dK/dV rows leave for it as soon as
-    the walk has passed them, as pieces cut at the tile boundaries. A
-    worker's last piece waits for the end of the head and carries its dQ
-    rows."""
+    the walk has passed them, as pieces cut at the tile boundaries, sent in
+    sequence order. A worker's last piece waits for the end of the head and
+    carries its dQ rows."""
     n, i = ctx.n, ctx.rank
     q_full, k_full, v_full, st = state.saved
     hpw = q_full.shape[0]
@@ -432,22 +423,24 @@ def head_parallel_backward(ctx: WorkerContext, shards: ShardSpec, q_i: np.ndarra
     received = ctx.all_to_all([{"dO": do_i[w * hpw:(w + 1) * hpw]} for w in range(n)])
     do_full = _gather(received, "dO", 1)
     dests = [_pieces(*rows) for rows in shards.kv_ranges]
+    # every destination's pieces but its last, which waits for dQ, in
+    # sequence order
+    early = [(w, a, b) for w, pieces in enumerate(dests) for a, b in pieces[:-1]]
     for k in range(hpw):
         head = slice(k, k + 1)
         q, do = q_full[head], do_full[head]
         d_head = attention_row_stats(AttentionState(O=st.O[head], L=st.L[head]), do)
         dq, dk, dv = (np.zeros(t[head].shape, out_dt) for t in (q_full, k_full, v_full))
         carry = GradientCarry.start(q)
-        sent = [0] * n
+        sent = 0
         for t0, t1 in _pieces(0, k_full.shape[1]):
             ctx.compute(blockwise_attention_backward, q, k_full[head, t0:t1],
                         v_full[head, t0:t1], st.L[head], d_head, do, scale,
                         out=(dq, dk[:, t0:t1], dv[:, t0:t1]), carry=carry)
-            for w, pieces in enumerate(dests):
-                while sent[w] < len(pieces) - 1 and pieces[sent[w]][1] <= t1:
-                    a, b = pieces[sent[w]]
-                    ctx.send(w, {"dK": dk[:, a:b], "dV": dv[:, a:b]}, block=k)
-                    sent[w] += 1
+            while sent < len(early) and early[sent][2] <= t1:
+                w, a, b = early[sent]
+                ctx.send(w, {"dK": dk[:, a:b], "dV": dv[:, a:b]}, block=k)
+                sent += 1
         ctx.compute(carry.close, dq, scale)
         for w, ((qa, qb), pieces) in enumerate(zip(shards.q_ranges, dests)):
             a, b = pieces[-1]

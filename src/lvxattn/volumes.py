@@ -14,10 +14,9 @@ and D row statistics). Its rows are those of one block along its `axis`:
 |q_j| or |kv_j| for block j, indices mod n, b bytes per element. On worker
 i the hop fires as its `when` says:
 
-  ROUND     in ring round r = 0..n-1 it sends block i-r+offset to the
-            successor; `skips_last_round` drops round n-1 and
-            `skips_first_round` round 0
-  EPILOGUE  once after the rounds, sending block i+offset to the successor
+  ROUND     in each round r with first <= r < n + stop, where
+            (first, stop) = `rounds`, it sends block i-r+offset to the
+            successor; round n is the epilogue after the n ring rounds
   OWN       an all-to-all in round 0: to every other worker, worker i's own
             rows of h/n heads
   PEER      an all-to-all in round 0: to every other worker w, w's rows of
@@ -47,7 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-ROUND, EPILOGUE, OWN, PEER = "round", "epilogue", "own", "peer"
+ROUND, OWN, PEER = "round", "own", "peer"
 PHASES = ("forward", "backward")
 
 # Elements per block row for each message class, as (hd_factor, h_factor):
@@ -63,21 +62,21 @@ CLASS_ROW_ELEMS = {
 class Hop:
     classes: tuple[str, ...]
     axis: str                       # "q" or "kv"
-    when: str                       # ROUND, EPILOGUE, OWN or PEER
+    when: str                       # ROUND, OWN or PEER
     offset: int = 0
-    skips_last_round: bool = False
-    skips_first_round: bool = False
+    rounds: tuple[int, int] = (0, 0)    # (first, stop), for a ROUND hop
 
 
 HOPS = {
-    ("lvx", "forward"): (Hop(("O", "L"), "q", ROUND, offset=1), Hop(("Q",), "q", ROUND),
-                         Hop(("O", "L"), "q", EPILOGUE, offset=1)),
+    # the epilogue sends the state finished last round home
+    ("lvx", "forward"): (Hop(("O", "L"), "q", ROUND, offset=1, rounds=(0, 1)),
+                         Hop(("Q",), "q", ROUND)),
     # the round n-1 accumulator sends double as the homecoming hops
-    ("lvx", "backward"): (Hop(("Q", "dO", "L", "D"), "q", ROUND, skips_last_round=True),
+    ("lvx", "backward"): (Hop(("Q", "dO", "L", "D"), "q", ROUND, rounds=(0, -1)),
                           Hop(("dQ",), "q", ROUND)),
-    ("ring", "forward"): (Hop(("K", "V"), "kv", ROUND, skips_last_round=True),),
-    ("ring", "backward"): (Hop(("K", "V"), "kv", ROUND, skips_last_round=True),
-                           Hop(("dK", "dV"), "kv", ROUND, skips_first_round=True)),
+    ("ring", "forward"): (Hop(("K", "V"), "kv", ROUND, rounds=(0, -1)),),
+    ("ring", "backward"): (Hop(("K", "V"), "kv", ROUND, rounds=(0, -1)),
+                           Hop(("dK", "dV"), "kv", ROUND, rounds=(1, 0))),
     ("head", "forward"): (Hop(("Q",), "q", OWN), Hop(("K", "V"), "kv", OWN),
                           Hop(("O", "L"), "q", PEER)),
     ("head", "backward"): (Hop(("dO",), "q", OWN), Hop(("dQ",), "q", PEER),
@@ -94,17 +93,17 @@ def class_row_elems(cls: str, heads: int, d: int) -> int:
 def sent_by_class(strategy: str, phase: str, i: int, r: int | None, q_sizes, kv_sizes,
                   h: int, d: int, elem_bytes: int) -> dict[str, int]:
     """Bytes per tensor class that worker i sends in round r, or in the
-    epilogue when r is None; only the classes of hops that fire appear."""
+    epilogue, round n, when r is None; only the classes of hops that fire
+    appear."""
     n = len(q_sizes)
+    r = n if r is None else r
     sizes = {"q": q_sizes, "kv": kv_sizes}
     out = {}
     for hop in HOPS[(strategy, phase)]:
         rows = sizes[hop.axis]
-        if (hop.when == ROUND and r is not None
-                and hop.skips_first_round <= r < n - hop.skips_last_round):
+        first, stop = hop.rounds
+        if hop.when == ROUND and first <= r < n + stop:
             messages = [((i + 1) % n, rows[(i - r + hop.offset) % n], h)]
-        elif hop.when == EPILOGUE and r is None:
-            messages = [((i + 1) % n, rows[(i + hop.offset) % n], h)]
         elif hop.when in (OWN, PEER) and r == 0:
             messages = [(w, rows[i if hop.when == OWN else w], h // n) for w in range(n)]
         else:
@@ -121,7 +120,7 @@ def bytes_by_worker(strategy: str, phase: str, q_sizes, kv_sizes, h: int, d: int
     n = len(q_sizes)
     return [sum(sum(sent_by_class(strategy, phase, i, r, q_sizes, kv_sizes, h, d,
                                   elem_bytes).values())
-                for r in [*range(n), None])
+                for r in range(n + 1))
             for i in range(n)]
 
 

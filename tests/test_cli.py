@@ -201,7 +201,7 @@ class TestRun:
         assert "latency must be finite" in capsys.readouterr().err
         assert not (tmp_path / "stats.json").exists()
 
-    @pytest.mark.parametrize("timeout", ["inf", "nan", "0", "-1"])
+    @pytest.mark.parametrize("timeout", ["inf", "nan", "0", "-1", "abc"])
     def test_bad_timeout_env_is_usage_error(self, monkeypatch, tmp_path, capsys, timeout):
         monkeypatch.setenv("LVX_TIMEOUT_SECS", timeout)
         rc = run_cli("run", "--strategy", "lvx", "--n", "2", "--sq", "4",

@@ -286,6 +286,48 @@ def test_every_round_matches_hop_table(strategy, n, s_q, s_kv):
                     strategy, phase, i, None, *sizes, h, d, b), (phase, i)
 
 
+@pytest.mark.parametrize("backward", [False, True])
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("strategy", ["lvx", "ring", "head"])
+def test_link_message_counts(strategy, n, backward):
+    # K/V blocks of 550 (n = 2) or 366-367 (n = 3) rows end mid-tile. ring
+    # sends block j of |kv_j| rows as p(j) = max(1, ceil(|kv_j| / tile))
+    # pieces; head cuts worker w's rows [a, b) at the tile multiples of the
+    # full sequence, g(w) pieces
+    h, s_q, s_kv, tile = 6, 7, 1100, DEFAULT_TILE_ROWS
+    Q, K, V, dO = rand_problem(h, s_q, s_kv, 4, seed=27)
+    res = run_distributed(strategy, Q, K, V, dO=dO if backward else None,
+                          spec=ClusterSpec(n))
+    kv = partition_rows(s_kv, n)
+
+    def p(j):
+        a, b = kv[j % n]
+        return max(1, -(-(b - a) // tile))
+
+    def g(w):
+        a, b = kv[w]
+        return max(1, -(-b // tile) - a // tile)
+
+    hpw = h // n
+    expected = {}
+    for i in range(n):
+        if strategy == "lvx":
+            # n rounds and the epilogue; n - 1 read-only parts and n dQ sends
+            expected[i, (i + 1) % n] = n + 1 + (2 * n - 1) * backward
+        elif strategy == "ring":
+            kv_pieces = sum(p(i - r) for r in range(n - 1))
+            grad_pieces = sum(p(i - r) for r in range(1, n))
+            expected[i, (i + 1) % n] = kv_pieces + (kv_pieces + grad_pieces) * backward
+        else:
+            for w in range(n):
+                # K/V pieces of every head plus the O, L chunk; the dO chunk
+                # plus dK/dV pieces of every head
+                expected[i, w] = hpw * g(i) + 1 + (1 + hpw * g(w)) * backward
+    counts = {(i, w): res.stats.link(i, w).message_count
+              for i in range(n) for w in range(n) if w != i}
+    assert counts == {link: expected.get(link, 0) for link in counts}
+
+
 class TestErrors:
     def test_head_divisibility(self):
         Q, K, V, _ = rand_problem(4, 6, 6, 3, seed=16)
