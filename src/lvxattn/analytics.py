@@ -12,11 +12,14 @@ Per-round times (n workers, elements of size b bytes, h heads of dim d):
 A round costs max(compute, comm) because the transfer overlaps the kernel,
 in the backward too: there a block's read-only part leaves before the kernel
 and its gradient accumulator after it (see `strategies`). These are
-steady-state rounds; the model leaves out the first and last: kv rotation
-sends no (K, V) in round n-1 and no (dK, dV) in round 0, and moves both in
-pieces of one kernel tile, so a piece's transfer also overlaps the kernel
-on the pieces before it. Query rotation sends no read-only part in backward
-round n-1, and its forward ends with one epilogue hop of (O, L).
+steady-state rounds; the model leaves out the rounds that send less. The
+kv rotation forward sends no (K, V) in round n-1. Its backward starts from
+the block the forward ended with and rotates toward the predecessor: it
+sends (K, V) in rounds 0..n-3 and (dK, dV) in rounds 0..n-2, so at n = 2
+only (dK, dV) travel. It moves both in pieces of one kernel tile, so a
+piece's transfer also overlaps the kernel on the pieces before it. Query
+rotation sends no read-only part in backward round n-1, and its forward
+ends with one epilogue hop of (O, L).
 In the regime where query rotation is compute-bound and kv rotation is
 communication-bound, the speedup ratio collapses to the closed forms
 

@@ -103,7 +103,7 @@ def _numeric_working_set(strategy: str, s_q: int, s_kv: int, h: int, d: int,
     scratch that each `lvx`/`ring` worker reuses every round (one query
     block on `lvx`; a tile-sized K and V piece on `ring` and `single`, plus
     the K/V-sized (dK, dV) accumulator pieces that a `ring` worker starts
-    in round 1 and that travel until their owner takes them), and on `head`
+    in round 0 and that travel until their owner takes them), and on `head`
     the head-split input copies and the local gradients. The kernels of all
     workers hold six O- and L-shaped float64 arrays (Q in float64, the
     running O and its update, dQ and its tile update, merge temporaries),
@@ -117,9 +117,12 @@ def _numeric_working_set(strategy: str, s_q: int, s_kv: int, h: int, d: int,
     the n(n+1) messages, round records and stats) add 256 KiB + 6 KiB n²,
     and 6 KiB more for each message of a K/V block or its gradient sent in
     pieces of DEFAULT_TILE_ROWS rows: 3n(n - 1) per piece of a block on
-    `ring`, and 2nh per piece on `head`, whose blocks are cut at the tile
-    boundaries of the full sequence and so span one piece more. The default
-    n=1 is the bound for one worker holding every row."""
+    `ring`, an upper bound on its n(3n - 4) at n >= 2, and 2nh per piece on
+    `head`, whose blocks are cut at the tile boundaries of the full sequence
+    and so span one piece more. A `ring` worker keeps the pieces its last
+    forward round received until the backward, but they are views of the
+    input K and V, so only their messages count. The default n=1 is the
+    bound for one worker holding every row."""
     q, kv, rows = h * s_q * d, h * s_kv * d, h * s_q
     inputs = q + 2 * kv + (q if backward else 0)
     outputs = q + rows + (q + 2 * kv if backward else 0)

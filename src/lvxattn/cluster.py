@@ -6,8 +6,8 @@ by reference and are immutable once sent. Two protocols hand a gradient
 accumulator downstream in messages of its own: the dQ of each `lvx`
 backward query block, and the dK and dV of each `ring` backward K/V block,
 one piece per kernel tile. A `ring` accumulator piece is created by the
-worker after the block's owner, which writes its kernel's contribution into
-it and sends it on. The worker that receives one owns it: it adds its
+worker before the block's owner, which writes its kernel's contribution into
+it and sends it on toward the predecessor. The worker that receives one owns it: it adds its
 kernel's contribution, which the kernel wrote into the worker's own
 scratch, and sends it on, never writing to it after that; the last receiver
 is the block's owner, which adds the piece into its own contribution.

@@ -6,11 +6,14 @@ Four strategies, all exact:
           the (Q, O, L) blocks travel around the ring. Per round the send,
           the recv, and the local blockwise kernel are all in flight at once;
           a final epilogue hop lands every (O, L) block on its owner.
-  ring    kv rotation: Q, O, L stay resident, (K, V) blocks travel n-1 times
-          in pieces of one kernel tile, each fed to the kernel as it lands;
-          round 0 feeds the whole own block once its pieces have left.
-          In the backward a block's (dK, dV) accumulator starts at the
-          worker after its owner and follows the block home piece by piece.
+  ring    kv rotation: Q, O, L stay resident, (K, V) blocks travel toward
+          the successor n-1 times in pieces of one kernel tile, each fed to
+          the kernel as it lands; round 0 feeds the whole own block once its
+          pieces have left. The backward turns toward the predecessor and
+          starts from the block the forward ended with, so a block travels
+          n-2 times more, and its (dK, dV) accumulator starts at the worker
+          before its owner and travels with it home piece by piece; the last
+          round feeds the own block.
   head    head parallelism: an all-to-all reshards sequence-split Q/K/V into
           head-split full-sequence tensors, attention runs locally per owned
           head, a second all-to-all restores sequence sharding. Requires the
@@ -24,7 +27,9 @@ Four strategies, all exact:
   single  ring on one worker: the same tiled kernels, called once per
           phase, and nothing travels.
 
-Every send leaves as soon as its data exists. In the backward of `lvx` and
+Every send leaves as soon as its data exists, except that the `ring`
+backward passes on the K/V pieces its forward saved one kernel tile at a
+time, as it passes on the pieces it receives. In the backward of `lvx` and
 `ring` a block's gradient accumulator (dQ; dK and dV) travels apart from its
 read-only part: the read-only part leaves before the round's kernel, the
 kernel writes into the worker's own zeroed scratch, and the worker that
@@ -32,8 +37,9 @@ receives the accumulator adds the scratch into it and sends it on. The
 kernel rounds each gradient to the accumulator dtype before it adds, and
 0 + x = x, so the sums are bit for bit those of adding into the accumulator
 directly. A `ring` accumulator reaches the owner without the owner's
-contribution, which the owner adds last: at n <= 2 that is the same sum,
-and at n >= 3 the same terms in another order.
+contribution, which the owner computes first and then adds the
+accumulator to: at n <= 2 that is the same sum, and at n >= 3 the same
+terms in another order.
 
 Each strategy is one `Protocol` record in PROTOCOLS: its forward and backward
 bodies, which share one signature, and the worker-count rule; the messages
@@ -238,67 +244,88 @@ def _pieces(a: int, b: int) -> list[tuple[int, int]]:
     return list(zip(cuts, cuts[1:]))
 
 
-def _round_pieces(ctx: WorkerContext, shards: ShardSpec, k_i: np.ndarray,
-                  v_i: np.ndarray, r: int):
-    """Yield (a, b, {"K", "V"}) for ring round r's block j = i-r, rows [a, b)
-    of the block. In round 0 the worker first sends its own block's pieces
-    to the successor, then yields the block whole. In a later round it
-    yields each piece as it arrives from the predecessor, having sent it on
-    to the successor, except in the last round."""
-    n, i = ctx.n, ctx.rank
-    if r == 0:
-        for a, b in _pieces(0, k_i.shape[1]) if n > 1 else ():
-            ctx.send(ctx.successor, {"K": k_i[:, a:b], "V": v_i[:, a:b]}, block=i)
+def _round_pieces(ctx: WorkerContext, shards: ShardSpec, k_i: np.ndarray, v_i: np.ndarray,
+                  j: int, src: int, dst: int | None, held: tuple | None = None):
+    """Yield (a, b, {"K", "V"}) for block j of a ring round, rows [a, b) of
+    the block. The worker's own block is yielded whole, once its pieces have
+    left for dst. Another block is yielded piece by piece, each taken from
+    `held` when given, else as it arrives from src, and sent on to dst
+    first. A dst of None sends nothing."""
+    if j == ctx.rank:
+        for a, b in _pieces(0, k_i.shape[1]) if dst is not None else ():
+            ctx.send(dst, {"K": k_i[:, a:b], "V": v_i[:, a:b]}, block=j)
         yield 0, k_i.shape[1], {"K": k_i, "V": v_i}
         return
-    j = (i - r) % n
-    for a, b in _pieces(0, shards.kv_sizes[j]):
-        kv = ctx.recv(ctx.predecessor, block=j)
-        if r < n - 1:
-            ctx.send(ctx.successor, kv, block=j)
+    for p, (a, b) in enumerate(_pieces(0, shards.kv_sizes[j])):
+        kv = held[p] if held is not None else ctx.recv(src, block=j)
+        if dst is not None:
+            ctx.send(dst, kv, block=j)
         yield a, b, kv
 
 
+@dataclass(frozen=True)
+class _SavedState(AttentionState):
+    """A worker's own rows of O and L, plus what its backward reuses from the
+    forward: on `ring` the pieces of block i+1 that the last forward round
+    received (none at n = 1), on `head` the head-split, full-sequence Q, K,
+    V and state."""
+
+    saved: tuple
+
+
 def ring_forward(ctx: WorkerContext, shards: ShardSpec, q_i: np.ndarray,
-                 k_i: np.ndarray, v_i: np.ndarray, scale: float) -> AttentionState:
+                 k_i: np.ndarray, v_i: np.ndarray, scale: float) -> _SavedState:
     """KV-rotation forward: Q/O/L stay resident, (K, V) blocks shift n-1 times
-    in pieces of one kernel tile.
+    toward the successor in pieces of one kernel tile.
 
     Round r handles block j = i-r, fed to the kernel piece by piece as
     `_round_pieces` yields it, continuing the block's softmax carry: in
     round 0 the whole own block once its pieces have left, in a later round
-    each piece as it lands, so a piece's transfer overlaps the kernel on
-    the pieces before it. The block's state then merges into the running
-    state; round 0's is taken as is."""
+    each piece as it lands from the predecessor, sent on to the successor
+    except in round n-1, so a piece's transfer overlaps the kernel on the
+    pieces before it. The block's state then merges into the running state;
+    round 0's is taken as is. The state returned saves the pieces of the
+    last round's block, i+1, where the backward starts; they are the
+    received payloads themselves, not copies. At n = 1 that block is the
+    worker's own, and nothing is saved."""
+    n, i = ctx.n, ctx.rank
     out_dt = np.result_type(q_i, k_i, v_i)
-    for r in range(ctx.n):
+    saved = []
+    for r in range(n):
         carry = SoftmaxCarry.start(q_i)
-        for _, _, kv in _round_pieces(ctx, shards, k_i, v_i, r):
+        for _, _, kv in _round_pieces(ctx, shards, k_i, v_i, (i - r) % n, ctx.predecessor,
+                                      ctx.successor if r < n - 1 else None):
             ctx.compute(blockwise_attention, q_i, kv["K"], kv["V"], scale, carry=carry)
+            if 0 < r == n - 1:
+                saved.append(kv)
         delta = ctx.compute(carry.state, out_dt)
         state = merge_states(state, delta) if r else delta
         ctx.close_round()
-    return state
+    return _SavedState(O=state.O, L=state.L, saved=tuple(saved))
 
 
 def ring_backward(ctx: WorkerContext, shards: ShardSpec, q_i: np.ndarray,
-                  k_i: np.ndarray, v_i: np.ndarray, state: AttentionState,
+                  k_i: np.ndarray, v_i: np.ndarray, state: _SavedState,
                   do_i: np.ndarray, scale: float):
-    """KV-rotation backward: each K/V block shifts n-1 times in pieces of one
-    kernel tile, and a (dK, dV) accumulator piece follows each of its pieces
-    from the owner's successor back to the owner, while dQ accumulates
-    locally.
+    """KV-rotation backward: the K/V blocks rotate toward the predecessor,
+    starting from the block the forward ended with, and a (dK, dV)
+    accumulator piece travels with each piece to the block's owner, while dQ
+    accumulates locally.
 
-    Round r handles block j = i-r, fed to the kernel as `_round_pieces`
-    yields it, continuing the block's dQ carry. In round 0 the kernel adds
-    the whole own block's contribution into the worker's zeroed dK/dV. In
-    round 1 it writes each piece's contribution into a new zeroed
-    accumulator piece, which leaves for the successor as soon as its tile
-    is done. In a later round it writes into a zeroed scratch pair, and then
-    the accumulator piece arrives from the predecessor, takes the scratch
-    and goes on. The round n-1 sends reach block j's owner, so after its
-    rounds a worker receives its own block's accumulator pieces and adds
-    them to its round-0 contribution. Returns (dQ_i, dK_i, dV_i)."""
+    Round r handles block j = i+1+r, fed to the kernel as `_round_pieces`
+    yields it, continuing the block's dQ carry: in round 0 the pieces of
+    block i+1 that the forward saved, in rounds 1..n-2 each piece as it
+    lands from the successor, and in round n-1 the own block whole. While
+    r <= n-3 a piece goes on to the predecessor, which handles the block
+    next round. In round 0 the kernel writes each piece's contribution into
+    a new zeroed accumulator piece; in rounds 1..n-2 into a zeroed scratch
+    pair, and then the block's accumulator piece arrives from the successor
+    and takes the scratch. Either way the accumulator piece leaves for the
+    predecessor as soon as its tile is done, so block j's accumulator starts
+    at worker j-1 and ends at its owner. In round n-1 the kernel adds the
+    own block's contribution into the worker's zeroed dK/dV, and then the
+    block's accumulator pieces arrive and are added to it, so nothing
+    follows the last round. Returns (dQ_i, dK_i, dV_i)."""
     n, i = ctx.n, ctx.rank
     dtype = q_i.dtype
 
@@ -307,39 +334,33 @@ def ring_backward(ctx: WorkerContext, shards: ShardSpec, q_i: np.ndarray,
     tile_rows = [min(DEFAULT_TILE_ROWS, rows) for rows in shards.kv_sizes]
     dk_scratch, dv_scratch = _scratch(k_i, tile_rows), _scratch(v_i, tile_rows)
     for r in range(n):
-        j = (i - r) % n
+        j = (i + 1 + r) % n
         carry = GradientCarry.start(q_i)
-        for a, b, kv in _round_pieces(ctx, shards, k_i, v_i, r):
-            if r == 0:
+        for a, b, kv in _round_pieces(ctx, shards, k_i, v_i, j, ctx.successor,
+                                      ctx.predecessor if r < n - 2 else None,
+                                      state.saved if r == 0 else None):
+            if r == n - 1:
                 grads = {"dK": dk, "dV": dv}
-            elif r == 1:
+            elif r == 0:
                 grads = {"dK": np.zeros_like(kv["K"]), "dV": np.zeros_like(kv["V"])}
             else:
                 grads = {"dK": _zeroed(dk_scratch, b - a), "dV": _zeroed(dv_scratch, b - a)}
             ctx.compute(blockwise_attention_backward, q_i, kv["K"], kv["V"], state.L, d_own,
                         do_i, scale, out=(dq, grads["dK"], grads["dV"]), carry=carry)
-            if r > 1:
-                acc = ctx.recv(ctx.predecessor, block=j)
+            if 0 < r < n - 1:
+                acc = ctx.recv(ctx.successor, block=j)
                 acc["dK"] += grads["dK"]
                 acc["dV"] += grads["dV"]
                 grads = acc
-            if r:
-                ctx.send(ctx.successor, grads, block=j)
+            if r < n - 1:
+                ctx.send(ctx.predecessor, grads, block=j)
+        for a, b in _pieces(0, k_i.shape[1]) if r == n - 1 and n > 1 else ():
+            got = ctx.recv(ctx.successor, block=i)
+            dk[:, a:b] += got["dK"]
+            dv[:, a:b] += got["dV"]
         ctx.compute(carry.close, dq, scale)
         ctx.close_round()
-    for a, b in _pieces(0, k_i.shape[1]) if n > 1 else ():
-        got = ctx.recv(ctx.predecessor, block=i)
-        dk[:, a:b] += got["dK"]
-        dv[:, a:b] += got["dV"]
     return dq, dk, dv
-
-
-@dataclass(frozen=True)
-class _HeadSplitState(AttentionState):
-    """Own rows of O and L plus the head-split, full-sequence Q, K, V and
-    state that the head-parallel backward reuses."""
-
-    saved: tuple
 
 
 def _gather(received: list[dict], cls: str, axis: int, out=None) -> np.ndarray:
@@ -399,12 +420,12 @@ def head_parallel_forward(ctx: WorkerContext, shards: ShardSpec, q_i: np.ndarray
     received = ctx.all_to_all([{"O": st.O[:, a:b], "L": st.L[:, a:b]}
                                for a, b in shards.q_ranges])
     ctx.close_round()
-    return _HeadSplitState(O=_gather(received, "O", 0), L=_gather(received, "L", 0),
-                           saved=(full["Q"], full["K"], full["V"], st))
+    return _SavedState(O=_gather(received, "O", 0), L=_gather(received, "L", 0),
+                       saved=(full["Q"], full["K"], full["V"], st))
 
 
 def head_parallel_backward(ctx: WorkerContext, shards: ShardSpec, q_i: np.ndarray,
-                           k_i: np.ndarray, v_i: np.ndarray, state: _HeadSplitState,
+                           k_i: np.ndarray, v_i: np.ndarray, state: _SavedState,
                            do_i: np.ndarray, scale: float):
     """Mirror image of the forward: all-to-all dO to head sharding, the
     backward kernel on each owned head over the full sequence, and dQ, dK

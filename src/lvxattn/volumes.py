@@ -15,8 +15,10 @@ and D row statistics). Its rows are those of one block along its `axis`:
 i the hop fires as its `when` says:
 
   ROUND     in each round r with first <= r < n + stop, where
-            (first, stop) = `rounds`, it sends block i-r+offset to the
-            successor; round n is the epilogue after the n ring rounds
+            (first, stop) = `rounds`, it sends block i - direction*r + offset
+            to worker i + direction: the successor for direction +1, the
+            predecessor for -1; round n is the epilogue after the n ring
+            rounds
   OWN       an all-to-all in round 0: to every other worker, worker i's own
             rows of h/n heads
   PEER      an all-to-all in round 0: to every other worker w, w's rows of
@@ -35,10 +37,12 @@ the forward O, L and the backward dO, travel as one message to each worker.
 
 So query rotation forward sends (|q_{i-r+1}| (h*d + h) + |q_{i-r}| h*d) b in
 round r (the O, L just finished plus the Q in flight) and |q_{i+1}| (h*d + h) b
-home in its epilogue; kv rotation backward sends 4 |kv_{i-r}| h*d b per round,
-(K, V) in rounds 0..n-2 and the (dK, dV) accumulator in rounds 1..n-1, as
-the accumulator of block j starts at worker j+1 and ends at its owner;
-head parallelism gathers (n-1) (|q_i| + 2 |kv_i|) (h/n) d b and scatters
+home in its epilogue. The kv rotation backward starts from block i+1, which
+its forward ended with, and sends to the predecessor 2 |kv_{i+1+r}| h*d b of
+(K, V) in rounds 0..n-3 and as many of the (dK, dV) accumulator in rounds
+0..n-2, as the accumulator of block j starts at worker j-1 and ends at its
+owner: 2(n-2) + 2(n-1) K/V-sized blocks, none of them K or V at n = 2.
+Head parallelism gathers (n-1) (|q_i| + 2 |kv_i|) (h/n) d b and scatters
 sum_{w != i} |q_w| (h/n) (d + 1) b forward.
 """
 
@@ -65,6 +69,7 @@ class Hop:
     when: str                       # ROUND, OWN or PEER
     offset: int = 0
     rounds: tuple[int, int] = (0, 0)    # (first, stop), for a ROUND hop
+    direction: int = 1                  # +1 successor, -1 predecessor, for a ROUND hop
 
 
 HOPS = {
@@ -75,8 +80,12 @@ HOPS = {
     ("lvx", "backward"): (Hop(("Q", "dO", "L", "D"), "q", ROUND, rounds=(0, -1)),
                           Hop(("dQ",), "q", ROUND)),
     ("ring", "forward"): (Hop(("K", "V"), "kv", ROUND, rounds=(0, -1)),),
-    ("ring", "backward"): (Hop(("K", "V"), "kv", ROUND, rounds=(0, -1)),
-                           Hop(("dK", "dV"), "kv", ROUND, rounds=(1, 0))),
+    # the backward starts from block i+1, which the forward ended with, and
+    # its accumulator of block j starts at worker j-1 and ends at its owner
+    ("ring", "backward"): (Hop(("K", "V"), "kv", ROUND, offset=1, rounds=(0, -2),
+                               direction=-1),
+                           Hop(("dK", "dV"), "kv", ROUND, offset=1, rounds=(0, -1),
+                               direction=-1)),
     ("head", "forward"): (Hop(("Q",), "q", OWN), Hop(("K", "V"), "kv", OWN),
                           Hop(("O", "L"), "q", PEER)),
     ("head", "backward"): (Hop(("dO",), "q", OWN), Hop(("dQ",), "q", PEER),
@@ -103,7 +112,8 @@ def sent_by_class(strategy: str, phase: str, i: int, r: int | None, q_sizes, kv_
         rows = sizes[hop.axis]
         first, stop = hop.rounds
         if hop.when == ROUND and first <= r < n + stop:
-            messages = [((i + 1) % n, rows[(i - r + hop.offset) % n], h)]
+            block = (i - hop.direction * r + hop.offset) % n
+            messages = [((i + hop.direction) % n, rows[block], h)]
         elif hop.when in (OWN, PEER) and r == 0:
             messages = [(w, rows[i if hop.when == OWN else w], h // n) for w in range(n)]
         else:

@@ -154,11 +154,14 @@ class TestVolumes:
             assert res.stats.bytes_sent_by(i) == expected
 
     def test_ring_backward_even_shards_match_spec_formula(self):
-        # blocks of 600 rows travel as three pieces; no epilogue hop
+        # blocks of 600 rows travel as three pieces; no epilogue hop. The
+        # backward starts from the block the forward ended with: a worker
+        # sends (K, V) in rounds 0..n-3 and (dK, dV) in rounds 0..n-2,
+        # 2(n - 2) + 2(n - 1) = 4n - 6 K/V-sized blocks
         n, h, d, b = 3, 2, 5, 8
         s_q, s_kv = 6, 1800
         kv = s_kv // n
-        expected = (n - 1) * 4 * kv * h * d * b
+        expected = (4 * n - 6) * kv * h * d * b
         Q, K, V, dO = rand_problem(h, s_q, s_kv, d, seed=37)
         res = run_distributed("ring", Q, K, V, dO=dO, spec=ClusterSpec(n))
         for i in range(n):
@@ -243,6 +246,24 @@ class TestTraces:
                 assert trace.num_rounds == n
                 assert sum(1 for r in trace.rounds if r.sent_bytes > 0) == n - 1
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_ring_backward_starts_from_forward_block(self, n):
+        # round 0's block arrived in the forward's last round, so on a
+        # throttled link that round receives nothing, and the owner takes its
+        # (dK, dV) pieces in round n - 1, so nothing follows the rounds. At
+        # n = 2 no K or V travels in the backward
+        Q, K, V, dO = rand_problem(2, 6, 600, 3, seed=38)
+        res = run_distributed("ring", Q, K, V, dO=dO,
+                              spec=ClusterSpec(n, Throttled(bandwidth=1e9, latency=1e-4)))
+        for trace in res.traces_backward:
+            assert trace.rounds[0].comm_seconds == 0.0
+            assert trace.rounds[-1].comm_seconds > 0.0
+            assert trace.epilogue_bytes_by_class == {}
+            assert trace.epilogue_comm_seconds == 0.0
+            sent = {cls for record in trace.rounds
+                    for cls, nbytes in record.sent_bytes_by_class.items() if nbytes}
+            assert sent == ({"dK", "dV"} if n == 2 else {"K", "V", "dK", "dV"})
+
     def test_trace_class_bytes(self):
         h, d, n, b = 2, 5, 2, 8
         Q, K, V, _ = rand_problem(h, 4, 6, d, seed=15)
@@ -315,9 +336,14 @@ def test_link_message_counts(strategy, n, backward):
             # n rounds and the epilogue; n - 1 read-only parts and n dQ sends
             expected[i, (i + 1) % n] = n + 1 + (2 * n - 1) * backward
         elif strategy == "ring":
-            kv_pieces = sum(p(i - r) for r in range(n - 1))
-            grad_pieces = sum(p(i - r) for r in range(1, n))
-            expected[i, (i + 1) % n] = kv_pieces + (kv_pieces + grad_pieces) * backward
+            # the forward sends block i-r to the successor in rounds
+            # 0..n-2; the backward sends block i+1+r to the predecessor,
+            # its K/V in rounds 0..n-3 and its (dK, dV) in rounds 0..n-2
+            expected[i, (i + 1) % n] = sum(p(i - r) for r in range(n - 1))
+            back = (sum(p(i + 1 + r) for r in range(n - 2))
+                    + sum(p(i + 1 + r) for r in range(n - 1)))
+            pred = (i, (i - 1) % n)
+            expected[pred] = expected.get(pred, 0) + back * backward
         else:
             for w in range(n):
                 # K/V pieces of every head plus the O, L chunk; the dO chunk
@@ -481,11 +507,12 @@ def _fixed_time(kernel, seconds):
 # The backward kernel is held to a fixed 50 ms, and the link moves one
 # round's bytes in that time. Sending the read-only part before the kernel
 # and the accumulator after it makes a round cost max(kernel, link): at
-# n = 2 the throttled backward then takes 1.17 (lvx) and 1.25 (ring) times
-# the instant one, for the homecoming dQ (a third of a round's bytes) and
-# the homecoming (dK, dV) (half of them) cannot overlap a kernel. Sending a
-# whole block after the kernel costs kernel + link per round, about 2.0 and
-# 1.75.
+# n = 2 the throttled backward then takes 1.15 (lvx) times the instant one,
+# for the homecoming dQ (a third of a round's bytes) cannot overlap a
+# kernel. Ring's takes 1.00: it sends no K/V at n = 2, and the (dK, dV)
+# accumulator that round 0 sends home travels while the owner's kernel runs
+# on its own block in round 1. Sending a whole block after the kernel costs
+# kernel + link per round, about 2.0 for lvx.
 BACKWARD_KERNEL_S = 0.05
 BACKWARD_OVERLAP_BOUND = 1.5
 
@@ -527,11 +554,10 @@ def test_backward_transfer_overlaps_kernel(monkeypatch, strategy):
 # Ring at n = 2 with blocks of four 256-row pieces: every kernel call is
 # held to 10 ms and the link moves one K/V block in T = 100 ms, so the link
 # sets the pace. Each piece meets the kernel as it lands and each (dK, dV)
-# piece leaves as its tile is done, from the owner's successor, so a
-# forward+backward takes about 3.1 T: the forward 1.1 T, the backward's
-# K/V 1 T and the (dK, dV) queued behind it 1 T. Whole-block messages, with
-# the accumulator starting at its owner and an epilogue hop home, take
-# about 4.2 T.
+# piece leaves as its tile is done, so a forward+backward takes about
+# 2.2 T: the forward 1.1 T and the (dK, dV) 1 T, as the backward starts
+# from the block the forward ended with and sends no K/V. Whole-block
+# messages with an epilogue hop home take about 4.2 T.
 PIECE_KERNEL_S = 0.01
 LINK_BLOCK_S = 0.1
 RING_LINK_FLOOR_BOUND = 3.5
@@ -655,76 +681,89 @@ def test_stalled_worker_times_out_naming_rank_and_src(monkeypatch):
     assert "worker 0: recv(src=1) timed out after 1.0s" in str(err.cause)
 
 
-def _relabeled_failure(monkeypatch, strategy, backward, index, s_kv, n=3):
-    """The failure of an n-worker run whose message `index` on link 0->1
-    carries its block id plus n."""
+def _relabeled_failure(monkeypatch, strategy, backward, index, s_kv, n=3, link=(0, 1)):
+    """The failure of an n-worker run whose message `index` on `link`, a
+    (src, dst) pair, carries its block id plus n."""
     monkeypatch.setenv("LVX_TIMEOUT_SECS", "5")
     send = cluster.Cluster.send
     sends = {}
 
     def relabeling_send(self, src, dst, payload, block=None):
-        if (src, dst, next(sends.setdefault((src, dst), itertools.count()))) == (0, 1, index):
+        if (src, dst, next(sends.setdefault((src, dst), itertools.count()))) == (*link, index):
             block += n
         return send(self, src, dst, payload, block=block)
 
     monkeypatch.setattr(cluster.Cluster, "send", relabeling_send)
     Q, K, V, dO = rand_problem(6, 7, s_kv, 3, seed=34)
     err = _failure_of(strategy, Q, K, V, dO=dO if backward else None, spec=ClusterSpec(n))
-    assert err.worker == 1
+    assert err.worker == link[1]
     assert type(err.cause) is ClusterError
     return str(err.cause)
 
 
-# (strategy, backward, index, receive, round, expected, n): with S_KV = 8
-# every K/V block is one piece. With n = 3 the rest of this comment holds. The forward of lvx sends messages
-# 0-3 on each link (message 3 is its epilogue) and that of ring messages
-# 0-1, so ring's backward starts at message 2 and lvx's at message 4. An lvx
-# backward round sends the read-only part before the kernel, except in the
-# last round, and the accumulator after it: on link 0->1, (Q, dO, L, D) of
-# blocks 0, 2 as messages 4, 6 and the dQ of blocks 0, 2, 1 as 5, 7, 8, the
-# last one home. Ring sends (K, V) of blocks 0, 2 as messages 2, 3, the
-# (dK, dV) of block 2, which starts at worker 0, as 4, and that of block 1
-# home as 5. Each row rewrites the block id of message `index` on link
-# 0->1, which worker 1 reads at `receive`: a ring piece in the round that
-# computes it, an lvx accumulator in the round after it was sent and an lvx
-# read-only part at the end of the round it was sent in. A receive after the
-# phase's n rounds falls in round n. With n = 4 the lvx backward starts at
-# message 5 and sends the read-only part of blocks 0, 3, 2 as messages 5, 7,
-# 9, so a read-only part also lands in a round after the first.
-@pytest.mark.parametrize("strategy,backward,index,receive,round_index,expected,n", [
-    ("lvx", False, 0, "worker 1 round 0", 0, 0, 3),
-    ("lvx", False, 3, "worker 1 epilogue", 3, 1, 3),
-    ("lvx", True, 5, "worker 1 backward round 1, dQ", 1, 0, 3),
-    ("lvx", True, 6, "worker 1 backward round 1", 1, 2, 3),
-    ("lvx", True, 8, "worker 1 backward homecoming, dQ", 3, 1, 3),
-    ("lvx", True, 9, "worker 1 backward round 2", 2, 2, 4),
-    ("ring", False, 0, "worker 1 round 1", 1, 0, 3),
-    ("ring", True, 2, "worker 1 backward round 1", 1, 0, 3),
-    ("ring", True, 3, "worker 1 backward round 2", 2, 2, 3),
-    ("ring", True, 4, "worker 1 backward round 2, dK and dV", 2, 2, 3),
-    ("ring", True, 5, "worker 1 backward homecoming, dK and dV", 3, 1, 3),
+# (strategy, backward, index, receive, round, expected, n, src): with
+# S_KV = 8 every K/V block is one piece. Each row rewrites the block id of
+# message `index` on link src->1, which worker 1 reads at `receive`. A
+# receive after the phase's n rounds falls in round n.
+#
+# lvx and the ring forward use link 0->1. With n = 3 the forward of lvx
+# sends messages 0-3 on it (message 3 is its epilogue) and that of ring
+# messages 0-1. An lvx backward round sends the read-only part before the
+# kernel, except in the last round, and the accumulator after it: on link
+# 0->1, (Q, dO, L, D) of blocks 0, 2 as messages 4, 6 and the dQ of blocks
+# 0, 2, 1 as 5, 7, 8, the last one home. Worker 1 reads an accumulator in
+# the round after it was sent and a read-only part at the end of the round
+# it was sent in. With n = 4 the lvx backward starts at message 5 and sends
+# the read-only part of blocks 0, 3, 2 as messages 5, 7, 9, so a read-only
+# part also lands in a round after the first.
+#
+# The ring backward sends to the predecessor, so its rows use link 2->1,
+# which no ring forward at n >= 3 uses. Worker 2 handles block 3 + r in
+# round r; it sends a block's (K, V) before the round's kernel while
+# r <= n - 3 and its (dK, dV) after it while r <= n - 2, and worker 1 reads
+# both in the round after. At n = 3, block 0, saved by worker 2's forward,
+# as messages 0, 1, and block 1's (dK, dV) home as 2. At n = 4, block 3 as
+# 0, 1, block 0, which worker 2 got from worker 3, as 2, 3, and block 1's
+# (dK, dV) home as 4. At n = 5, block 0 as 4, 5 in worker 2's round 2.
+@pytest.mark.parametrize("strategy,backward,index,receive,round_index,expected,n,src", [
+    ("lvx", False, 0, "worker 1 round 0", 0, 0, 3, 0),
+    ("lvx", False, 3, "worker 1 epilogue", 3, 1, 3, 0),
+    ("lvx", True, 5, "worker 1 backward round 1, dQ", 1, 0, 3, 0),
+    ("lvx", True, 6, "worker 1 backward round 1", 1, 2, 3, 0),
+    ("lvx", True, 8, "worker 1 backward homecoming, dQ", 3, 1, 3, 0),
+    ("lvx", True, 9, "worker 1 backward round 2", 2, 2, 4, 0),
+    ("ring", False, 0, "worker 1 round 1", 1, 0, 3, 0),
+    ("ring", True, 0, "worker 1 backward round 1, saved K and V", 1, 0, 3, 2),
+    ("ring", True, 2, "worker 1 backward round 2, dK and dV home", 2, 1, 3, 2),
+    ("ring", True, 2, "worker 1 backward round 2, forwarded K and V", 2, 0, 4, 2),
+    ("ring", True, 3, "worker 1 backward round 2, dK and dV", 2, 0, 4, 2),
+    ("ring", True, 4, "worker 1 backward round 3, dK and dV home", 3, 1, 4, 2),
+    ("ring", True, 5, "worker 1 backward round 3, dK and dV", 3, 0, 5, 2),
 ])
 def test_wrong_block_id_fails_naming_expected_block(monkeypatch, strategy, backward, index,
-                                                    receive, round_index, expected, n):
-    assert _relabeled_failure(monkeypatch, strategy, backward, index, s_kv=8, n=n) == (
-        f"worker 1 round {round_index}: recv(src=0) expected block {expected}, "
+                                                    receive, round_index, expected, n, src):
+    assert _relabeled_failure(monkeypatch, strategy, backward, index, s_kv=8, n=n,
+                              link=(src, 1)) == (
+        f"worker 1 round {round_index}: recv(src={src}) expected block {expected}, "
         f"got {expected + n}"), receive
 
 
-# With S_KV = 1100 every block of n = 3 workers travels as two pieces, of
-# 256 rows and of the rest. On link 0->1, ring's forward sends the pieces of
-# block 0 as messages 0, 1 and forwards those of block 2 as 2, 3; its
-# backward sends block 0 as 4, 5, and in round 1 forwards each piece of
-# block 2 before the (dK, dV) piece it starts: 6, 7, 8, 9. On the same link
-# head's forward sends worker 0's two pieces of head 2 (worker 1's head
-# k = 0, block id 0) as messages 0, 1, the first with the Q rows.
-@pytest.mark.parametrize("strategy,backward,index,receive,round_index,expected", [
-    ("ring", False, 1, "worker 1 round 1, second piece", 1, 0),
-    ("ring", True, 9, "worker 1 backward round 2, second dK and dV piece", 2, 2),
-    ("head", False, 1, "worker 1 round 0, second piece", 0, 0),
+# With S_KV = 1100 every block travels as two pieces, of 256 rows and of the
+# rest. With n = 3, on link 0->1, ring's forward sends the pieces of block 0
+# as messages 0, 1, and head's forward sends worker 0's two pieces of head 2
+# (worker 1's head k = 0, block id 0) as messages 0, 1, the first with the
+# Q rows. With n = 4, on link 2->1, ring's backward sends each piece of
+# blocks 3 and 0 before the (dK, dV) piece it starts or carries on, as
+# messages 0-3 and 4-7, and then the two (dK, dV) pieces of block 1 home
+# as 8, 9.
+@pytest.mark.parametrize("strategy,backward,index,receive,round_index,expected,n,src", [
+    ("ring", False, 1, "worker 1 round 1, second piece", 1, 0, 3, 0),
+    ("ring", True, 9, "worker 1 backward round 3, second dK and dV piece home", 3, 1, 4, 2),
+    ("head", False, 1, "worker 1 round 0, second piece", 0, 0, 3, 0),
 ])
 def test_wrong_piece_id_fails_naming_expected_block(monkeypatch, strategy, backward, index,
-                                                    receive, round_index, expected):
-    assert _relabeled_failure(monkeypatch, strategy, backward, index, s_kv=1100) == (
-        f"worker 1 round {round_index}: recv(src=0) expected block {expected}, "
-        f"got {expected + 3}"), receive
+                                                    receive, round_index, expected, n, src):
+    assert _relabeled_failure(monkeypatch, strategy, backward, index, s_kv=1100, n=n,
+                              link=(src, 1)) == (
+        f"worker 1 round {round_index}: recv(src={src}) expected block {expected}, "
+        f"got {expected + n}"), receive
