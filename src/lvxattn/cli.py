@@ -22,15 +22,16 @@ import json
 import math
 import sys
 from dataclasses import asdict
+from itertools import islice
 from pathlib import Path
 
-from . import analytics
+from . import analytics, volumes
 from .cluster import ClusterError, ClusterSpec, Throttled
 from .kernels import DEFAULT_TILE_ROWS
 from .mllm import (ActivationPolicy, ModelParams, OpCounter, ToyMllmConfig,
                    TOY_CONFIG, max_frames_under_budget, measured_activation_bytes,
                    mllm_backward, mllm_forward)
-from .strategies import PROTOCOLS, StrategyKind, run_distributed
+from .strategies import PROTOCOLS, StrategyKind, partition_rows, run_distributed
 from .tensorio import (dtype_from_name, load_tensor, seeded_random_tensor,
                        store_tensor)
 from .verify import SUITES, run_suite
@@ -97,53 +98,50 @@ def _numeric_working_set(strategy: str, s_q: int, s_kv: int, h: int, d: int,
 
     Counted: the inputs, plus the larger of two transients that never
     overlap: one float64 buffer the size of the largest input while an input
-    is drawn or read, or the run itself. The run holds two copies of every
-    output (the workers' parts and the gathered copy; in the backward the
-    gradient accumulators are the parts), in the backward the gradient
-    scratch that each `lvx`/`ring` worker reuses every round (one query
-    block on `lvx`; a tile-sized K and V piece on `ring` and `single`, plus
-    the K/V-sized (dK, dV) accumulator pieces that a `ring` worker starts
-    in round 0 and that travel until their owner takes them), and on `head`
-    the head-split input copies and the local gradients. The kernels of all
-    workers hold six O- and L-shaped float64 arrays (Q in float64, the
-    running O and its update, dQ and its tile update, merge temporaries),
-    four K/V tiles (K and V staged in float64, a gradient tile and its
-    rounding) and one score tile per worker in the forward, two in the
-    backward. A worker's score tile is [h, its query rows,
-    min(DEFAULT_TILE_ROWS, its KV rows)]: `lvx` and `ring` workers see KV
-    blocks of ceil(S_KV / n) rows, `head` workers all S_KV rows of h/n
-    heads, and the one `single` worker all S_KV rows of all heads, which is
-    the `lvx`/`ring` count at n = 1. Python objects (the argument parser,
-    the n(n+1) messages, round records and stats) add 256 KiB + 6 KiB n²,
-    and 6 KiB more for each message of a K/V block or its gradient sent in
-    pieces of DEFAULT_TILE_ROWS rows: 3n(n - 1) per piece of a block on
-    `ring`, an upper bound on its n(3n - 4) at n >= 2, and 2nh per piece on
-    `head`, whose blocks are cut at the tile boundaries of the full sequence
-    and so span one piece more. A `ring` worker keeps the pieces its last
-    forward round received until the backward, but they are views of the
-    input K and V, so only their messages count. The default n=1 is the
-    bound for one worker holding every row."""
+    is drawn or read, or the run. The run holds two copies of every output
+    (the workers' parts, which are the gradient accumulators in the
+    backward, and the gathered copy); in the backward the gradient scratch
+    each `lvx`/`ring` worker reuses (a query block on `lvx`; a tile-sized K
+    and V piece on `ring` and `single`, plus the K/V-sized (dK, dV)
+    accumulator pieces that travel to their owners); on `head` the
+    head-split input copies and the local gradients. The kernels hold six
+    O- and L-shaped float64 arrays (Q, the running O and its update, dQ and
+    its tile update, merge temporaries), four K/V tiles per worker (K and V
+    staged, a gradient tile and its rounding) and one score tile per worker
+    in the forward, two in the backward. A score tile is [h, query rows,
+    min(DEFAULT_TILE_ROWS, KV rows)], with KV blocks of ceil(S_KV / n) rows
+    on `lvx` and `ring`, all S_KV rows of h/n heads on `head`, and `single`
+    counted as `ring` at n = 1. Python objects (the argument parser, the
+    n(n+1) messages, round records and stats) add 256 KiB + 6 KiB n², and
+    6 KiB for each message `volumes.kv_messages` lists, counted only up to
+    the first that passes MAX_NUMERIC_BYTES, so a run refused on its
+    tensors or n² term walks none. The K/V pieces a `ring` worker keeps for
+    its backward are views of the input, so only their messages count. The
+    default n=1 is the bound for one worker holding every row."""
     q, kv, rows = h * s_q * d, h * s_kv * d, h * s_q
     inputs = q + 2 * kv + (q if backward else 0)
     outputs = q + rows + (q + 2 * kv if backward else 0)
     run = 2 * outputs * elem_bytes + 6 * (q + rows) * 8
     head = strategy == StrategyKind.HEAD_PARALLEL.value
-    kv_block = -(-s_kv // n)
-    kv_rows = s_kv if head else kv_block
+    kv_rows = s_kv if head else -(-s_kv // n)
     cols = min(DEFAULT_TILE_ROWS, kv_rows)
-    staged_heads = h if head else n * h
-    run += 4 * staged_heads * cols * d * 8 + (2 if backward else 1) * rows * cols * 8
+    run += 4 * (h if head else n * h) * cols * d * 8 + (1 + backward) * rows * cols * 8
     if head:
         run += (inputs + (q + 2 * kv if backward else 0)) * elem_bytes
     elif backward:
         scratch_rows = (-(-s_q // n) if strategy == StrategyKind.LVX.value
                         else 2 * kv_rows + 2 * cols)
         run += n * h * scratch_rows * d * elem_bytes
-    pieces = -(-kv_block // DEFAULT_TILE_ROWS) + head
-    piece_messages = (2 * n * h if head
-                      else 0 if strategy == StrategyKind.LVX.value else 3 * n * (n - 1))
-    objects = (256 + 6 * n * n + 6 * piece_messages * pieces) * 1024
-    return objects + inputs * elem_bytes + max(max(q, kv) * 8, run)
+    total = (256 + 6 * n * n) * 1024 + inputs * elem_bytes + max(max(q, kv) * 8, run)
+    if total > MAX_NUMERIC_BYTES:
+        return total
+    q_sizes, kv_sizes = ([b - a for a, b in partition_rows(s, n)] for s in (s_q, s_kv))
+    messages = (m for phase in volumes.PHASES[:1 + backward] for i in range(n)
+                for r in range(n + 1)
+                for m in volumes.kv_messages(strategy, phase, i, r, q_sizes, kv_sizes, h))
+    # enough messages to pass the cap, and no more
+    room = (MAX_NUMERIC_BYTES - total) // (6 * 1024) + 1
+    return total + 6 * 1024 * sum(1 for _ in islice(messages, room))
 
 
 def cmd_run(args) -> int:

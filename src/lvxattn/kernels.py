@@ -24,7 +24,7 @@ meets the kernel as it lands: a `SoftmaxCarry` holds the forward's float64
 m, l and O between calls and a `GradientCarry` the backward's float64 dQ
 sum. Fed pieces that start at tile boundaries of the walk, a carry gives
 the one-shot call's result bit for bit; the one-shot call is the same walk
-fed one piece.
+fed one piece. `tile_pieces` cuts rows into such pieces.
 """
 
 from __future__ import annotations
@@ -34,6 +34,14 @@ from dataclasses import dataclass
 import numpy as np
 
 DEFAULT_TILE_ROWS = 256
+
+
+def tile_pieces(a: int, b: int) -> list[tuple[int, int]]:
+    """Rows [a, b) cut at the multiples of DEFAULT_TILE_ROWS, the pieces in
+    which K/V and its gradients travel and meet a carry; no rows is one
+    empty piece, so a block is never less than one message."""
+    cuts = [a, *range((a // DEFAULT_TILE_ROWS + 1) * DEFAULT_TILE_ROWS, b, DEFAULT_TILE_ROWS), b]
+    return list(zip(cuts, cuts[1:]))
 
 
 @dataclass(frozen=True)

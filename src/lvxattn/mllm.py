@@ -18,16 +18,16 @@ extra work of the recompute policy is the two y projections per layer. The
 memory ledger is analytic (shape arithmetic, no tensors), with a measured
 counterpart over the live saved buffers for cross-checks.
 
-Each cross-attention layer walks y in row blocks of DEFAULT_TILE_ROWS (256)
-rows, so what the layers allocate besides the ledger's buffers and d_y does
-not grow with S_KV. The forward projects K_b and V_b from one block of y
-(under store, copying them into the layer's full K and V), runs
-blockwise_attention on them with a float64 Q and merges the block states in
-float64. The backward takes each block's saved or re-projected K_b, V_b and
-runs dense_attention_backward with a float64 Q and the layer's final O and
-L (the kernel upcasts the rest), so the block's dK_b, dV_b and partial dQ are
-exact; project_backward against float64 W_K and W_V then adds into d_y's rows
-and into float64 dQ, dW_K and dW_V accumulators.
+Each cross-attention layer walks y in the row blocks `kernels.tile_pieces`
+cuts (256 rows; one empty block for no rows), so what the layers allocate
+besides the ledger's buffers and d_y does not grow with S_KV. The forward
+projects K_b and V_b from one block of y (under store, copying them into the
+layer's full K and V), runs blockwise_attention on them with a float64 Q and
+merges the block states in float64. The backward takes each block's saved or
+re-projected K_b, V_b and runs dense_attention_backward with a float64 Q and
+the layer's final O and L (the kernel upcasts the rest), so the block's dK_b,
+dV_b and partial dQ are exact; project_backward against float64 W_K and W_V
+then adds into d_y's rows and into float64 dQ, dW_K and dW_V accumulators.
 Rounding to the config dtype happens at the Q, K and V projections and once
 per layer for O and L, d_y's rows, dQ, dW_K and dW_V; dK and dV stay float64.
 A y block is what one worker's y shard would be in a sequence-parallel step.
@@ -40,9 +40,8 @@ from enum import Enum
 
 import numpy as np
 
-from .kernels import (DEFAULT_TILE_ROWS, blockwise_attention, default_scale,
-                      dense_attention_backward, merge_states, project,
-                      project_backward, require_finite)
+from .kernels import (blockwise_attention, default_scale, dense_attention_backward,
+                      merge_states, project, project_backward, require_finite, tile_pieces)
 from .tensorio import dtype_from_name, seeded_random_tensor
 
 
@@ -276,13 +275,6 @@ def _unflatten_heads(t: np.ndarray, h: int) -> np.ndarray:
     return np.ascontiguousarray(t.reshape(s, h, hd // h).transpose(1, 0, 2))
 
 
-def _row_blocks(rows: int) -> list[tuple[int, int]]:
-    """(start, stop) of each DEFAULT_TILE_ROWS-row block of y. Zero rows make
-    one empty block, so a layer always runs its kernels once."""
-    tile = DEFAULT_TILE_ROWS
-    return [(a, min(a + tile, rows)) for a in range(0, max(rows, 1), tile)]
-
-
 def mllm_forward(x0: np.ndarray, y: np.ndarray, params: ModelParams,
                  config: ToyMllmConfig, policy: ActivationPolicy):
     """Run the block stack; returns (output, saved activations, memory ledger).
@@ -315,7 +307,7 @@ def mllm_forward(x0: np.ndarray, y: np.ndarray, params: ModelParams,
             # a float64 Q keeps the block states and their merges in float64
             q = q.astype(np.float64, copy=False)
             st = None
-            for a, b in _row_blocks(s_kv):
+            for a, b in tile_pieces(0, s_kv):
                 k = project(y[a:b], p.w_k, h)
                 v = project(y[a:b], p.w_v, h)
                 if policy is ActivationPolicy.STORE_KV:
@@ -391,7 +383,7 @@ def mllm_backward(d_out: np.ndarray, saved: SavedActivations, y: np.ndarray,
             w_k64, w_v64 = p.w_k.astype(f64, copy=False), p.w_v.astype(f64, copy=False)
             d_q = np.zeros(q.shape)
             g_wk, g_wv = np.zeros(p.w_k.shape), np.zeros(p.w_v.shape)
-            for a, b in _row_blocks(config.s_kv):
+            for a, b in tile_pieces(0, config.s_kv):
                 if policy is ActivationPolicy.STORE_KV:
                     k, v = k_all[:, a:b], v_all[:, a:b]
                 else:

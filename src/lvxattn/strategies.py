@@ -6,24 +6,17 @@ Four strategies, all exact:
           the (Q, O, L) blocks travel around the ring. Per round the send,
           the recv, and the local blockwise kernel are all in flight at once;
           a final epilogue hop lands every (O, L) block on its owner.
-  ring    kv rotation: Q, O, L stay resident, (K, V) blocks travel toward
-          the successor n-1 times in pieces of one kernel tile, each fed to
-          the kernel as it lands; round 0 feeds the whole own block once its
-          pieces have left. The backward turns toward the predecessor and
-          starts from the block the forward ended with, so a block travels
-          n-2 times more, and its (dK, dV) accumulator starts at the worker
-          before its owner and travels with it home piece by piece; the last
-          round feeds the own block.
+  ring    kv rotation: Q, O, L stay resident, and (K, V) blocks travel
+          toward the successor n-1 times in the pieces of
+          `volumes.kv_messages`, each fed to the kernel as it lands. The
+          backward turns toward the predecessor, starting from the block the
+          forward ended with, and a block's (dK, dV) accumulator travels
+          with it to its owner.
   head    head parallelism: an all-to-all reshards sequence-split Q/K/V into
-          head-split full-sequence tensors, attention runs locally per owned
-          head, a second all-to-all restores sequence sharding. Requires the
-          head count to be divisible by the worker count. The K/V rows and
-          their gradients travel one head at a time, in pieces cut at the
-          kernel tile boundaries of the full sequence: the owner of a head
-          reads every source's first piece, which carries the source's Q
-          rows, then the rest in sequence order, running the kernel as the
-          rows come, and sends a worker's dK/dV rows as soon as the kernel
-          has passed them.
+          head-split full-sequence tensors, one head at a time, attention
+          runs locally per owned head as its K/V pieces come, and a second
+          all-to-all restores sequence sharding. Requires the head count to
+          be divisible by the worker count.
   single  ring on one worker: the same tiled kernels, called once per
           phase, and nothing travels.
 
@@ -80,7 +73,7 @@ from .cluster import (ClusterError, ClusterSpec, RoundTrace, TransportStats,
 from .kernels import (DEFAULT_TILE_ROWS, AttentionState, GradientBundle, GradientCarry,
                       SoftmaxCarry, attention_row_stats, blockwise_attention,
                       blockwise_attention_backward, default_scale, empty_state,
-                      merge_states, require_finite, validate_qkv)
+                      merge_states, require_finite, tile_pieces, validate_qkv)
 # no body calls the dense oracle or the dense backward; perfbench/tracer.py
 # wraps them here by name
 from .kernels import dense_attention, dense_attention_backward  # noqa: F401
@@ -235,28 +228,20 @@ def lvx_backward(ctx: WorkerContext, shards: ShardSpec, q_i: np.ndarray,
     return ctx.recv(ctx.predecessor, block=i)["dQ"], dk, dv
 
 
-def _pieces(a: int, b: int) -> list[tuple[int, int]]:
-    """Rows [a, b) cut at the multiples of the kernel tile DEFAULT_TILE_ROWS:
-    the pieces in which a K/V block, or its gradient, travels and meets the
-    kernel. An empty range is one empty piece, so a block is never less
-    than one message."""
-    cuts = [a, *range((a // DEFAULT_TILE_ROWS + 1) * DEFAULT_TILE_ROWS, b, DEFAULT_TILE_ROWS), b]
-    return list(zip(cuts, cuts[1:]))
-
-
 def _round_pieces(ctx: WorkerContext, shards: ShardSpec, k_i: np.ndarray, v_i: np.ndarray,
                   j: int, src: int, dst: int | None, held: tuple | None = None):
     """Yield (a, b, {"K", "V"}) for block j of a ring round, rows [a, b) of
-    the block. The worker's own block is yielded whole, once its pieces have
-    left for dst. Another block is yielded piece by piece, each taken from
-    `held` when given, else as it arrives from src, and sent on to dst
-    first. A dst of None sends nothing."""
+    the block, which travels in the pieces `tile_pieces(0, rows)`. The
+    worker's own block is yielded whole, once its pieces have left for dst.
+    Another block is yielded piece by piece, each taken from `held` when
+    given, else as it arrives from src, and sent on to dst first. A dst of
+    None sends nothing."""
     if j == ctx.rank:
-        for a, b in _pieces(0, k_i.shape[1]) if dst is not None else ():
+        for a, b in tile_pieces(0, k_i.shape[1]) if dst is not None else ():
             ctx.send(dst, {"K": k_i[:, a:b], "V": v_i[:, a:b]}, block=j)
         yield 0, k_i.shape[1], {"K": k_i, "V": v_i}
         return
-    for p, (a, b) in enumerate(_pieces(0, shards.kv_sizes[j])):
+    for p, (a, b) in enumerate(tile_pieces(0, shards.kv_sizes[j])):
         kv = held[p] if held is not None else ctx.recv(src, block=j)
         if dst is not None:
             ctx.send(dst, kv, block=j)
@@ -354,7 +339,7 @@ def ring_backward(ctx: WorkerContext, shards: ShardSpec, q_i: np.ndarray,
                 grads = acc
             if r < n - 1:
                 ctx.send(ctx.predecessor, grads, block=j)
-        for a, b in _pieces(0, k_i.shape[1]) if r == n - 1 and n > 1 else ():
+        for a, b in tile_pieces(0, k_i.shape[1]) if r == n - 1 and n > 1 else ():
             got = ctx.recv(ctx.successor, block=i)
             dk[:, a:b] += got["dK"]
             dv[:, a:b] += got["dV"]
@@ -384,7 +369,7 @@ def head_parallel_forward(ctx: WorkerContext, shards: ShardSpec, q_i: np.ndarray
     kernel overlaps the transfer of its later pieces and of the next head."""
     n, i = ctx.n, ctx.rank
     hpw = q_i.shape[0] // n
-    sources = [_pieces(*rows) for rows in shards.kv_ranges]
+    sources = [tile_pieces(*rows) for rows in shards.kv_ranges]
     ka = shards.kv_ranges[i][0]
     own = [(a - ka, b - ka) for a, b in sources[i]]
     for k in range(hpw):
@@ -443,7 +428,7 @@ def head_parallel_backward(ctx: WorkerContext, shards: ShardSpec, q_i: np.ndarra
 
     received = ctx.all_to_all([{"dO": do_i[w * hpw:(w + 1) * hpw]} for w in range(n)])
     do_full = _gather(received, "dO", 1)
-    dests = [_pieces(*rows) for rows in shards.kv_ranges]
+    dests = [tile_pieces(*rows) for rows in shards.kv_ranges]
     # every destination's pieces but its last, which waits for dQ, in
     # sequence order
     early = [(w, a, b) for w, pieces in enumerate(dests) for a, b in pieces[:-1]]
@@ -454,7 +439,7 @@ def head_parallel_backward(ctx: WorkerContext, shards: ShardSpec, q_i: np.ndarra
         dq, dk, dv = (np.zeros(t[head].shape, out_dt) for t in (q_full, k_full, v_full))
         carry = GradientCarry.start(q)
         sent = 0
-        for t0, t1 in _pieces(0, k_full.shape[1]):
+        for t0, t1 in tile_pieces(0, k_full.shape[1]):
             ctx.compute(blockwise_attention_backward, q, k_full[head, t0:t1],
                         v_full[head, t0:t1], st.L[head], d_head, do, scale,
                         out=(dq, dk[:, t0:t1], dv[:, t0:t1]), carry=carry)

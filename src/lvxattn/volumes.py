@@ -24,16 +24,13 @@ i the hop fires as its `when` says:
   PEER      an all-to-all in round 0: to every other worker w, w's rows of
             h/n heads
 
-How a hop is cut into messages changes no byte count. The ROUND hops of
-one `lvx` forward round travel as one message. In the `lvx` backward each
-is a message of its own: the read-only part (Q, dO, L, D) leaves before the
-round's kernel and the dQ accumulator after it. `ring` and `head` move K/V
-and dK/dV in pieces of one kernel tile (`kernels.DEFAULT_TILE_ROWS` rows),
-one message each; a block within one tile is one message. A `ring` (dK, dV)
-piece leaves as soon as its tile is done. The `head` forward sends, per
-head, the Q rows on the first K/V piece; the `head` backward sends a
-worker's dQ rows on its last dK/dV piece. Its other OWN and PEER hops,
-the forward O, L and the backward dO, travel as one message to each worker.
+How a hop is cut into messages changes no byte count. The `lvx` forward
+sends a round's hops as one message; the `lvx` backward sends the
+read-only part (Q, dO, L, D) before the round's kernel and the dQ
+accumulator after it. `ring` and `head` move K/V and dK/dV in the pieces
+that `kv_messages` lists; per head, the `head` forward's Q rows ride on a
+worker's first K/V piece and the backward's dQ rows on its last dK/dV
+piece, and O, L and dO travel as one message to each worker.
 
 So query rotation forward sends (|q_{i-r+1}| (h*d + h) + |q_{i-r}| h*d) b in
 round r (the O, L just finished plus the Q in flight) and |q_{i+1}| (h*d + h) b
@@ -49,6 +46,9 @@ sum_{w != i} |q_w| (h/n) (d + 1) b forward.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, product
+
+from .kernels import tile_pieces
 
 ROUND, OWN, PEER = "round", "own", "peer"
 PHASES = ("forward", "backward")
@@ -99,29 +99,48 @@ def class_row_elems(cls: str, heads: int, d: int) -> int:
     return hd * heads * d + hf * heads
 
 
+def _transfers(strategy: str, phase: str, i: int, r: int, q_sizes, kv_sizes, h: int):
+    """Yield (hop, destination, block, (a, b), heads) for each transfer of
+    worker i in round r (round n is the epilogue), with the block's rows
+    [a, b) counted from its first row on a ROUND hop, else from the
+    sequence's first row."""
+    n = len(q_sizes)
+    for hop in HOPS[(strategy, phase)]:
+        rows = q_sizes if hop.axis == "q" else kv_sizes
+        first, stop = hop.rounds
+        if hop.when == ROUND and first <= r < n + stop:
+            block = (i - hop.direction * r + hop.offset) % n
+            yield hop, (i + hop.direction) % n, block, (0, rows[block]), h
+        elif hop.when in (OWN, PEER) and r == 0:
+            starts = list(accumulate(rows, initial=0))
+            for w, block in enumerate([i] * n if hop.when == OWN else range(n)):
+                yield hop, w, block, (starts[block], starts[block + 1]), h // n
+
+
 def sent_by_class(strategy: str, phase: str, i: int, r: int | None, q_sizes, kv_sizes,
                   h: int, d: int, elem_bytes: int) -> dict[str, int]:
     """Bytes per tensor class that worker i sends in round r, or in the
     epilogue, round n, when r is None; only the classes of hops that fire
     appear."""
-    n = len(q_sizes)
-    r = n if r is None else r
-    sizes = {"q": q_sizes, "kv": kv_sizes}
+    r = len(q_sizes) if r is None else r
     out = {}
-    for hop in HOPS[(strategy, phase)]:
-        rows = sizes[hop.axis]
-        first, stop = hop.rounds
-        if hop.when == ROUND and first <= r < n + stop:
-            block = (i - hop.direction * r + hop.offset) % n
-            messages = [((i + hop.direction) % n, rows[block], h)]
-        elif hop.when in (OWN, PEER) and r == 0:
-            messages = [(w, rows[i if hop.when == OWN else w], h // n) for w in range(n)]
-        else:
-            continue
+    for hop, dst, _, (a, b), heads in _transfers(strategy, phase, i, r, q_sizes, kv_sizes, h):
         for cls in hop.classes:
-            out[cls] = elem_bytes * sum(rows_sent * class_row_elems(cls, heads, d)
-                                        for dst, rows_sent, heads in messages if dst != i)
+            sent = elem_bytes * (b - a) * class_row_elems(cls, heads, d) if dst != i else 0
+            out[cls] = out.get(cls, 0) + sent
     return out
+
+
+def kv_messages(strategy: str, phase: str, i: int, r: int, q_sizes, kv_sizes, h: int):
+    """Yield (classes, destination, id, rows, heads) for each message of the
+    K/V-axis transfers of worker i in round r, cut by `tile_pieces`: a ROUND
+    block under its id, an OWN or PEER block one head at a time under the
+    head's index among its owner's heads. Each link carries them in order."""
+    for hop, dst, block, (a, b), heads in _transfers(strategy, phase, i, r, q_sizes, kv_sizes, h):
+        if hop.axis == "kv":
+            ids, per = ([block], heads) if hop.when == ROUND else (range(heads), 1)
+            for k, (pa, pb) in product(ids, tile_pieces(a, b)):
+                yield hop.classes, dst, k, pb - pa, per
 
 
 def bytes_by_worker(strategy: str, phase: str, q_sizes, kv_sizes, h: int, d: int,

@@ -118,6 +118,25 @@ class TestRun:
         assert "--n must be positive" in capsys.readouterr().err
         assert not (tmp_path / "stats.json").exists()
 
+    @pytest.mark.parametrize("flags", [
+        ["--strategy", "ring", "--sq", "5514", "--skv", "15279944", "--h", "32", "--d", "128",
+         "--n", "16", "--backward"],
+        ["--strategy", "head", "--sq", "5514", "--skv", "15279944", "--h", "32", "--d", "128",
+         "--n", "16", "--backward"],
+        # tiny tensors, but 6 KiB n² of Python objects
+        ["--strategy", "ring", "--n", "2000", "--sq", "4", "--skv", "4", "--h", "1", "--d", "1"],
+    ])
+    def test_refusal_walks_no_message(self, monkeypatch, capsys, flags):
+        # refused on tensors or the n² term alone: no worker starts and the
+        # guard walks no message
+        def refuse(*args, **kwargs):
+            raise AssertionError("workers spawned or messages walked")
+
+        monkeypatch.setattr(strategies, "spawn_cluster", refuse)
+        monkeypatch.setattr(volumes, "kv_messages", refuse)
+        assert run_cli("run", *flags) == 2
+        assert "use cost" in capsys.readouterr().err
+
     def test_score_matrix_counted_before_tensors_built(self, monkeypatch, capsys):
         # the inputs are 1e6 elements; the forward's one [1, 1e6, 256] float64
         # score tile alone is 2.0e9 bytes, over the 1.6e9 limit

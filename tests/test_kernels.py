@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from lvxattn.kernels import (AttentionState, GradientCarry, SoftmaxCarry,
+from lvxattn.kernels import (DEFAULT_TILE_ROWS, AttentionState, GradientCarry, SoftmaxCarry,
                              blockwise_attention, blockwise_attention_backward,
                              dense_attention, dense_attention_backward, empty_state,
-                             merge_states, project, project_backward)
+                             merge_states, project, project_backward, tile_pieces)
 from lvxattn.tensorio import seeded_random_tensor
 from lvxattn.verify import (gradient_oracle, max_norm_error,
                             untiled_backward_reference)
@@ -407,6 +407,23 @@ def test_attention_state_invariants():
         AttentionState(O=np.zeros((1, 2, 3)), L=np.zeros((1, 3)))
     st = empty_state(2, 4, 3)
     assert np.all(st.O[np.isneginf(st.L)] == 0.0)
+
+
+@pytest.mark.parametrize("a,b,expected", [
+    (0, 0, [(0, 0)]), (300, 300, [(300, 300)]),         # no rows: one empty piece
+    (0, 100, [(0, 100)]), (0, 256, [(0, 256)]),
+    (0, 512, [(0, 256), (256, 512)]),                     # exact multiples
+    (275, 550, [(275, 512), (512, 550)]),                 # a start in mid-tile
+    (100, 200, [(100, 200)]), (256, 800, [(256, 512), (512, 768), (768, 800)]),
+])
+def test_tile_pieces(a, b, expected):
+    assert DEFAULT_TILE_ROWS == 256
+    pieces = tile_pieces(a, b)
+    assert pieces == expected
+    # the pieces join back into [a, b), and every cut but the ends is a tile multiple
+    assert pieces[0][0] == a and pieces[-1][1] == b
+    assert all(p[1] == q[0] and p[1] % DEFAULT_TILE_ROWS == 0
+               for p, q in zip(pieces, pieces[1:]))
 
 
 # (tile_rows, S_KV, piece sizes): one, two and three tile-aligned pieces,

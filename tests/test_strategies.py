@@ -354,6 +354,50 @@ def test_link_message_counts(strategy, n, backward):
     assert counts == {link: expected.get(link, 0) for link in counts}
 
 
+# (S_Q, S_KV): empty query and K/V shards at n = 4, tiny uneven blocks, and
+# K/V blocks that end mid-tile or span several pieces (1100 rows: 550, 366-367
+# and 275 per worker; 513 rows: three pieces at n = 1)
+STREAM_SHAPES = [(3, 3), (5, 7), (7, 1100), (2, 513)]
+
+
+@pytest.mark.parametrize("backward", [False, True])
+@pytest.mark.parametrize("strategy,n", [(s, n) for s in ("lvx", "ring", "head") for n in range(1, 5)]
+                         + [("single", 1)])
+def test_kv_streams_match_kv_messages(monkeypatch, strategy, n, backward):
+    # every link's K/V stream and dK/dV stream, each in send order, as
+    # (block id, shapes) pairs; the ring backward interleaves the two on one
+    # link, so they are compared apart
+    h, d = 12, 2
+    sent = []
+    send = cluster.Cluster.send
+
+    def recording_send(self, src, dst, payload, block=None):
+        sent.append((src, dst, block, {cls: t.shape for cls, t in payload.items()}))
+        return send(self, src, dst, payload, block=block)
+
+    monkeypatch.setattr(cluster.Cluster, "send", recording_send)
+    for s_q, s_kv in STREAM_SHAPES:
+        Q, K, V, dO = rand_problem(h, s_q, s_kv, d, seed=28)
+        sent.clear()
+        res = run_distributed(strategy, Q, K, V, dO=dO if backward else None,
+                              spec=ClusterSpec(n))
+        sizes = (res.shards.q_sizes, res.shards.kv_sizes)
+        for classes in (("K", "V"), ("dK", "dV")):
+            got, expected = {}, {}
+            for src, dst, block, shapes in sent:
+                if classes[0] in shapes:
+                    got.setdefault((src, dst), []).append(
+                        (block, [shapes.get(cls) for cls in classes]))
+            for phase, i, r in itertools.product(volumes.PHASES[:1 + backward], range(n),
+                                                 range(n + 1)):
+                for msg_classes, dst, block, rows, heads in volumes.kv_messages(
+                        strategy, phase, i, r, *sizes, h):
+                    if msg_classes == classes:
+                        expected.setdefault((i, dst), []).append(
+                            (block, [(heads, rows, d)] * len(classes)))
+            assert got == expected, (s_q, s_kv, classes)
+
+
 class TestErrors:
     def test_head_divisibility(self):
         Q, K, V, _ = rand_problem(4, 6, 6, 3, seed=16)
