@@ -115,9 +115,10 @@ def _numeric_working_set(strategy: str, s_q: int, s_kv: int, h: int, d: int,
     n(n+1) messages, round records and stats) add 256 KiB + 6 KiB n², and
     6 KiB for each message `volumes.kv_messages` lists, counted only up to
     the first that passes MAX_NUMERIC_BYTES, so a run refused on its
-    tensors or n² term walks none. The K/V pieces a `ring` worker keeps for
-    its backward are views of the input, so only their messages count. The
-    default n=1 is the bound for one worker holding every row."""
+    tensors or n² term walks none, and neither does a phase with no K/V
+    hop. The K/V pieces a `ring` worker keeps for its backward are views of
+    the input, so only their messages count. The default n=1 is the bound
+    for one worker holding every row."""
     q, kv, rows = h * s_q * d, h * s_kv * d, h * s_q
     inputs = q + 2 * kv + (q if backward else 0)
     outputs = q + rows + (q + 2 * kv if backward else 0)
@@ -136,8 +137,9 @@ def _numeric_working_set(strategy: str, s_q: int, s_kv: int, h: int, d: int,
     if total > MAX_NUMERIC_BYTES:
         return total
     q_sizes, kv_sizes = ([b - a for a, b in partition_rows(s, n)] for s in (s_q, s_kv))
-    messages = (m for phase in volumes.PHASES[:1 + backward] for i in range(n)
-                for r in range(n + 1)
+    messages = (m for phase in volumes.PHASES[:1 + backward]
+                if any(hop.axis == "kv" for hop in volumes.HOPS[(strategy, phase)])
+                for i in range(n) for r in range(n + 1)
                 for m in volumes.kv_messages(strategy, phase, i, r, q_sizes, kv_sizes, h))
     # enough messages to pass the cap, and no more
     room = (MAX_NUMERIC_BYTES - total) // (6 * 1024) + 1

@@ -23,18 +23,19 @@ latencies of messages sent back to back overlap while their transfers
 serialize. Its defaults, infinite bandwidth and no latency, are the instant
 link: modeled time 0.
 
-A message is addressed by its directed link alone: a receive takes the
-oldest message from the named source. A message may carry one block id, which
-the receiving worker context checks against the id it expects. A receive
-waits for a message already sent until it arrives, however slow its link;
-the timeout bounds only the wait for a message that no worker has sent. A run
-that ends with a message still queued fails, as a later receive on its link
-would have read it.
+Every message goes point to point, addressed by its directed link alone: a
+receive takes the oldest message from the named source. A message may carry
+one block id, which the receiving worker context checks against the id it
+expects. A receive waits for a message already sent until it arrives,
+however slow its link; the timeout bounds only the wait for a message that
+no worker has sent. A run that ends with a message still queued fails, as a
+later receive on its link would have read it.
 
 The transport is the one accounting path: each worker context adds the bytes
-per class that `Cluster.send` counted, and the modeled time of the messages
+per class that `Cluster.send` counted, and the modeled time of every message
 it receives, to its open round, so protocol round traces and the link
-counters cannot disagree.
+counters cannot disagree: a worker's wait, summed over its rounds and
+epilogues, is the modeled time of the links into it.
 """
 
 from __future__ import annotations
@@ -279,17 +280,16 @@ class RoundTrace:
 
 
 class WorkerContext:
-    """Per-worker handle: point-to-point send/recv plus an all-to-all
-    collective. send is non-blocking (buffered); recv(src, block=) blocks
-    until the next message that src sent this worker arrives, in send order,
-    checks its block id when one is expected, and returns its payload. A
-    worker may have any number of sends in flight while it computes.
+    """Per-worker handle: point-to-point send and recv, the one message path.
+    send is non-blocking (buffered); recv(src, block=) blocks until the next
+    message that src sent this worker arrives, in send order, checks its
+    block id when one is expected, and returns its payload. A worker may
+    have any number of sends in flight while it computes.
 
     The context also keeps the worker's round trace. Every `compute` adds the
     wall seconds of its kernel call to the open round, every send the bytes
-    per class that the transport counted, every recv the modeled seconds of
-    its message, and every all-to-all its slowest incoming message;
-    `close_round` and `close_phase` end rounds and phases."""
+    per class that the transport counted, and every recv the modeled seconds
+    of its message; `close_round` and `close_phase` end rounds and phases."""
 
     def __init__(self, cluster: Cluster, rank: int):
         self.cluster = cluster
@@ -325,20 +325,6 @@ class WorkerContext:
             raise ClusterError(f"worker {self.rank} round {len(self._rounds)}: recv(src={src}) "
                                f"expected block {block}, got {msg.block}")
         return msg.payload
-
-    def all_to_all(self, chunks: list) -> list:
-        """Deliver chunk w (a payload keyed by class) to worker w; returns the
-        n received payloads ordered by source id. The self-chunk takes the
-        free loopback link; its classes count 0 bytes. The round waits for
-        the slowest incoming chunk."""
-        if len(chunks) != self.n:
-            raise ClusterError(f"worker {self.rank}: all_to_all expects {self.n} chunks, "
-                               f"got {len(chunks)}")
-        for dst, chunk in enumerate(chunks):
-            self.send(dst, chunk)
-        msgs = [self.cluster.recv(self.rank, src) for src in range(self.n)]
-        self._waited += max(msg.modeled_seconds for msg in msgs)
-        return [msg.payload for msg in msgs]
 
     def compute(self, kernel, *args, **kwargs):
         """Run kernel(*args, **kwargs); add its wall seconds to the open round."""

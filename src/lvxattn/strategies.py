@@ -12,11 +12,12 @@ Four strategies, all exact:
           backward turns toward the predecessor, starting from the block the
           forward ended with, and a block's (dK, dV) accumulator travels
           with it to its owner.
-  head    head parallelism: an all-to-all reshards sequence-split Q/K/V into
-          head-split full-sequence tensors, one head at a time, attention
-          runs locally per owned head as its K/V pieces come, and a second
-          all-to-all restores sequence sharding. Requires the head count to
-          be divisible by the worker count.
+  head    head parallelism: every worker sends its rows of each head's
+          Q/K/V to the head's owner, one head at a time, attention runs
+          locally per owned head over the full sequence as its K/V pieces
+          come, and each owner sends every worker its rows of O and L,
+          which restores sequence sharding. Requires the head count to be
+          divisible by the worker count.
   single  ring on one worker: the same tiled kernels, called once per
           phase, and nothing travels.
 
@@ -50,14 +51,13 @@ default KV tile, and a piece starts at a tile boundary of its walk, so a
 walk continued piece by piece (`carry=`) gives the one-shot call's bits.
 
 Row partitions may be uneven (sizes differ by at most one). Each link
-delivers in send order. A rotated message, every piece included, carries
-one block id, which the sender takes from the round index (`head`: from the
-head) and every receive names as the id it expects
-(`ctx.recv(src, block=)`): a block's rows follow from its id, so a protocol
-bug fails loudly, naming the worker and round, instead of corrupting
-results.
-Workers with empty shards participate in all collectives with zero-row
-tensors.
+delivers in send order. Every message, every piece included, carries one
+block id, which the sender takes from the round index (`head`'s K/V and
+their gradients: from the head; O/L and dO: the query block of their rows)
+and every receive names as the id it expects (`ctx.recv(src, block=)`): a
+block's rows follow from its id, so a protocol bug fails loudly, naming the
+worker and round, instead of corrupting results.
+Workers with empty shards take part in every round with zero-row tensors.
 """
 
 from __future__ import annotations
@@ -354,8 +354,8 @@ def _gather(received: list[dict], cls: str, axis: int, out=None) -> np.ndarray:
 
 def head_parallel_forward(ctx: WorkerContext, shards: ShardSpec, q_i: np.ndarray,
                           k_i: np.ndarray, v_i: np.ndarray, scale: float) -> AttentionState:
-    """All-to-all from sequence sharding to head sharding, local attention on
-    the owned heads over the full sequence, all-to-all back.
+    """Sequence sharding to head sharding, local attention on the owned heads
+    over the full sequence, and back.
 
     Each worker sends its rows of every head to the head's owner, the K/V
     rows as pieces cut at the kernel tile boundaries of the full sequence
@@ -366,7 +366,10 @@ def head_parallel_forward(ctx: WorkerContext, shards: ShardSpec, q_i: np.ndarray
     hand, writes each into the gathered head, and runs the kernel up to
     the last tile boundary the walk has reached (the end of the sequence
     once it is there), continuing the head's softmax carry. So a head's
-    kernel overlaps the transfer of its later pieces and of the next head."""
+    kernel overlaps the transfer of its later pieces and of the next head.
+    Last, the owner sends every worker w the O and L rows of query block w
+    under id w, and receives its own rows from every worker in rank
+    order."""
     n, i = ctx.n, ctx.rank
     hpw = q_i.shape[0] // n
     sources = [tile_pieces(*rows) for rows in shards.kv_ranges]
@@ -402,8 +405,9 @@ def head_parallel_forward(ctx: WorkerContext, shards: ShardSpec, q_i: np.ndarray
         head_st = ctx.compute(carry.state, out_dt)
         st.O[k], st.L[k] = head_st.O[0], head_st.L[0]
 
-    received = ctx.all_to_all([{"O": st.O[:, a:b], "L": st.L[:, a:b]}
-                               for a, b in shards.q_ranges])
+    for w, (a, b) in enumerate(shards.q_ranges):
+        ctx.send(w, {"O": st.O[:, a:b], "L": st.L[:, a:b]}, block=w)
+    received = [ctx.recv(w, block=i) for w in range(n)]
     ctx.close_round()
     return _SavedState(O=_gather(received, "O", 0), L=_gather(received, "L", 0),
                        saved=(full["Q"], full["K"], full["V"], st))
@@ -412,9 +416,11 @@ def head_parallel_forward(ctx: WorkerContext, shards: ShardSpec, q_i: np.ndarray
 def head_parallel_backward(ctx: WorkerContext, shards: ShardSpec, q_i: np.ndarray,
                            k_i: np.ndarray, v_i: np.ndarray, state: _SavedState,
                            do_i: np.ndarray, scale: float):
-    """Mirror image of the forward: all-to-all dO to head sharding, the
-    backward kernel on each owned head over the full sequence, and dQ, dK
-    and dV back to sequence sharding.
+    """Mirror image of the forward: each worker sends every head owner its
+    dO rows of the owner's heads under its own query block's id and receives
+    every worker's rows in rank order, the backward kernel runs on each
+    owned head over the full sequence, and dQ, dK and dV go back to
+    sequence sharding.
 
     The kernel walks an owned head one kernel tile at a time, continuing the
     head's dQ carry, and each worker's dK/dV rows leave for it as soon as
@@ -426,8 +432,9 @@ def head_parallel_backward(ctx: WorkerContext, shards: ShardSpec, q_i: np.ndarra
     hpw = q_full.shape[0]
     out_dt = np.result_type(q_full, k_full, v_full)
 
-    received = ctx.all_to_all([{"dO": do_i[w * hpw:(w + 1) * hpw]} for w in range(n)])
-    do_full = _gather(received, "dO", 1)
+    for w in range(n):
+        ctx.send(w, {"dO": do_i[w * hpw:(w + 1) * hpw]}, block=i)
+    do_full = _gather([ctx.recv(w, block=w) for w in range(n)], "dO", 1)
     dests = [tile_pieces(*rows) for rows in shards.kv_ranges]
     # every destination's pieces but its last, which waits for dQ, in
     # sequence order

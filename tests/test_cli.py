@@ -137,6 +137,15 @@ class TestRun:
         assert run_cli("run", *flags) == 2
         assert "use cost" in capsys.readouterr().err
 
+    def test_lvx_guard_walks_no_message(self, monkeypatch, tmp_path):
+        # no lvx hop moves K/V, so the guard lists no K/V pieces for it
+        def refuse(*args, **kwargs):
+            raise AssertionError("messages walked")
+
+        monkeypatch.setattr(volumes, "kv_messages", refuse)
+        assert run_cli("run", "--strategy", "lvx", "--n", "2", "--sq", "5", "--skv", "7",
+                       "--h", "2", "--d", "4", "--backward", "--out-dir", str(tmp_path)) == 0
+
     def test_score_matrix_counted_before_tensors_built(self, monkeypatch, capsys):
         # the inputs are 1e6 elements; the forward's one [1, 1e6, 256] float64
         # score tile alone is 2.0e9 bytes, over the 1.6e9 limit

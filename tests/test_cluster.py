@@ -211,46 +211,6 @@ def test_ring_shift_n_times_is_identity():
     assert res.results == [0, 100, 200, 300]
 
 
-def test_all_to_all_exchange():
-    def body(ctx):
-        chunks = [{0: np.array([ctx.rank * 10 + dst])} for dst in range(2)]
-        got = ctx.all_to_all(chunks)
-        return [int(g[0][0]) for g in got]
-
-    res = spawn_cluster(ClusterSpec(2), body)
-    assert res.results[0] == [0, 10]    # A0, B0
-    assert res.results[1] == [1, 11]    # A1, B1
-
-
-def test_all_to_all_bytes_exclude_self_chunk():
-    chunk = np.zeros(10, dtype=np.float64)
-
-    def body(ctx):
-        ctx.all_to_all([{0: chunk} for _ in range(3)])
-
-    res = spawn_cluster(ClusterSpec(3), body)
-    for i in range(3):
-        sent = sum(res.stats.link(i, j).bytes_sent for j in range(3))
-        assert sent == 2 * chunk.nbytes
-
-
-def test_all_to_all_single_worker_identity():
-    def body(ctx):
-        return ctx.all_to_all([{0: np.array([5.0])}])
-
-    res = spawn_cluster(ClusterSpec(1), body)
-    assert res.results[0][0][0][0] == 5.0
-    assert res.stats.total_bytes() == 0
-
-
-def test_all_to_all_chunk_count_mismatch():
-    def body(ctx):
-        ctx.all_to_all([{0: np.zeros(1)}] * 3)
-
-    with pytest.raises(WorkerFailed, match="expects 2 chunks"):
-        spawn_cluster(ClusterSpec(2), body)
-
-
 def test_worker_error_names_worker(monkeypatch):
     monkeypatch.setenv("LVX_TIMEOUT_SECS", "5")
 

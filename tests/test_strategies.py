@@ -274,14 +274,24 @@ class TestTraces:
             assert record.sent_bytes_by_class["L"] * d == record.sent_bytes_by_class["O"]
 
     def test_head_round_records_modeled_wait(self):
-        # n=2: each all-to-all has one incoming message, so the round's wait is
-        # the modeled time of the peer's link into this worker
-        Q, K, V, _ = rand_problem(2, 4, 64, 2, seed=27)
-        res = run_distributed("head", Q, K, V, spec=ClusterSpec(2, Throttled(bandwidth=1e5)))
-        for i, trace in enumerate(res.traces_forward):
-            (record,) = trace.rounds
-            assert record.comm_seconds != 0.0
-            assert record.comm_seconds == res.stats.link(1 - i, i).modeled_time_seconds
+        # one wait rule for every protocol: a round waits for the modeled time
+        # of each message it receives, so a worker's wait over both phases'
+        # rounds and epilogues is the modeled time of the links into it. K/V
+        # blocks of 1100 / n rows travel in two or more pieces
+        Q, K, V, dO = rand_problem(12, 7, 1100, 2, seed=27)
+        link = Throttled(bandwidth=1e9, latency=1e-5)
+        for strategy, protocol in strategies.PROTOCOLS.items():
+            for n in range(1, 5):
+                if not protocol.fits(n, Q.shape[0]):
+                    continue
+                res = run_distributed(strategy, Q, K, V, dO=dO, spec=ClusterSpec(n, link))
+                for i, traces in enumerate(zip(res.traces_forward, res.traces_backward)):
+                    waited = sum(sum(r.comm_seconds for r in t.rounds) + t.epilogue_comm_seconds
+                                 for t in traces)
+                    incoming = sum(res.stats.link(w, i).modeled_time_seconds
+                                   for w in range(n) if w != i)
+                    assert (incoming > 0) == (n > 1), (strategy, n, i)
+                    assert waited == pytest.approx(incoming, rel=1e-12), (strategy, n, i)
 
 
 @pytest.mark.parametrize("strategy", ["lvx", "ring", "head"])
@@ -769,6 +779,11 @@ def _relabeled_failure(monkeypatch, strategy, backward, index, s_kv, n=3, link=(
 # as messages 0, 1, and block 1's (dK, dV) home as 2. At n = 4, block 3 as
 # 0, 1, block 0, which worker 2 got from worker 3, as 2, 3, and block 1's
 # (dK, dV) home as 4. At n = 5, block 0 as 4, 5 in worker 2's round 2.
+#
+# head at n = 3 owns two heads per worker, and worker 0 sends worker 1 one
+# K/V piece of each as messages 0, 1, then worker 1's rows of O and L under
+# its query block's id, 1, as message 2, and in the backward its own dO rows
+# under its own id, 0, as message 3.
 @pytest.mark.parametrize("strategy,backward,index,receive,round_index,expected,n,src", [
     ("lvx", False, 0, "worker 1 round 0", 0, 0, 3, 0),
     ("lvx", False, 3, "worker 1 epilogue", 3, 1, 3, 0),
@@ -783,6 +798,8 @@ def _relabeled_failure(monkeypatch, strategy, backward, index, s_kv, n=3, link=(
     ("ring", True, 3, "worker 1 backward round 2, dK and dV", 2, 0, 4, 2),
     ("ring", True, 4, "worker 1 backward round 3, dK and dV home", 3, 1, 4, 2),
     ("ring", True, 5, "worker 1 backward round 3, dK and dV", 3, 0, 5, 2),
+    ("head", False, 2, "worker 1 round 0, O and L", 0, 1, 3, 0),
+    ("head", True, 3, "worker 1 backward round 0, dO", 0, 0, 3, 0),
 ])
 def test_wrong_block_id_fails_naming_expected_block(monkeypatch, strategy, backward, index,
                                                     receive, round_index, expected, n, src):
