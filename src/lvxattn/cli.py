@@ -100,25 +100,25 @@ def _numeric_working_set(strategy: str, s_q: int, s_kv: int, h: int, d: int,
     overlap: one float64 buffer the size of the largest input while an input
     is drawn or read, or the run. The run holds two copies of every output
     (the workers' parts, which are the gradient accumulators in the
-    backward, and the gathered copy); in the backward the gradient scratch
-    each `lvx`/`ring` worker reuses (a query block on `lvx`; a tile-sized K
-    and V piece on `ring` and `single`, plus the K/V-sized (dK, dV)
-    accumulator pieces that travel to their owners); on `head` the
-    head-split input copies and the local gradients. The kernels hold six
-    O- and L-shaped float64 arrays (Q, the running O and its update, dQ and
-    its tile update, merge temporaries), four K/V tiles per worker (K and V
-    staged, a gradient tile and its rounding) and one score tile per worker
-    in the forward, two in the backward. A score tile is [h, query rows,
-    min(DEFAULT_TILE_ROWS, KV rows)], with KV blocks of ceil(S_KV / n) rows
-    on `lvx` and `ring`, all S_KV rows of h/n heads on `head`, and `single`
-    counted as `ring` at n = 1. Python objects (the argument parser, the
-    n(n+1) messages, round records and stats) add 256 KiB + 6 KiB n², and
-    6 KiB for each message `volumes.kv_messages` lists, counted only up to
-    the first that passes MAX_NUMERIC_BYTES, so a run refused on its
-    tensors or n² term walks none, and neither does a phase with no K/V
-    hop. The K/V pieces a `ring` worker keeps for its backward are views of
-    the input, so only their messages count. The default n=1 is the bound
-    for one worker holding every row."""
+    backward, and the gathered copy); in the backward, what each body
+    allocates besides them: on `lvx` a fresh dQ block per worker, which its
+    kernel writes into; on `ring` and `single` the (dK, dV) accumulator
+    pieces in flight to their owners, a K/V block of each per worker; on
+    `head` the head-split input copies and the local gradients. The kernels
+    hold six O- and L-shaped float64 arrays (Q, the running O and its
+    update, dQ and its tile update, merge temporaries), four K/V tiles per
+    worker (K and V staged, a gradient tile and its rounding) and one score
+    tile per worker in the forward, two in the backward. A score tile is
+    [h, query rows, min(DEFAULT_TILE_ROWS, KV rows)], with KV blocks of
+    ceil(S_KV / n) rows on `lvx` and `ring`, all S_KV rows of h/n heads on
+    `head`, and `single` counted as `ring` at n = 1. Python objects (the
+    argument parser, the n(n+1) messages, round records and stats) add
+    256 KiB + 6 KiB n², and 6 KiB for each message `volumes.kv_messages` lists,
+    counted only up to the first that passes MAX_NUMERIC_BYTES, so a run
+    refused on its tensors or n² term walks none, and neither does a phase
+    with no K/V hop. The K/V pieces a `ring` worker keeps for its backward
+    are views of the input, so only their messages count. The default n=1 is
+    the bound for one worker holding every row."""
     q, kv, rows = h * s_q * d, h * s_kv * d, h * s_q
     inputs = q + 2 * kv + (q if backward else 0)
     outputs = q + rows + (q + 2 * kv if backward else 0)
@@ -130,9 +130,8 @@ def _numeric_working_set(strategy: str, s_q: int, s_kv: int, h: int, d: int,
     if head:
         run += (inputs + (q + 2 * kv if backward else 0)) * elem_bytes
     elif backward:
-        scratch_rows = (-(-s_q // n) if strategy == StrategyKind.LVX.value
-                        else 2 * kv_rows + 2 * cols)
-        run += n * h * scratch_rows * d * elem_bytes
+        grad_rows = -(-s_q // n) if strategy == StrategyKind.LVX.value else 2 * kv_rows
+        run += n * h * grad_rows * d * elem_bytes
     total = (256 + 6 * n * n) * 1024 + inputs * elem_bytes + max(max(q, kv) * 8, run)
     if total > MAX_NUMERIC_BYTES:
         return total

@@ -5,12 +5,13 @@ shared state and are internally synchronized. Tensors in payloads are passed
 by reference and are immutable once sent. Two protocols hand a gradient
 accumulator downstream in messages of its own: the dQ of each `lvx`
 backward query block, and the dK and dV of each `ring` backward K/V block,
-one piece per kernel tile. A `ring` accumulator piece is created by the
-worker before the block's owner, which writes its kernel's contribution into
-it and sends it on toward the predecessor. The worker that receives one owns it: it adds its
-kernel's contribution, which the kernel wrote into the worker's own
-scratch, and sends it on, never writing to it after that; the last receiver
-is the block's owner, which adds the piece into its own contribution.
+one piece per kernel tile. The worker that receives one owns it until it
+sends it on, and never writes to it after that. An `lvx` worker adds it
+into the fresh block its kernel wrote dQ into and sends that block on in
+its place. A `ring` accumulator piece is created by the worker before the
+block's owner, whose kernel writes its contribution into it; each later
+worker's kernel adds into the piece it received, and the last receiver, the
+block's owner, adds the piece into its own contribution.
 
 Payloads map tensor class names ("Q", "dK", ...) to arrays. Byte accounting
 counts tensor payload bytes only (no framing, no block id), and only for
@@ -57,7 +58,7 @@ class ClusterError(RuntimeError):
     pass
 
 
-class CollectiveTimeout(ClusterError):
+class RecvTimeout(ClusterError):
     pass
 
 
@@ -217,8 +218,8 @@ class Cluster:
                 if queue and queue[0][0] <= now:
                     return queue.popleft()[1]
                 if not queue and now >= deadline:
-                    raise CollectiveTimeout(f"worker {rank}: recv(src={src}) "
-                                            f"timed out after {self.timeout}s")
+                    raise RecvTimeout(f"worker {rank}: recv(src={src}) "
+                                      f"timed out after {self.timeout}s")
                 wake = queue[0][0] if queue else deadline
                 box.cond.wait(timeout=max(wake - now, 1e-4))
 

@@ -25,15 +25,17 @@ Every send leaves as soon as its data exists, except that the `ring`
 backward passes on the K/V pieces its forward saved one kernel tile at a
 time, as it passes on the pieces it receives. In the backward of `lvx` and
 `ring` a block's gradient accumulator (dQ; dK and dV) travels apart from its
-read-only part: the read-only part leaves before the round's kernel, the
-kernel writes into the worker's own zeroed scratch, and the worker that
-receives the accumulator adds the scratch into it and sends it on. The
-kernel rounds each gradient to the accumulator dtype before it adds, and
-0 + x = x, so the sums are bit for bit those of adding into the accumulator
-directly. A `ring` accumulator reaches the owner without the owner's
-contribution, which the owner computes first and then adds the
-accumulator to: at n <= 2 that is the same sum, and at n >= 3 the same
-terms in another order.
+read-only part, and every worker on its way adds one contribution. An `lvx`
+kernel writes dQ into a fresh zeroed block, the worker adds the arriving
+accumulator into that block, and the block goes on as the accumulator. A
+`ring` kernel adds into the accumulator piece its worker received right
+after the K/V piece, or into a fresh zeroed piece where the accumulator
+starts. The kernel rounds each gradient to the accumulator dtype before it
+adds, and 0 + x = x, so each accumulator is the sum of the rounded
+contributions in the order they were made. A `ring` accumulator reaches the
+owner without the owner's contribution, which the owner computes first and
+then adds the accumulator to: at n <= 2 that is the same sum, and at
+n >= 3 the same terms in another order.
 
 Each strategy is one `Protocol` record in PROTOCOLS: its forward and backward
 bodies, which share one signature, and the worker-count rule; the messages
@@ -171,19 +173,6 @@ def lvx_forward(ctx: WorkerContext, shards: ShardSpec, q_i: np.ndarray,
     return AttentionState(O=got["O"], L=got["L"])
 
 
-def _scratch(block: np.ndarray, sizes: list[int]) -> np.ndarray:
-    """A gradient scratch buffer shaped like `block` with the largest of the
-    block row counts `sizes`, for a worker to reuse every round."""
-    h, _, d = block.shape
-    return np.empty((h, max(sizes), d), dtype=block.dtype)
-
-
-def _zeroed(scratch: np.ndarray, rows: int) -> np.ndarray:
-    view = scratch[:, :rows]
-    view.fill(0)
-    return view
-
-
 def lvx_backward(ctx: WorkerContext, shards: ShardSpec, q_i: np.ndarray,
                  k_i: np.ndarray, v_i: np.ndarray, state: AttentionState,
                  do_i: np.ndarray, scale: float):
@@ -193,15 +182,15 @@ def lvx_backward(ctx: WorkerContext, shards: ShardSpec, q_i: np.ndarray,
     its one local pair and dQ into the accumulator of the block in hand.
 
     Round r handles block j = i-r: the read-only part goes to the successor
-    before the kernel, the kernel writes dQ into a zeroed scratch, and then
-    the accumulator of block j arrives from the predecessor, takes the
-    scratch and leaves under the same id. So the round's transfers overlap
-    its kernel. In round 0 the block is the worker's own, and the kernel
-    adds straight into its zeroed accumulator. The round n-1 accumulator
-    sends deliver each dQ to its owner, so the final receive, checked to be
-    block (i - n) mod n = i, is the homecoming; the read-only part, which
-    the owner already holds, stays put in round n-1. Returns
-    (dQ_i, dK_i, dV_i)."""
+    before the kernel, the kernel writes dQ into a fresh zeroed block, and
+    then the accumulator of block j arrives from the predecessor, is added
+    into that block, and the block leaves under the same id as the new
+    accumulator. So the round's transfers overlap its kernel. In round 0
+    the block is the worker's own, and the fresh block is its accumulator
+    from the start. The round n-1 accumulator sends deliver each dQ to its
+    owner, so the final receive, checked to be block (i - n) mod n = i, is
+    the homecoming; the read-only part, which the owner already holds,
+    stays put in round n-1. Returns (dQ_i, dK_i, dV_i)."""
     n, i = ctx.n, ctx.rank
     dtype = q_i.dtype
 
@@ -209,19 +198,16 @@ def lvx_backward(ctx: WorkerContext, shards: ShardSpec, q_i: np.ndarray,
     ro = {"Q": q_i, "dO": do_i, "L": state.L, "D": d_own}
     dk = np.zeros_like(k_i)
     dv = np.zeros_like(v_i)
-    acc = np.zeros_like(q_i)
-    dq_scratch = _scratch(q_i, shards.q_sizes)
     for r in range(n):
         j = (i - r) % n
         if r < n - 1:
             ctx.send(ctx.successor, ro, block=j)
-        dq = _zeroed(dq_scratch, ro["Q"].shape[1]) if r else acc
+        dq = np.zeros_like(ro["Q"])
         ctx.compute(blockwise_attention_backward, ro["Q"], k_i, v_i, ro["L"], ro["D"],
                     ro["dO"], scale, out=(dq, dk, dv))
         if r:
-            acc = ctx.recv(ctx.predecessor, block=j)["dQ"]
-            acc += dq
-        ctx.send(ctx.successor, {"dQ": acc}, block=j)
+            dq += ctx.recv(ctx.predecessor, block=j)["dQ"]
+        ctx.send(ctx.successor, {"dQ": dq}, block=j)
         if r < n - 1:
             ro = ctx.recv(ctx.predecessor, block=(j - 1) % n)
         ctx.close_round()
@@ -230,22 +216,22 @@ def lvx_backward(ctx: WorkerContext, shards: ShardSpec, q_i: np.ndarray,
 
 def _round_pieces(ctx: WorkerContext, shards: ShardSpec, k_i: np.ndarray, v_i: np.ndarray,
                   j: int, src: int, dst: int | None, held: tuple | None = None):
-    """Yield (a, b, {"K", "V"}) for block j of a ring round, rows [a, b) of
-    the block, which travels in the pieces `tile_pieces(0, rows)`. The
-    worker's own block is yielded whole, once its pieces have left for dst.
-    Another block is yielded piece by piece, each taken from `held` when
-    given, else as it arrives from src, and sent on to dst first. A dst of
-    None sends nothing."""
+    """Yield the {"K", "V"} payloads of block j in a ring round; the block
+    travels in the pieces `tile_pieces(0, rows)`. The worker's own block is
+    yielded whole, once its pieces have left for dst. Another block is
+    yielded piece by piece, each taken from `held` when given, else as it
+    arrives from src, and sent on to dst first. A dst of None sends
+    nothing."""
     if j == ctx.rank:
         for a, b in tile_pieces(0, k_i.shape[1]) if dst is not None else ():
             ctx.send(dst, {"K": k_i[:, a:b], "V": v_i[:, a:b]}, block=j)
-        yield 0, k_i.shape[1], {"K": k_i, "V": v_i}
+        yield {"K": k_i, "V": v_i}
         return
-    for p, (a, b) in enumerate(tile_pieces(0, shards.kv_sizes[j])):
+    for p in range(len(tile_pieces(0, shards.kv_sizes[j]))):
         kv = held[p] if held is not None else ctx.recv(src, block=j)
         if dst is not None:
             ctx.send(dst, kv, block=j)
-        yield a, b, kv
+        yield kv
 
 
 @dataclass(frozen=True)
@@ -278,8 +264,8 @@ def ring_forward(ctx: WorkerContext, shards: ShardSpec, q_i: np.ndarray,
     saved = []
     for r in range(n):
         carry = SoftmaxCarry.start(q_i)
-        for _, _, kv in _round_pieces(ctx, shards, k_i, v_i, (i - r) % n, ctx.predecessor,
-                                      ctx.successor if r < n - 1 else None):
+        for kv in _round_pieces(ctx, shards, k_i, v_i, (i - r) % n, ctx.predecessor,
+                                ctx.successor if r < n - 1 else None):
             ctx.compute(blockwise_attention, q_i, kv["K"], kv["V"], scale, carry=carry)
             if 0 < r == n - 1:
                 saved.append(kv)
@@ -303,40 +289,33 @@ def ring_backward(ctx: WorkerContext, shards: ShardSpec, q_i: np.ndarray,
     lands from the successor, and in round n-1 the own block whole. While
     r <= n-3 a piece goes on to the predecessor, which handles the block
     next round. In round 0 the kernel writes each piece's contribution into
-    a new zeroed accumulator piece; in rounds 1..n-2 into a zeroed scratch
-    pair, and then the block's accumulator piece arrives from the successor
-    and takes the scratch. Either way the accumulator piece leaves for the
-    predecessor as soon as its tile is done, so block j's accumulator starts
-    at worker j-1 and ends at its owner. In round n-1 the kernel adds the
-    own block's contribution into the worker's zeroed dK/dV, and then the
-    block's accumulator pieces arrive and are added to it, so nothing
+    a fresh zeroed accumulator piece; in rounds 1..n-2 the block's
+    accumulator piece arrives from the successor right after the K/V piece,
+    and the kernel adds into it. Either way the accumulator piece leaves for
+    the predecessor as soon as its tile is done, so block j's accumulator
+    starts at worker j-1 and ends at its owner. In round n-1 the kernel adds
+    the own block's contribution into the worker's zeroed dK/dV, and then
+    the block's accumulator pieces arrive and are added to it, so nothing
     follows the last round. Returns (dQ_i, dK_i, dV_i)."""
     n, i = ctx.n, ctx.rank
     dtype = q_i.dtype
 
     d_own = attention_row_stats(state, do_i).astype(dtype)
     dq, dk, dv = np.zeros_like(q_i), np.zeros_like(k_i), np.zeros_like(v_i)
-    tile_rows = [min(DEFAULT_TILE_ROWS, rows) for rows in shards.kv_sizes]
-    dk_scratch, dv_scratch = _scratch(k_i, tile_rows), _scratch(v_i, tile_rows)
     for r in range(n):
         j = (i + 1 + r) % n
         carry = GradientCarry.start(q_i)
-        for a, b, kv in _round_pieces(ctx, shards, k_i, v_i, j, ctx.successor,
-                                      ctx.predecessor if r < n - 2 else None,
-                                      state.saved if r == 0 else None):
+        for kv in _round_pieces(ctx, shards, k_i, v_i, j, ctx.successor,
+                                ctx.predecessor if r < n - 2 else None,
+                                state.saved if r == 0 else None):
             if r == n - 1:
                 grads = {"dK": dk, "dV": dv}
             elif r == 0:
                 grads = {"dK": np.zeros_like(kv["K"]), "dV": np.zeros_like(kv["V"])}
             else:
-                grads = {"dK": _zeroed(dk_scratch, b - a), "dV": _zeroed(dv_scratch, b - a)}
+                grads = ctx.recv(ctx.successor, block=j)
             ctx.compute(blockwise_attention_backward, q_i, kv["K"], kv["V"], state.L, d_own,
                         do_i, scale, out=(dq, grads["dK"], grads["dV"]), carry=carry)
-            if 0 < r < n - 1:
-                acc = ctx.recv(ctx.successor, block=j)
-                acc["dK"] += grads["dK"]
-                acc["dV"] += grads["dV"]
-                grads = acc
             if r < n - 1:
                 ctx.send(ctx.predecessor, grads, block=j)
         for a, b in tile_pieces(0, k_i.shape[1]) if r == n - 1 and n > 1 else ():
@@ -348,8 +327,8 @@ def ring_backward(ctx: WorkerContext, shards: ShardSpec, q_i: np.ndarray,
     return dq, dk, dv
 
 
-def _gather(received: list[dict], cls: str, axis: int, out=None) -> np.ndarray:
-    return np.concatenate([c[cls] for c in received], axis=axis, out=out)
+def _gather(received: list[dict], cls: str, axis: int) -> np.ndarray:
+    return np.concatenate([c[cls] for c in received], axis=axis)
 
 
 def head_parallel_forward(ctx: WorkerContext, shards: ShardSpec, q_i: np.ndarray,

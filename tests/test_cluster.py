@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from lvxattn.cluster import (ClusterError, ClusterSpec, CollectiveTimeout, Throttled,
+from lvxattn.cluster import (ClusterError, ClusterSpec, RecvTimeout, Throttled,
                              WorkerFailed, spawn_cluster)
 
 
@@ -242,7 +242,7 @@ def test_recv_timeout(monkeypatch):
 
     with pytest.raises(WorkerFailed, match="worker 0") as exc_info:
         spawn_cluster(ClusterSpec(2), body)
-    assert isinstance(exc_info.value.cause, CollectiveTimeout)
+    assert isinstance(exc_info.value.cause, RecvTimeout)
     assert str(exc_info.value.cause) == "worker 0: recv(src=1) timed out after 0.3s"
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from lvxattn import cluster, strategies, volumes
-from lvxattn.cluster import (ClusterError, ClusterSpec, CollectiveTimeout, Throttled,
+from lvxattn.cluster import (ClusterError, ClusterSpec, RecvTimeout, Throttled,
                              WorkerFailed, spawn_cluster)
 from lvxattn.kernels import DEFAULT_TILE_ROWS, dense_attention
 from lvxattn.strategies import (ShardSpec, lvx_forward, partition_rows,
@@ -519,6 +519,38 @@ def test_payloads_unchanged_between_send_and_recv(monkeypatch, strategy, n):
         assert max_norm_error(getattr(res.grads, name), getattr(ob, name)) <= 1e-12
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_ring_sends_only_gradients_its_kernel_wrote(monkeypatch, n):
+    # a worker's kernel adds into the (dK, dV) accumulator piece it sends,
+    # so every dK and dV a worker sends was an `out` of its own kernel
+    # calls; payloads pass by reference, so the check is per worker thread,
+    # and the lists hold every array so no id is reused
+    outs, sent = {}, {}
+    kernel, send = strategies.blockwise_attention_backward, cluster.Cluster.send
+
+    def recording_kernel(*args, out, **kwargs):
+        outs.setdefault(threading.get_ident(), []).extend(out[1:])
+        return kernel(*args, out=out, **kwargs)
+
+    def recording_send(self, src, dst, payload, block=None):
+        sent.setdefault(threading.get_ident(), []).extend(
+            payload[cls] for cls in ("dK", "dV") if cls in payload)
+        return send(self, src, dst, payload, block=block)
+
+    monkeypatch.setattr(strategies, "blockwise_attention_backward", recording_kernel)
+    monkeypatch.setattr(cluster.Cluster, "send", recording_send)
+    # S_KV = 1100: every K/V block spans two or more pieces
+    Q, K, V, dO = rand_problem(n, 7, 1100, 3, seed=30)
+    res = run_distributed("ring", Q, K, V, dO=dO, spec=ClusterSpec(n))
+    assert len(sent) == n
+    for worker, arrays in sent.items():
+        foreign = sum(not any(a is o for o in outs[worker]) for a in arrays)
+        assert foreign == 0, f"{foreign} of {len(arrays)} sent gradients not from own kernel"
+    ob = gradient_oracle(Q, K, V, dO)
+    for name in ("dQ", "dK", "dV"):
+        assert max_norm_error(getattr(res.grads, name), getattr(ob, name)) <= 1e-12
+
+
 def _largest_message(trace):
     return max([r.sent_bytes for r in trace.rounds]
                + [sum(trace.epilogue_bytes_by_class.values())])
@@ -716,7 +748,7 @@ def test_dropped_message_times_out_naming_rank_and_src(monkeypatch):
     assert 1.0 <= time.monotonic() - start < 2.0
     assert dropped == [2]
     assert err.worker == 1
-    assert isinstance(err.cause, CollectiveTimeout)
+    assert isinstance(err.cause, RecvTimeout)
     assert "worker 1: recv(src=0) timed out after 1.0s" in str(err.cause)
 
 
@@ -731,7 +763,7 @@ def test_stalled_worker_times_out_naming_rank_and_src(monkeypatch):
     # rank 1 sent its round 1 message before stalling, so rank 0 waits in
     # its epilogue
     assert err.worker == 0
-    assert isinstance(err.cause, CollectiveTimeout)
+    assert isinstance(err.cause, RecvTimeout)
     assert "worker 0: recv(src=1) timed out after 1.0s" in str(err.cause)
 
 
