@@ -18,8 +18,9 @@ the block the forward ended with and rotates toward the predecessor: it
 sends (K, V) in rounds 0..n-3 and (dK, dV) in rounds 0..n-2, so at n = 2
 only (dK, dV) travel. It moves both in pieces of one kernel tile, so a
 piece's transfer also overlaps the kernel on the pieces before it. Query
-rotation sends no read-only part in backward round n-1, and its forward
-ends with one epilogue hop of (O, L).
+rotation sends a block's read-only part (Q; Q, dO, L, D) before the kernel
+and its accumulator ((O, L); dQ) after it, and no read-only part in round
+n-1, whose accumulator sends are the homecoming.
 In the regime where query rotation is compute-bound and kv rotation is
 communication-bound, the speedup ratio collapses to the closed forms
 

@@ -112,7 +112,7 @@ def _numeric_working_set(strategy: str, s_q: int, s_kv: int, h: int, d: int,
     [h, query rows, min(DEFAULT_TILE_ROWS, KV rows)], with KV blocks of
     ceil(S_KV / n) rows on `lvx` and `ring`, all S_KV rows of h/n heads on
     `head`, and `single` counted as `ring` at n = 1. Python objects (the
-    argument parser, the n(n+1) messages, round records and stats) add
+    argument parser, the messages, round records and stats) add
     256 KiB + 6 KiB n², and 6 KiB for each message `volumes.kv_messages` lists,
     counted only up to the first that passes MAX_NUMERIC_BYTES, so a run
     refused on its tensors or n² term walks none, and neither does a phase
@@ -138,7 +138,7 @@ def _numeric_working_set(strategy: str, s_q: int, s_kv: int, h: int, d: int,
     q_sizes, kv_sizes = ([b - a for a, b in partition_rows(s, n)] for s in (s_q, s_kv))
     messages = (m for phase in volumes.PHASES[:1 + backward]
                 if any(hop.axis == "kv" for hop in volumes.HOPS[(strategy, phase)])
-                for i in range(n) for r in range(n + 1)
+                for i in range(n) for r in range(n)
                 for m in volumes.kv_messages(strategy, phase, i, r, q_sizes, kv_sizes, h))
     # enough messages to pass the cap, and no more
     room = (MAX_NUMERIC_BYTES - total) // (6 * 1024) + 1

@@ -262,16 +262,15 @@ def attention_row_stats(state: AttentionState, dO: np.ndarray) -> np.ndarray:
 
 def dense_attention_backward(Q: np.ndarray, K: np.ndarray, V: np.ndarray,
                              O: np.ndarray, L: np.ndarray, dO: np.ndarray,
-                             scale: float | None = None,
-                             tile_rows: int = DEFAULT_TILE_ROWS) -> GradientBundle:
+                             scale: float | None = None) -> GradientBundle:
     """Full softmax-attention backward from the saved forward stats.
 
     P = exp(scale QK^T - L); D = rowsum(dO * O); dV = P^T dO;
     dS = P * (dO V^T - D); dQ = scale dS K; dK = scale dS^T Q.
 
     Runs blockwise_attention_backward on the whole KV range, so P is
-    recomputed from L one KV tile of tile_rows rows (default 256) at a time
-    and scratch memory is O(h * S_Q * tile), never the full score matrix.
+    recomputed from L one KV tile of DEFAULT_TILE_ROWS rows at a time and
+    scratch memory is O(h * S_Q * tile), never the full score matrix.
     """
     validate_qkv(Q, K, V)
     if O.shape != Q.shape or dO.shape != Q.shape:
@@ -281,7 +280,7 @@ def dense_attention_backward(Q: np.ndarray, K: np.ndarray, V: np.ndarray,
     if scale is None:
         scale = default_scale(Q.shape[2])
     D = attention_row_stats(AttentionState(O=O, L=L), dO)
-    dQ, dK, dV = blockwise_attention_backward(Q, K, V, L, D, dO, scale, tile_rows)
+    dQ, dK, dV = blockwise_attention_backward(Q, K, V, L, D, dO, scale)
     return GradientBundle(dQ=dQ, dK=dK, dV=dV)
 
 
@@ -359,20 +358,11 @@ def blockwise_attention_backward(Q_block: np.ndarray, K_block: np.ndarray,
         carry = GradientCarry.start(Q_block)
     elif carry.dQ.shape != Q_block.shape:
         raise ValueError(f"carry rows {carry.dQ.shape} != Q shape {Q_block.shape}")
-    _backward_tiles(Q_block, K_block, V_block, L_full, D_full, dO_block, scale, tile_rows,
-                    dK_acc, dV_acc, carry.dQ)
-    if one_shot:
-        carry.close(dQ_acc, scale)
-    return out
 
-
-def _backward_tiles(Q, K, V, L_full, D_full, dO, scale, tile_rows, dK_acc, dV_acc, dQ):
-    """The tile loop of blockwise_attention_backward: dK and dV rows into
-    their accumulators, the unscaled dQ into the float64 sum dQ."""
-    h, s_q, d = Q.shape
-    s_kv = K.shape[1]
-    Qs = scale * Q.astype(np.float64, copy=False)
-    dOf = dO.astype(np.float64, copy=False)
+    h, s_q, d = Q_block.shape
+    s_kv = K_block.shape[1]
+    Qs = scale * Q_block.astype(np.float64, copy=False)
+    dOf = dO_block.astype(np.float64, copy=False)
     L = L_full.astype(np.float64, copy=False)[..., None]
     D = D_full.astype(np.float64, copy=False)[..., None]
     tile = max(1, min(tile_rows, s_kv))
@@ -388,8 +378,8 @@ def _backward_tiles(Q, K, V, L_full, D_full, dO, scale, tile_rows, dK_acc, dV_ac
     dq_tile = np.empty((h, s_q, d))
     for t0 in range(0, s_kv, tile):
         t1 = min(t0 + tile, s_kv)
-        Kt = _stage(k_buf, K[:, t0:t1])
-        Vt = _stage(v_buf, V[:, t0:t1])
+        Kt = _stage(k_buf, K_block[:, t0:t1])
+        Vt = _stage(v_buf, V_block[:, t0:t1])
         P = p_buf[:h * s_q * (t1 - t0)].reshape(h, s_q, t1 - t0)
         dS = ds_buf[:P.size].reshape(P.shape)
         G = g_buf[:Kt.size].reshape(Kt.shape)
@@ -401,9 +391,12 @@ def _backward_tiles(Q, K, V, L_full, D_full, dO, scale, tile_rows, dK_acc, dV_ac
         np.matmul(dOf, Vt.transpose(0, 2, 1), out=dS)
         dS -= D
         dS *= P
-        dQ += np.matmul(dS, Kt, out=dq_tile)
+        carry.dQ += np.matmul(dS, Kt, out=dq_tile)
         np.matmul(dS.transpose(0, 2, 1), Qs, out=G)
         _add_rounded(dK_acc[:, t0:t1], G, r_buf)
+    if one_shot:
+        carry.close(dQ_acc, scale)
+    return out
 
 
 def project(x: np.ndarray, W: np.ndarray, heads: int) -> np.ndarray:

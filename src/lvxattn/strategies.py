@@ -3,9 +3,11 @@
 Four strategies, all exact:
 
   lvx     query rotation: each worker keeps its key/value block resident and
-          the (Q, O, L) blocks travel around the ring. Per round the send,
-          the recv, and the local blockwise kernel are all in flight at once;
-          a final epilogue hop lands every (O, L) block on its owner.
+          the query blocks travel around the ring toward the successor, each
+          as a read-only part and an accumulator, in both phases: the
+          read-only part (Q; Q, dO, L, D) leaves before the round's kernel,
+          the accumulator ((O, L); dQ) after it, and the accumulator sent
+          in round n-1 is the homecoming.
   ring    kv rotation: Q, O, L stay resident, and (K, V) blocks travel
           toward the successor n-1 times in the pieces of
           `volumes.kv_messages`, each fed to the kernel as it lands. The
@@ -74,8 +76,8 @@ from .cluster import (ClusterError, ClusterSpec, RoundTrace, TransportStats,
                       WorkerContext, spawn_cluster)
 from .kernels import (DEFAULT_TILE_ROWS, AttentionState, GradientBundle, GradientCarry,
                       SoftmaxCarry, attention_row_stats, blockwise_attention,
-                      blockwise_attention_backward, default_scale, empty_state,
-                      merge_states, require_finite, tile_pieces, validate_qkv)
+                      blockwise_attention_backward, default_scale, merge_states,
+                      require_finite, tile_pieces, validate_qkv)
 # no body calls the dense oracle or the dense backward; perfbench/tracer.py
 # wraps them here by name
 from .kernels import dense_attention, dense_attention_backward  # noqa: F401
@@ -141,34 +143,31 @@ class ShardSpec:
 
 def lvx_forward(ctx: WorkerContext, shards: ShardSpec, q_i: np.ndarray,
                 k_i: np.ndarray, v_i: np.ndarray, scale: float) -> AttentionState:
-    """Query-rotation forward for one worker; collective over all n.
+    """Query-rotation forward for one worker; collective over all n: each
+    query block rotates once around the ring as two messages, its Q and its
+    running (O, L) state, and every worker merges in its K/V block's part.
 
-    Round r: send the state finished last round (block i-r+1) together with
-    the query block about to be consumed downstream (block i-r), under the
-    query block's id, receive the counterpart from the predecessor, and
-    meanwhile run the blockwise kernel of block i-r against the resident K/V.
-    Round 0 ships the zero-initialized state rather than skipping the hop.
-    After n rounds the worker holds the completed state of block i+1; one
-    epilogue hop sends it home.
-    """
+    Round r handles block j = i-r: Q goes to the successor before the
+    kernel, except in round n-1, and the kernel's state of block j merges
+    into the state of block j that arrives from the predecessor; round 0
+    takes the kernel's state as it is. The merged state leaves under id j,
+    so the round's transfers overlap its kernel. The round n-1 state sends
+    deliver each block's state to its owner, so the final receive, checked
+    to be block (i - n) mod n = i, is the homecoming."""
     n, i = ctx.n, ctx.rank
-    h, _, d = q_i.shape
-    dtype = q_i.dtype
-
-    send_state = empty_state(h, shards.q_sizes[(i + 1) % n], d, dtype)
-    q_cur = q_i
+    q = q_i
     for r in range(n):
         j = (i - r) % n
-        j_next = (i - r - 1) % n
-        ctx.send(ctx.successor, {"O": send_state.O, "L": send_state.L, "Q": q_cur}, block=j)
-        delta = ctx.compute(blockwise_attention, q_cur, k_i, v_i, scale)
-        # query block j_next arrives with the state of block j_next + 1 = j
-        got = ctx.recv(ctx.predecessor, block=j_next)
-        send_state = merge_states(AttentionState(O=got["O"], L=got["L"]), delta)
-        q_cur = got["Q"]
+        if r < n - 1:
+            ctx.send(ctx.successor, {"Q": q}, block=j)
+        state = ctx.compute(blockwise_attention, q, k_i, v_i, scale)
+        if r:
+            got = ctx.recv(ctx.predecessor, block=j)
+            state = merge_states(AttentionState(O=got["O"], L=got["L"]), state)
+        ctx.send(ctx.successor, {"O": state.O, "L": state.L}, block=j)
+        if r < n - 1:
+            q = ctx.recv(ctx.predecessor, block=(j - 1) % n)["Q"]
         ctx.close_round()
-
-    ctx.send(ctx.successor, {"O": send_state.O, "L": send_state.L}, block=(i + 1) % n)
     got = ctx.recv(ctx.predecessor, block=i)
     return AttentionState(O=got["O"], L=got["L"])
 
@@ -519,11 +518,11 @@ def _assemble(name: str, parts: list[np.ndarray], ranges, shape: tuple,
 
 def run_distributed(strategy, Q: np.ndarray, K: np.ndarray, V: np.ndarray,
                     dO: np.ndarray | None = None,
-                    spec: ClusterSpec | None = None,
-                    scale: float | None = None) -> RunResult:
+                    spec: ClusterSpec | None = None) -> RunResult:
     """Scatter Q/K/V by rows, run the strategy collectively, gather the full
     O, L (and gradients when dO is given) with transport stats and traces.
-    Non-finite inputs are refused before any worker starts."""
+    The score scale is 1/sqrt(d). Non-finite inputs are refused before any
+    worker starts."""
     strategy = StrategyKind(strategy)
     protocol = PROTOCOLS[strategy]
     spec = spec or ClusterSpec(1)
@@ -533,10 +532,7 @@ def run_distributed(strategy, Q: np.ndarray, K: np.ndarray, V: np.ndarray,
     if dO is not None and dO.shape != Q.shape:
         raise ValueError(f"dO shape {dO.shape} != Q shape {Q.shape}")
     require_finite(Q=Q, K=K, V=V, dO=dO)
-    if scale is None:
-        scale = default_scale(d)
-    if not np.isfinite(scale):
-        raise ValueError(f"scale must be finite, got {scale}")
+    scale = default_scale(d)
     protocol.check(spec.n, h)
     shards = ShardSpec.balanced(s_q, s_kv, spec.n)
     q_rows, kv_rows = shards.q_ranges, shards.kv_ranges

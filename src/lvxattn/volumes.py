@@ -17,28 +17,28 @@ i the hop fires as its `when` says:
   ROUND     in each round r with first <= r < n + stop, where
             (first, stop) = `rounds`, it sends block i - direction*r + offset
             to worker i + direction: the successor for direction +1, the
-            predecessor for -1; round n is the epilogue after the n ring
-            rounds
+            predecessor for -1. stop <= 0, so no hop fires after the n
+            ring rounds
   OWN       an all-to-all in round 0: to every other worker, worker i's own
             rows of h/n heads
   PEER      an all-to-all in round 0: to every other worker w, w's rows of
             h/n heads
 
-How a hop is cut into messages changes no byte count. The `lvx` forward
-sends a round's hops as one message; the `lvx` backward sends the
-read-only part (Q, dO, L, D) before the round's kernel and the dQ
-accumulator after it. `ring` and `head` move K/V and dK/dV in the pieces
-that `kv_messages` lists; per head, the `head` forward's Q rows ride on a
-worker's first K/V piece and the backward's dQ rows on its last dK/dV
-piece, and O, L and dO travel as one message to each worker.
+How a hop is cut into messages changes no byte count. `lvx` sends a
+query block's read-only part (Q in the forward; Q, dO, L and D in the
+backward) before the round's kernel and its accumulator ((O, L); dQ) after
+it. `ring` and `head` move K/V and dK/dV in the pieces that `kv_messages`
+lists; per head, the `head` forward's Q rows ride on a worker's first K/V
+piece and the backward's dQ rows on its last dK/dV piece, and O, L and dO
+travel as one message to each worker.
 
-So query rotation forward sends (|q_{i-r+1}| (h*d + h) + |q_{i-r}| h*d) b in
-round r (the O, L just finished plus the Q in flight) and |q_{i+1}| (h*d + h) b
-home in its epilogue. The kv rotation backward starts from block i+1, which
-its forward ended with, and sends to the predecessor 2 |kv_{i+1+r}| h*d b of
-(K, V) in rounds 0..n-3 and as many of the (dK, dV) accumulator in rounds
-0..n-2, as the accumulator of block j starts at worker j-1 and ends at its
-owner: 2(n-2) + 2(n-1) K/V-sized blocks, none of them K or V at n = 2.
+So query rotation forward sends |q_{i-r}| (2 h*d + h) b in rounds 0..n-2 (the
+Q in flight and the O, L just merged) and |q_{i+1}| (h*d + h) b home in round
+n-1. The kv rotation backward starts from block i+1, which its forward ended
+with, and sends to the predecessor 2 |kv_{i+1+r}| h*d b of (K, V) in rounds
+0..n-3 and as many of the (dK, dV) accumulator in rounds 0..n-2, as the
+accumulator of block j starts at worker j-1 and ends at its owner:
+2(n-2) + 2(n-1) K/V-sized blocks, none of them K or V at n = 2.
 Head parallelism gathers (n-1) (|q_i| + 2 |kv_i|) (h/n) d b and scatters
 sum_{w != i} |q_w| (h/n) (d + 1) b forward.
 """
@@ -73,10 +73,10 @@ class Hop:
 
 
 HOPS = {
-    # the epilogue sends the state finished last round home
-    ("lvx", "forward"): (Hop(("O", "L"), "q", ROUND, offset=1, rounds=(0, 1)),
-                         Hop(("Q",), "q", ROUND)),
-    # the round n-1 accumulator sends double as the homecoming hops
+    # lvx: the read-only part leaves while r < n-1, the accumulator in every
+    # round, so the round n-1 accumulator sends are the homecoming hops
+    ("lvx", "forward"): (Hop(("Q",), "q", ROUND, rounds=(0, -1)),
+                         Hop(("O", "L"), "q", ROUND)),
     ("lvx", "backward"): (Hop(("Q", "dO", "L", "D"), "q", ROUND, rounds=(0, -1)),
                           Hop(("dQ",), "q", ROUND)),
     ("ring", "forward"): (Hop(("K", "V"), "kv", ROUND, rounds=(0, -1)),),
@@ -101,9 +101,8 @@ def class_row_elems(cls: str, heads: int, d: int) -> int:
 
 def _transfers(strategy: str, phase: str, i: int, r: int, q_sizes, kv_sizes, h: int):
     """Yield (hop, destination, block, (a, b), heads) for each transfer of
-    worker i in round r (round n is the epilogue), with the block's rows
-    [a, b) counted from its first row on a ROUND hop, else from the
-    sequence's first row."""
+    worker i in round r, with the block's rows [a, b) counted from its first
+    row on a ROUND hop, else from the sequence's first row."""
     n = len(q_sizes)
     for hop in HOPS[(strategy, phase)]:
         rows = q_sizes if hop.axis == "q" else kv_sizes
@@ -117,12 +116,10 @@ def _transfers(strategy: str, phase: str, i: int, r: int, q_sizes, kv_sizes, h: 
                 yield hop, w, block, (starts[block], starts[block + 1]), h // n
 
 
-def sent_by_class(strategy: str, phase: str, i: int, r: int | None, q_sizes, kv_sizes,
+def sent_by_class(strategy: str, phase: str, i: int, r: int, q_sizes, kv_sizes,
                   h: int, d: int, elem_bytes: int) -> dict[str, int]:
-    """Bytes per tensor class that worker i sends in round r, or in the
-    epilogue, round n, when r is None; only the classes of hops that fire
-    appear."""
-    r = len(q_sizes) if r is None else r
+    """Bytes per tensor class that worker i sends in round r; only the
+    classes of hops that fire appear."""
     out = {}
     for hop, dst, _, (a, b), heads in _transfers(strategy, phase, i, r, q_sizes, kv_sizes, h):
         for cls in hop.classes:
@@ -145,11 +142,11 @@ def kv_messages(strategy: str, phase: str, i: int, r: int, q_sizes, kv_sizes, h:
 
 def bytes_by_worker(strategy: str, phase: str, q_sizes, kv_sizes, h: int, d: int,
                     elem_bytes: int) -> list[int]:
-    """Total payload bytes each worker sends in one phase, rounds plus epilogue."""
+    """Total payload bytes each worker sends in one phase over its n rounds."""
     n = len(q_sizes)
     return [sum(sum(sent_by_class(strategy, phase, i, r, q_sizes, kv_sizes, h, d,
                                   elem_bytes).values())
-                for r in range(n + 1))
+                for r in range(n))
             for i in range(n)]
 
 

@@ -223,8 +223,10 @@ class TestVolumeReport:
         res = run_distributed("lvx", Q, K, V, spec=ClusterSpec(n))
         per_round = A.round_comm_bytes("lvx", "forward", w)
         for trace in res.traces_forward:
-            for record in trace.rounds:
+            for record in trace.rounds[:-1]:
                 assert record.sent_bytes == per_round
+            # round n-1 sends (O, L) home and no Q
+            assert trace.rounds[-1].sent_bytes == per_round - (s_q // n) * h * d * b
         res = run_distributed("ring", Q, K, V, spec=ClusterSpec(n))
         per_round = A.round_comm_bytes("ring", "forward", w)
         for trace in res.traces_forward:

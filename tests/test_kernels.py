@@ -293,11 +293,8 @@ class TestTiledBackward:
 
     def test_tile_rows_below_one_rejected(self):
         Q, K, V, L, D, dO = backward_block_inputs(3, 4, seed=46)
-        st = dense_attention(Q, K, V)
         with pytest.raises(ValueError, match="tile_rows"):
             blockwise_attention_backward(Q, K, V, L, D, dO, tile_rows=0)
-        with pytest.raises(ValueError, match="tile_rows"):
-            dense_attention_backward(Q, K, V, st.O, st.L, dO, tile_rows=-1)
 
 
 class TestAccumulateForm:

@@ -132,10 +132,11 @@ class TestExactness:
 
 class TestVolumes:
     def test_lvx_even_shards_match_spec_formula(self):
+        # Q and (O, L) in rounds 0..n-2, (O, L) home in round n-1
         n, h, d, b = 4, 2, 5, 8
         s_q, s_kv = 8, 12
         q = s_q // n
-        expected = n * ((2 * q * h * d) * b + (q * h) * b) + (q * h * d + q * h) * b
+        expected = (n - 1) * (2 * q * h * d + q * h) * b + (q * h * d + q * h) * b
         Q, K, V, _ = rand_problem(h, s_q, s_kv, d, seed=7)
         res = run_distributed("lvx", Q, K, V, spec=ClusterSpec(n))
         for i in range(n):
@@ -270,8 +271,10 @@ class TestTraces:
         res = run_distributed("lvx", Q, K, V, spec=ClusterSpec(n))
         trace = res.traces_forward[0]
         for record in trace.rounds:
-            assert set(record.sent_bytes_by_class) == {"O", "L", "Q"}
+            last = record.index == n - 1
+            assert set(record.sent_bytes_by_class) == ({"O", "L"} if last else {"O", "L", "Q"})
             assert record.sent_bytes_by_class["L"] * d == record.sent_bytes_by_class["O"]
+        assert trace.epilogue_bytes_by_class == {}
 
     def test_head_round_records_modeled_wait(self):
         # one wait rule for every protocol: a round waits for the modeled time
@@ -313,8 +316,7 @@ def test_every_round_matches_hop_table(strategy, n, s_q, s_kv):
                 for record in trace.rounds:
                     assert record.sent_bytes_by_class == volumes.sent_by_class(
                         strategy, phase, i, record.index, *sizes, h, d, b), (phase, i)
-                assert trace.epilogue_bytes_by_class == volumes.sent_by_class(
-                    strategy, phase, i, None, *sizes, h, d, b), (phase, i)
+                assert trace.epilogue_bytes_by_class == {}, (phase, i)
 
 
 @pytest.mark.parametrize("backward", [False, True])
@@ -343,8 +345,8 @@ def test_link_message_counts(strategy, n, backward):
     expected = {}
     for i in range(n):
         if strategy == "lvx":
-            # n rounds and the epilogue; n - 1 read-only parts and n dQ sends
-            expected[i, (i + 1) % n] = n + 1 + (2 * n - 1) * backward
+            # per phase n - 1 read-only parts and n accumulator sends
+            expected[i, (i + 1) % n] = (2 * n - 1) * (1 + backward)
         elif strategy == "ring":
             # the forward sends block i-r to the successor in rounds
             # 0..n-2; the backward sends block i+1+r to the predecessor,
@@ -362,6 +364,28 @@ def test_link_message_counts(strategy, n, backward):
     counts = {(i, w): res.stats.link(i, w).message_count
               for i in range(n) for w in range(n) if w != i}
     assert counts == {link: expected.get(link, 0) for link in counts}
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_lvx_forward_messages_carry_rows_of_their_block(monkeypatch, n):
+    # S_Q = 7 gives uneven query blocks (3, 2, 2 or 2, 2, 2, 1), so a
+    # tensor of one block sent under another block's id shows in its rows
+    sent = []
+    send = cluster.Cluster.send
+
+    def recording_send(self, src, dst, payload, block=None):
+        sent.append((block, {cls: t.shape[1] for cls, t in payload.items()}))
+        return send(self, src, dst, payload, block=block)
+
+    monkeypatch.setattr(cluster.Cluster, "send", recording_send)
+    Q, K, V, _ = rand_problem(2, 7, 5, 3, seed=39)
+    res = run_distributed("lvx", Q, K, V, spec=ClusterSpec(n))
+    q_sizes = res.shards.q_sizes
+    assert len(set(q_sizes)) == 2
+    assert len(sent) == n * (2 * n - 1)
+    for block, rows in sent:
+        assert set(rows) in ({"Q"}, {"O", "L"}), (block, rows)
+        assert set(rows.values()) == {q_sizes[block]}, (block, rows)
 
 
 # (S_Q, S_KV): empty query and K/V shards at n = 4, tiny uneven blocks, and
@@ -399,7 +423,7 @@ def test_kv_streams_match_kv_messages(monkeypatch, strategy, n, backward):
                     got.setdefault((src, dst), []).append(
                         (block, [shapes.get(cls) for cls in classes]))
             for phase, i, r in itertools.product(volumes.PHASES[:1 + backward], range(n),
-                                                 range(n + 1)):
+                                                 range(n)):
                 for msg_classes, dst, block, rows, heads in volumes.kv_messages(
                         strategy, phase, i, r, *sizes, h):
                     if msg_classes == classes:
@@ -428,16 +452,6 @@ class TestErrors:
         Q, K, V, _ = rand_problem(1, 2, 2, 2, seed=19)
         with pytest.raises(ValueError):
             run_distributed("bogus", Q, K, V, spec=ClusterSpec(1))
-
-    @pytest.mark.parametrize("scale", [np.inf, -np.inf, np.nan])
-    def test_non_finite_scale_rejected_before_spawn(self, monkeypatch, scale):
-        def no_spawn(*args, **kwargs):
-            raise AssertionError("workers spawned")
-
-        monkeypatch.setattr(strategies, "spawn_cluster", no_spawn)
-        Q, K, V, dO = rand_problem(2, 4, 4, 3, seed=26)
-        with pytest.raises(ValueError, match="scale must be finite"):
-            run_distributed("lvx", Q, K, V, dO=dO, spec=ClusterSpec(2), scale=scale)
 
     @pytest.mark.parametrize("value", [np.inf, np.nan])
     @pytest.mark.parametrize("name", ["Q", "K", "V", "dO"])
@@ -689,8 +703,8 @@ def _failure_of(*args, **kwargs) -> WorkerFailed:
 
 
 def _fault_before_round_1(monkeypatch, fault):
-    """Make the lvx forward body of rank 1 call fault() after its round 1
-    send, just before that round's kernel."""
+    """Make the lvx forward body of rank 1 call fault() just before its
+    round 1 kernel."""
     kind = strategies.StrategyKind.LVX
     protocol = strategies.PROTOCOLS[kind]
 
@@ -732,9 +746,9 @@ def test_dropped_message_times_out_naming_rank_and_src(monkeypatch):
     dropped = []
 
     def lossy_send(self, src, dst, payload, block=None):
-        # message 2 on link 0->1 is the epilogue of a 2-worker forward:
-        # worker 0's (O, L) never reaches worker 1, while worker 0 finishes
-        # normally
+        # message 2 on link 0->1 is the homecoming of a 2-worker forward:
+        # the (O, L) of block 1 never reaches its owner, worker 1, while
+        # worker 0 finishes normally
         index = next(sends.setdefault((src, dst), itertools.count()))
         if (src, dst, index) == (0, 1, 2):
             dropped.append(index)
@@ -760,8 +774,9 @@ def test_stalled_worker_times_out_naming_rank_and_src(monkeypatch):
     start = time.monotonic()
     err = _failure_of("lvx", Q, K, V, spec=ClusterSpec(2))
     assert time.monotonic() - start < 1.0 + stall + 1.0
-    # rank 1 sent its round 1 message before stalling, so rank 0 waits in
-    # its epilogue
+    # rank 1 sends nothing in round 1 before its kernel, so rank 0 waits in
+    # its final receive, for the homecoming (O, L) that rank 1 sends after
+    # the stalled kernel
     assert err.worker == 0
     assert isinstance(err.cause, RecvTimeout)
     assert "worker 0: recv(src=1) timed out after 1.0s" in str(err.cause)
@@ -792,16 +807,17 @@ def _relabeled_failure(monkeypatch, strategy, backward, index, s_kv, n=3, link=(
 # message `index` on link src->1, which worker 1 reads at `receive`. A
 # receive after the phase's n rounds falls in round n.
 #
-# lvx and the ring forward use link 0->1. With n = 3 the forward of lvx
-# sends messages 0-3 on it (message 3 is its epilogue) and that of ring
-# messages 0-1. An lvx backward round sends the read-only part before the
-# kernel, except in the last round, and the accumulator after it: on link
-# 0->1, (Q, dO, L, D) of blocks 0, 2 as messages 4, 6 and the dQ of blocks
-# 0, 2, 1 as 5, 7, 8, the last one home. Worker 1 reads an accumulator in
-# the round after it was sent and a read-only part at the end of the round
-# it was sent in. With n = 4 the lvx backward starts at message 5 and sends
-# the read-only part of blocks 0, 3, 2 as messages 5, 7, 9, so a read-only
-# part also lands in a round after the first.
+# lvx and the ring forward use link 0->1. An lvx round, forward or
+# backward, sends the read-only part before the kernel, except in the last
+# round, and the accumulator after it. With n = 3, on link 0->1, the
+# forward sends the Q of blocks 0, 2 as messages 0, 2 and the (O, L) of
+# blocks 0, 2, 1 as 1, 3, 4, the last one home; the backward sends
+# (Q, dO, L, D) of blocks 0, 2 as 5, 7 and the dQ of blocks 0, 2, 1 as 6,
+# 8, 9. Worker 1 reads an accumulator in the round after it was sent and a
+# read-only part at the end of the round it was sent in. With n = 4 the lvx
+# backward starts at message 7 and sends the read-only part of blocks 0, 3,
+# 2 as messages 7, 9, 11, so a read-only part also lands in a round after
+# the first. The ring forward sends messages 0-1 on link 0->1 at n = 3.
 #
 # The ring backward sends to the predecessor, so its rows use link 2->1,
 # which no ring forward at n >= 3 uses. Worker 2 handles block 3 + r in
@@ -818,11 +834,14 @@ def _relabeled_failure(monkeypatch, strategy, backward, index, s_kv, n=3, link=(
 # under its own id, 0, as message 3.
 @pytest.mark.parametrize("strategy,backward,index,receive,round_index,expected,n,src", [
     ("lvx", False, 0, "worker 1 round 0", 0, 0, 3, 0),
-    ("lvx", False, 3, "worker 1 epilogue", 3, 1, 3, 0),
-    ("lvx", True, 5, "worker 1 backward round 1, dQ", 1, 0, 3, 0),
-    ("lvx", True, 6, "worker 1 backward round 1", 1, 2, 3, 0),
-    ("lvx", True, 8, "worker 1 backward homecoming, dQ", 3, 1, 3, 0),
-    ("lvx", True, 9, "worker 1 backward round 2", 2, 2, 4, 0),
+    ("lvx", False, 1, "worker 1 round 1, O and L", 1, 0, 3, 0),
+    ("lvx", False, 4, "worker 1 homecoming, O and L", 3, 1, 3, 0),
+    ("lvx", True, 5, "worker 1 backward round 0", 0, 0, 3, 0),
+    ("lvx", True, 6, "worker 1 backward round 1, dQ", 1, 0, 3, 0),
+    ("lvx", True, 7, "worker 1 backward round 1", 1, 2, 3, 0),
+    ("lvx", True, 8, "worker 1 backward round 2, dQ", 2, 2, 3, 0),
+    ("lvx", True, 9, "worker 1 backward homecoming, dQ", 3, 1, 3, 0),
+    ("lvx", True, 11, "worker 1 backward round 2", 2, 2, 4, 0),
     ("ring", False, 0, "worker 1 round 1", 1, 0, 3, 0),
     ("ring", True, 0, "worker 1 backward round 1, saved K and V", 1, 0, 3, 2),
     ("ring", True, 2, "worker 1 backward round 2, dK and dV home", 2, 1, 3, 2),
