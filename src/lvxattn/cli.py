@@ -105,10 +105,12 @@ def _numeric_working_set(strategy: str, s_q: int, s_kv: int, h: int, d: int,
     kernel writes into; on `ring` and `single` the (dK, dV) accumulator
     pieces in flight to their owners, a K/V block of each per worker; on
     `head` the head-split input copies and the local gradients. The kernels
-    hold six O- and L-shaped float64 arrays (Q, the running O and its
-    update, dQ and its tile update, merge temporaries), four K/V tiles per
-    worker (K and V staged, a gradient tile and its rounding) and one score
-    tile per worker in the forward, two in the backward. A score tile is
+    hold six O- and L-shaped float64 arrays (the forward's scaled Q, running
+    O and its update, and merge temporaries; the backward's folded
+    [scale Q | L] and [dO | D], dQ sum and its tile update), four K/V tiles
+    per worker (K and V staged, each a column wider in the backward, a
+    gradient tile and its rounding) and one score tile per worker in the
+    forward, two in the backward. A score tile is
     [h, query rows, min(DEFAULT_TILE_ROWS, KV rows)], with KV blocks of
     ceil(S_KV / n) rows on `lvx` and `ring`, all S_KV rows of h/n heads on
     `head`, and `single` counted as `ring` at n = 1. Python objects (the
@@ -126,7 +128,8 @@ def _numeric_working_set(strategy: str, s_q: int, s_kv: int, h: int, d: int,
     head = strategy == StrategyKind.HEAD_PARALLEL.value
     kv_rows = s_kv if head else -(-s_kv // n)
     cols = min(DEFAULT_TILE_ROWS, kv_rows)
-    run += 4 * (h if head else n * h) * cols * d * 8 + (1 + backward) * rows * cols * 8
+    run += ((4 * d + 2 * backward) * (h if head else n * h) * cols * 8
+            + (1 + backward) * rows * cols * 8)
     if head:
         run += (inputs + (q + 2 * kv if backward else 0)) * elem_bytes
     elif backward:

@@ -11,20 +11,33 @@ The blockwise forward and the backward both walk the KV rows in tiles of
 tile_rows rows (DEFAULT_TILE_ROWS = 256), as FlashAttention-2 does. Each K/V
 tile is copied into a float64 buffer that every tile reuses, so a KV block
 is never upcast whole, and scores, exponentials and rescaling happen in place
-in tile-sized scratch. The backward recomputes P from the saved L tile by
-tile and adds its (dQ, dK, dV) into accumulators the caller owns: a protocol
-worker accumulates every round into the same arrays, and a gradient is
-rounded to the accumulator's dtype before each add, so an f32 accumulator
-rounds exactly as adding separately returned f32 gradients would. Kernel
-scratch is O(h * rows * tile + h * (rows + tile) * d) whatever the KV block
-size; only the dense oracle builds the full [h, S_Q, S_KV] score matrix.
+in tile-sized scratch. The forward multiplies the tile by Q scaled once, not
+each score tile by the scale. The backward recomputes P from the saved L
+tile by tile and adds its (dQ, dK, dV) into accumulators the caller owns: a
+protocol worker accumulates every round into the same arrays, and a gradient
+is rounded to the accumulator's dtype before each add, so an f32 accumulator
+rounds exactly as adding separately returned f32 gradients would. Its two
+score-shaped GEMMs fold the row statistics in: [scale Q | L] and [dO | D]
+against a K or V tile staged with a column of -1s give scale Q K^T - L and
+dO V^T - D directly, with no elementwise pass. Kernel scratch is
+O(h * rows * tile + h * (rows + tile) * d) whatever the KV block size; only
+the dense oracle builds the full [h, S_Q, S_KV] score matrix.
 
 Both walks can stop and resume between tiles, so K/V that arrives in pieces
 meets the kernel as it lands: a `SoftmaxCarry` holds the forward's float64
-m, l and O between calls and a `GradientCarry` the backward's float64 dQ
-sum. Fed pieces that start at tile boundaries of the walk, a carry gives
-the one-shot call's result bit for bit; the one-shot call is the same walk
-fed one piece. `tile_pieces` cuts rows into such pieces.
+scaled Q, m, l and O between calls and a `GradientCarry` the backward's
+folded float64 operands and dQ sum, each operand built once when the walk
+starts, so a piece costs only its tiles. Fed pieces that start at tile
+boundaries of the walk, a carry gives the one-shot call's result bit for
+bit; the one-shot call is the same walk fed one piece. `tile_pieces` cuts
+rows into such pieces.
+
+Scaling Q once and folding L and D into the GEMMs can round differently
+from scaling each score tile and subtracting L and D after it: the forward's
+O and L wherever the scale is not a power of two (1/sqrt(d) is one at d = 4,
+16, 64), and the backward's gradients wherever BLAS does not add the folded
+column last (float64 at d = 32 and 64 on OpenBLAS). Both stay within the
+oracle gates.
 """
 
 from __future__ import annotations
@@ -150,18 +163,26 @@ def _add_rounded(acc: np.ndarray, grad: np.ndarray, buf: np.ndarray | None) -> N
 class SoftmaxCarry:
     """The float64 online-softmax state of a forward walked over consecutive
     KV pieces: row max m and row sum l [h, rows], the unnormalized output O
-    [h, rows, d], and the count of KV rows walked."""
+    [h, rows, d], and the count of KV rows walked. It also owns the walk's
+    one operand, the scaled query block Qs = scale * Q in float64 [h, rows,
+    d], built once when the walk starts, so a piece costs only its tiles."""
 
+    Qs: np.ndarray
+    scale: float
     m: np.ndarray
     l: np.ndarray
     O: np.ndarray
     kv_rows: int = 0
 
     @classmethod
-    def start(cls, Q: np.ndarray) -> "SoftmaxCarry":
-        """The state before any KV row, for the query block Q."""
+    def start(cls, Q: np.ndarray, scale: float | None = None) -> "SoftmaxCarry":
+        """The state before any KV row, for the query block Q and the score
+        scale (default 1/sqrt(d))."""
         h, s_q, d = Q.shape
-        return cls(m=np.full((h, s_q), -np.inf), l=np.zeros((h, s_q)), O=np.zeros((h, s_q, d)))
+        if scale is None:
+            scale = default_scale(d)
+        return cls(Qs=np.multiply(Q, scale, dtype=np.float64), scale=scale,
+                   m=np.full((h, s_q), -np.inf), l=np.zeros((h, s_q)), O=np.zeros((h, s_q, d)))
 
     def state(self, dtype) -> AttentionState:
         """The partial state over the rows walked, in dtype; it consumes the
@@ -173,6 +194,13 @@ class SoftmaxCarry:
         return AttentionState(O=self.O.astype(dtype, copy=False), L=L.astype(dtype, copy=False))
 
 
+def _check_carry(carry, rows: np.ndarray, Q: np.ndarray, scale: float | None) -> None:
+    if rows.shape != Q.shape:
+        raise ValueError(f"carry rows {rows.shape} != Q shape {Q.shape}")
+    if scale is not None and scale != carry.scale:
+        raise ValueError(f"scale {scale} != the carry's scale {carry.scale}")
+
+
 def blockwise_attention(Q: np.ndarray, K: np.ndarray, V: np.ndarray,
                         scale: float | None = None,
                         tile_rows: int = DEFAULT_TILE_ROWS,
@@ -182,42 +210,41 @@ def blockwise_attention(Q: np.ndarray, K: np.ndarray, V: np.ndarray,
     to this block, the result equals dense_attention on it.
 
     Given a carry, the call instead continues it over K and V, the next KV
-    rows, and returns it; `carry.state(dtype)` ends the walk. Pieces that
-    start at multiples of tile_rows from the walk's first row give the
-    one-shot result bit for bit, which is this same walk fed one piece.
+    rows, and returns it; `carry.state(dtype)` ends the walk. The carry's
+    scaled Q stands for Q, which must have its shape, and a scale given
+    must be the carry's. Pieces that start at multiples of tile_rows from
+    the walk's first row give the one-shot result bit for bit, which is
+    this same walk fed one piece.
 
-    Each K/V tile is copied into a reused float64 buffer, and the tile's
-    scores are scaled, shifted and exponentiated in one reused score buffer,
-    so scratch memory is O(h * (rows + tile) * d + h * rows * tile) whatever
-    the block size."""
+    Q is scaled once per walk, not each score tile; where the scale is not
+    a power of two this rounds differently from scaling the product. Each
+    K/V tile is copied into a reused float64 buffer, and the tile's scores
+    are shifted and exponentiated in one reused score buffer, so scratch
+    memory is O(h * (rows + tile) * d + h * rows * tile) whatever the block
+    size."""
     validate_qkv(Q, K, V)
-    if scale is None:
-        scale = default_scale(Q.shape[2])
     if tile_rows < 1:
         raise ValueError(f"tile_rows must be >= 1, got {tile_rows}")
     one_shot = carry is None
     if one_shot:
-        carry = SoftmaxCarry.start(Q)
-    elif carry.O.shape != Q.shape:
-        raise ValueError(f"carry rows {carry.O.shape} != Q shape {Q.shape}")
+        carry = SoftmaxCarry.start(Q, scale)
+    else:
+        _check_carry(carry, carry.O, Q, scale)
     h, s_q, d = Q.shape
     s_kv = K.shape[1]
-    Qf = Q.astype(np.float64, copy=False)
     tile = max(1, min(tile_rows, s_kv))
 
     k_buf = np.empty(h * tile * d)
     v_buf = np.empty(h * tile * d)
     s_buf = np.empty(h * s_q * tile)
     pv = np.empty((h, s_q, d))
-    m, l, O = carry.m, carry.l, carry.O
+    Qs, m, l, O = carry.Qs, carry.m, carry.l, carry.O
     for t0 in range(0, s_kv, tile):
         Kt = _stage(k_buf, K[:, t0:t0 + tile])
         Vt = _stage(v_buf, V[:, t0:t0 + tile])
         S = s_buf[:h * s_q * Kt.shape[1]].reshape(h, s_q, Kt.shape[1])
-        np.matmul(Qf, Kt.transpose(0, 2, 1), out=S)
-        # scale the product, not Q: scaling Q first changes the float64 bits
-        # whenever the scale is not a power of two
-        S *= scale
+        # the carry's Qs is scale * Q, so this product is the scaled score
+        np.matmul(Qs, Kt.transpose(0, 2, 1), out=S)
         m_new = np.maximum(m, S.max(axis=2))
         S -= m_new[..., None]
         np.exp(S, out=S)
@@ -287,21 +314,45 @@ def dense_attention_backward(Q: np.ndarray, K: np.ndarray, V: np.ndarray,
 @dataclass
 class GradientCarry:
     """The float64 sum of the dQ tile updates of a backward walked over
-    consecutive KV pieces, before the score scale."""
+    consecutive KV pieces, before the score scale, and the walk's two folded
+    float64 operands [h, rows, d + 1], built once when the walk starts:
+    QL = [scale * Q | L] and dOD = [dO | D]. Against a K or V tile staged
+    with a column of -1s, one GEMM each gives the shifted scores
+    scale * Q K^T - L and dO V^T - D, so a piece costs only its tiles."""
 
     dQ: np.ndarray
+    QL: np.ndarray
+    dOD: np.ndarray
+    scale: float
 
     @classmethod
-    def start(cls, Q: np.ndarray) -> "GradientCarry":
-        """The sum before any KV row, for the query block Q."""
-        return cls(dQ=np.zeros(Q.shape))
+    def start(cls, Q: np.ndarray, L: np.ndarray, D: np.ndarray, dO: np.ndarray,
+              scale: float | None = None) -> "GradientCarry":
+        """The sum before any KV row, for the query block Q with its final
+        forward statistics L and D, its output gradient dO, and the score
+        scale (default 1/sqrt(d))."""
+        h, s_q, d = Q.shape
+        if scale is None:
+            scale = default_scale(d)
+        folded = np.concatenate((np.multiply(Q, scale, dtype=np.float64), L[..., None], dO,
+                                 D[..., None]), axis=2, dtype=np.float64)
+        return cls(dQ=np.zeros(Q.shape), QL=folded[..., :d + 1], dOD=folded[..., d + 1:],
+                   scale=scale)
 
-    def close(self, dQ: np.ndarray, scale: float) -> None:
+    def close(self, dQ: np.ndarray) -> None:
         """Scale the sum and add it, rounded to dQ's dtype, into the
         accumulator dQ; it consumes the carry."""
-        self.dQ *= scale
+        self.dQ *= self.scale
         _add_rounded(dQ, self.dQ, (None if dQ.dtype == np.float64
                                    else np.empty(dQ.size, dtype=dQ.dtype)))
+
+
+def _stage_folded(buf: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Copy rows [h, t, d] into the first t rows of buf [h, tile, d + 1],
+    whose last column holds -1s, and return those rows of buf."""
+    tile = buf[:, :rows.shape[1]]
+    np.copyto(tile[..., :-1], rows)
+    return tile
 
 
 def blockwise_attention_backward(Q_block: np.ndarray, K_block: np.ndarray,
@@ -321,17 +372,22 @@ def blockwise_attention_backward(Q_block: np.ndarray, K_block: np.ndarray,
     reproduces the dense backward.
 
     The KV block is walked in tiles of at most tile_rows rows (default 256),
-    as in the FlashAttention-2 backward: each tile is copied into a reused
-    float64 buffer, recomputes P = exp(scale Q K_t^T - L) from the saved L,
-    adds dV_t = P^T dO and dK_t = scale dS^T Q into its rows of the dV and dK
-    accumulators, and adds dS K_t to a float64 dQ sum that is scaled and
-    added into the dQ accumulator once, at the end. Each gradient is rounded
-    to its accumulator's dtype before the add. Scratch memory is
-    O(h * rows * tile + h * (rows + tile) * d), reused by every tile.
+    as in the FlashAttention-2 backward. Each tile is copied into a reused
+    float64 buffer whose last column holds -1s, so that
+    P = exp(scale Q K_t^T - L) is one GEMM of the folded [scale Q | L] and
+    an exp, and dS = P * (dO V_t^T - D) one GEMM of the folded [dO | D] and
+    a product. The tile adds dV_t = P^T dO and dK_t = dS^T (scale Q) into
+    its rows of the dV and dK accumulators, and dS K_t to a float64 dQ sum
+    that is scaled and added into the dQ accumulator once, at the end. Each
+    gradient is rounded to its accumulator's dtype before the add. Scratch
+    memory is O(h * rows * tile + h * (rows + tile) * d), reused by every
+    tile.
 
     Given a carry, the call instead walks K_block and V_block as the next KV
     rows of a longer walk: it adds into dK and dV and into the carry's dQ
-    sum, and leaves dQ to `carry.close(dQ, scale)`. Pieces that start at
+    sum, and leaves dQ to `carry.close(dQ)`. The carry's folded operands
+    stand for Q_block, L_full, D_full and dO_block, which must have their
+    shapes, and a scale given must be the carry's. Pieces that start at
     multiples of tile_rows from the walk's first row give the one-shot
     result bit for bit, which is this same walk fed one piece.
     """
@@ -340,8 +396,6 @@ def blockwise_attention_backward(Q_block: np.ndarray, K_block: np.ndarray,
         raise ValueError(f"dO shape {dO_block.shape} != Q shape {Q_block.shape}")
     if L_full.shape != Q_block.shape[:2] or D_full.shape != Q_block.shape[:2]:
         raise ValueError(f"L/D shapes {L_full.shape}/{D_full.shape} != {Q_block.shape[:2]}")
-    if scale is None:
-        scale = default_scale(Q_block.shape[2])
     if tile_rows < 1:
         raise ValueError(f"tile_rows must be >= 1, got {tile_rows}")
     if out is None:
@@ -355,22 +409,23 @@ def blockwise_attention_backward(Q_block: np.ndarray, K_block: np.ndarray,
                              f"{t.shape} and the dtype of dQ, {dQ_acc.dtype}")
     one_shot = carry is None
     if one_shot:
-        carry = GradientCarry.start(Q_block)
-    elif carry.dQ.shape != Q_block.shape:
-        raise ValueError(f"carry rows {carry.dQ.shape} != Q shape {Q_block.shape}")
+        carry = GradientCarry.start(Q_block, L_full, D_full, dO_block, scale)
+    else:
+        _check_carry(carry, carry.dQ, Q_block, scale)
 
     h, s_q, d = Q_block.shape
     s_kv = K_block.shape[1]
-    Qs = scale * Q_block.astype(np.float64, copy=False)
-    dOf = dO_block.astype(np.float64, copy=False)
-    L = L_full.astype(np.float64, copy=False)[..., None]
-    D = D_full.astype(np.float64, copy=False)[..., None]
+    QL, dOD = carry.QL, carry.dOD
+    Qs, dOf = QL[..., :d], dOD[..., :d]
     tile = max(1, min(tile_rows, s_kv))
 
-    # flat buffers, so a short last tile still gets a contiguous view: matmul
-    # into a strided view misses the BLAS path
-    k_buf = np.empty(h * tile * d)
-    v_buf = np.empty(h * tile * d)
+    # flat score and gradient buffers, so a short last tile still gets a
+    # contiguous view: matmul into a strided view misses the BLAS path. The
+    # K/V staging buffer's -1 column is written once; its [h, t, d] part is
+    # strided, which BLAS reads as a matrix with leading dimension d + 1
+    kv_buf = np.empty((2, h, tile, d + 1))
+    kv_buf[..., d] = -1.0
+    k_buf, v_buf = kv_buf[0], kv_buf[1]
     g_buf = np.empty(h * tile * d)
     r_buf = None if dK_acc.dtype == np.float64 else np.empty(h * tile * d, dtype=dK_acc.dtype)
     p_buf = np.empty(h * s_q * tile)
@@ -378,24 +433,22 @@ def blockwise_attention_backward(Q_block: np.ndarray, K_block: np.ndarray,
     dq_tile = np.empty((h, s_q, d))
     for t0 in range(0, s_kv, tile):
         t1 = min(t0 + tile, s_kv)
-        Kt = _stage(k_buf, K_block[:, t0:t1])
-        Vt = _stage(v_buf, V_block[:, t0:t1])
+        Kt = _stage_folded(k_buf, K_block[:, t0:t1])
+        Vt = _stage_folded(v_buf, V_block[:, t0:t1])
         P = p_buf[:h * s_q * (t1 - t0)].reshape(h, s_q, t1 - t0)
         dS = ds_buf[:P.size].reshape(P.shape)
-        G = g_buf[:Kt.size].reshape(Kt.shape)
-        np.matmul(Qs, Kt.transpose(0, 2, 1), out=P)
-        P -= L
+        G = g_buf[:h * (t1 - t0) * d].reshape(h, t1 - t0, d)
+        np.matmul(QL, Kt.transpose(0, 2, 1), out=P)
         np.exp(P, out=P)
         np.matmul(P.transpose(0, 2, 1), dOf, out=G)
         _add_rounded(dV_acc[:, t0:t1], G, r_buf)
-        np.matmul(dOf, Vt.transpose(0, 2, 1), out=dS)
-        dS -= D
+        np.matmul(dOD, Vt.transpose(0, 2, 1), out=dS)
         dS *= P
-        carry.dQ += np.matmul(dS, Kt, out=dq_tile)
+        carry.dQ += np.matmul(dS, Kt[..., :d], out=dq_tile)
         np.matmul(dS.transpose(0, 2, 1), Qs, out=G)
         _add_rounded(dK_acc[:, t0:t1], G, r_buf)
     if one_shot:
-        carry.close(dQ_acc, scale)
+        carry.close(dQ_acc)
     return out
 
 
@@ -408,11 +461,11 @@ def project(x: np.ndarray, W: np.ndarray, heads: int) -> np.ndarray:
         raise ValueError(f"inner dims disagree: input {x.shape[1]} vs weight {W.shape[0]}")
     if W.shape[1] % heads != 0:
         raise ValueError(f"weight cols {W.shape[1]} not divisible by heads {heads}")
-    out_dt = np.result_type(x, W)
     d = W.shape[1] // heads
     flat = x.astype(np.float64, copy=False) @ W.astype(np.float64, copy=False)
-    out = flat.reshape(x.shape[0], heads, d).transpose(1, 0, 2)
-    return np.ascontiguousarray(out).astype(out_dt)
+    out = np.empty((heads, x.shape[0], d), dtype=np.result_type(x, W))
+    np.copyto(out, flat.reshape(x.shape[0], heads, d).transpose(1, 0, 2))
+    return out
 
 
 def project_backward(x: np.ndarray, W: np.ndarray, dOut: np.ndarray):

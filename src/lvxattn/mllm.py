@@ -20,17 +20,20 @@ counterpart over the live saved buffers for cross-checks.
 
 Each cross-attention layer walks y in the row blocks `kernels.tile_pieces`
 cuts (256 rows; one empty block for no rows), so what the layers allocate
-besides the ledger's buffers and d_y does not grow with S_KV. The forward
-projects K_b and V_b from one block of y (under store, copying them into the
-layer's full K and V), runs blockwise_attention on them with a float64 Q and
-merges the block states in float64. The backward takes each block's saved or
-re-projected K_b, V_b and runs dense_attention_backward with a float64 Q and
-the layer's final O and L (the kernel upcasts the rest), so the block's dK_b,
-dV_b and partial dQ are exact; project_backward against float64 W_K and W_V
-then adds into d_y's rows and into float64 dQ, dW_K and dW_V accumulators.
-Rounding to the config dtype happens at the Q, K and V projections and once
-per layer for O and L, d_y's rows, dQ, dW_K and dW_V; dK and dV stay float64.
-A y block is what one worker's y shard would be in a sequence-parallel step.
+besides the ledger's buffers and d_y does not grow with S_KV. A block's K_b
+and V_b are one projection of the block of y against [W_K | W_V]. The
+forward walks the blocks on one `SoftmaxCarry` (under store, copying K_b and
+V_b into the layer's full K and V), so the layer's O and L are those of one
+blockwise_attention call over all of y. The backward computes D = rowsum(dO
+O) once per layer, from the rounded O it saved, and walks the same blocks,
+saved or re-projected, with blockwise_attention_backward on one
+`GradientCarry`, which closes dQ once per layer; each block's float64 dK_b
+and dV_b go back through one project_backward against float64 [W_K | W_V],
+into d_y's rows and a float64 d[W_K | W_V] accumulator. Rounding to the
+config dtype happens at the Q, K and V projections and once per layer for O
+and L, d_y's rows, dQ, dW_K and dW_V; dK and dV stay float64. A y block is
+what one worker's y shard would be in a sequence-parallel step, and its
+kernel calls are the ones a `ring` worker makes per piece.
 """
 
 from __future__ import annotations
@@ -40,8 +43,11 @@ from enum import Enum
 
 import numpy as np
 
-from .kernels import (blockwise_attention, default_scale, dense_attention_backward,
-                      merge_states, project, project_backward, require_finite, tile_pieces)
+from .kernels import (AttentionState, GradientCarry, SoftmaxCarry, attention_row_stats,
+                      blockwise_attention, blockwise_attention_backward, default_scale,
+                      project, project_backward, require_finite, tile_pieces)
+# no body calls the dense backward; perfbench/tracer.py wraps it here by name
+from .kernels import dense_attention_backward  # noqa: F401
 from .tensorio import dtype_from_name, seeded_random_tensor
 
 
@@ -298,25 +304,22 @@ def mllm_forward(x0: np.ndarray, y: np.ndarray, params: ModelParams,
         if blk in ca_set:
             p = params.ca[blk]
             q = project(x, p.w_q, h)
+            w_kv = np.concatenate((p.w_k, p.w_v), axis=1)
             # the dtype the projections round K and V to
-            dt = np.result_type(q, y, p.w_k, p.w_v)
+            dt = np.result_type(q, y, w_kv)
             entry = {"x": x}
             if policy is ActivationPolicy.STORE_KV:
                 entry["K"] = np.empty((h, s_kv, d), dt)
                 entry["V"] = np.empty((h, s_kv, d), dt)
-            # a float64 Q keeps the block states and their merges in float64
-            q = q.astype(np.float64, copy=False)
-            st = None
+            carry = SoftmaxCarry.start(q, scale)
             for a, b in tile_pieces(0, s_kv):
-                k = project(y[a:b], p.w_k, h)
-                v = project(y[a:b], p.w_v, h)
+                kv = project(y[a:b], w_kv, 2 * h)
                 if policy is ActivationPolicy.STORE_KV:
-                    entry["K"][:, a:b] = k
-                    entry["V"][:, a:b] = v
-                delta = blockwise_attention(q, k, v, scale)
-                st = delta if st is None else merge_states(st, delta)
-            entry["O"] = st.O.astype(dt, copy=False)
-            entry["L"] = st.L.astype(dt, copy=False)
+                    entry["K"][:, a:b] = kv[:h]
+                    entry["V"][:, a:b] = kv[h:]
+                blockwise_attention(q, kv[:h], kv[h:], scale, carry=carry)
+            st = carry.state(dt)
+            entry["O"], entry["L"] = st.O, st.L
             saved.ca[blk] = entry
             x = x + _flatten_heads(entry["O"]) @ p.w_o
         u = x
@@ -377,33 +380,33 @@ def mllm_backward(d_out: np.ndarray, saved: SavedActivations, y: np.ndarray,
             q = project(x_in, p.w_q, h)
             if counter is not None:
                 counter.add_projection(config.s_q, e, hd)
-            # a float64 Q and weights make every block gradient float64, so
-            # each is exact and the layer's accumulators round each gradient once
-            q64 = q.astype(f64, copy=False)
-            w_k64, w_v64 = p.w_k.astype(f64, copy=False), p.w_v.astype(f64, copy=False)
+            w_kv = np.concatenate((p.w_k, p.w_v), axis=1)
+            w_kv64 = w_kv.astype(f64, copy=False)
+            d_stats = attention_row_stats(AttentionState(O=o, L=l), d_o)
+            carry = GradientCarry.start(q, l, d_stats, d_o, scale)
+            # float64 accumulators: each block gradient is exact, and the
+            # layer rounds each of dQ, dW_K and dW_V once
             d_q = np.zeros(q.shape)
-            g_wk, g_wv = np.zeros(p.w_k.shape), np.zeros(p.w_v.shape)
+            g_wkv = np.zeros(w_kv.shape)
             for a, b in tile_pieces(0, config.s_kv):
                 if policy is ActivationPolicy.STORE_KV:
                     k, v = k_all[:, a:b], v_all[:, a:b]
                 else:
-                    k = project(y[a:b], p.w_k, h)
-                    v = project(y[a:b], p.w_v, h)
+                    kv = project(y[a:b], w_kv, 2 * h)
+                    k, v = kv[:h], kv[h:]
                     if counter is not None:
-                        counter.add_projection(b - a, e, hd)
-                        counter.add_projection(b - a, e, hd)
-                gb = dense_attention_backward(q64, k, v, o, l, d_o, scale)
-                d_y_b, g_wk_b = project_backward(y[a:b], w_k64, gb.dK)
-                d_y_v, g_wv_b = project_backward(y[a:b], w_v64, gb.dV)
-                d_y_b += d_y_v
+                        counter.add_projection(b - a, e, 2 * hd)
+                d_kv = np.zeros((2 * h, b - a, config.d))
+                blockwise_attention_backward(q, k, v, l, d_stats, d_o, scale,
+                                             out=(d_q, d_kv[:h], d_kv[h:]), carry=carry)
+                d_y_b, g_wkv_b = project_backward(y[a:b], w_kv64, d_kv)
                 d_y[a:b] += d_y_b                   # the layer's one rounding
-                d_q += gb.dQ
-                g_wk += g_wk_b
-                g_wv += g_wv_b
+                g_wkv += g_wkv_b
+            carry.close(d_q)
             d_x_q, g_wq = project_backward(x_in, p.w_q, d_q.astype(q.dtype, copy=False))
             ca_grads[blk] = CrossAttentionParams(
-                w_q=g_wq, w_k=g_wk.astype(p.w_k.dtype, copy=False),
-                w_v=g_wv.astype(p.w_v.dtype, copy=False), w_o=g_wo)
+                w_q=g_wq, w_k=g_wkv[:, :hd].astype(p.w_k.dtype),
+                w_v=g_wkv[:, hd:].astype(p.w_v.dtype), w_o=g_wo)
             g = g + d_x_q
     return MllmGradients(d_x0=g, d_y=d_y, ca=ca_grads, lm=lm_grads)
 

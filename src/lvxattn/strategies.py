@@ -262,7 +262,7 @@ def ring_forward(ctx: WorkerContext, shards: ShardSpec, q_i: np.ndarray,
     out_dt = np.result_type(q_i, k_i, v_i)
     saved = []
     for r in range(n):
-        carry = SoftmaxCarry.start(q_i)
+        carry = ctx.compute(SoftmaxCarry.start, q_i, scale)
         for kv in _round_pieces(ctx, shards, k_i, v_i, (i - r) % n, ctx.predecessor,
                                 ctx.successor if r < n - 1 else None):
             ctx.compute(blockwise_attention, q_i, kv["K"], kv["V"], scale, carry=carry)
@@ -303,7 +303,7 @@ def ring_backward(ctx: WorkerContext, shards: ShardSpec, q_i: np.ndarray,
     dq, dk, dv = np.zeros_like(q_i), np.zeros_like(k_i), np.zeros_like(v_i)
     for r in range(n):
         j = (i + 1 + r) % n
-        carry = GradientCarry.start(q_i)
+        carry = ctx.compute(GradientCarry.start, q_i, state.L, d_own, do_i, scale)
         for kv in _round_pieces(ctx, shards, k_i, v_i, j, ctx.successor,
                                 ctx.predecessor if r < n - 2 else None,
                                 state.saved if r == 0 else None):
@@ -321,7 +321,7 @@ def ring_backward(ctx: WorkerContext, shards: ShardSpec, q_i: np.ndarray,
             got = ctx.recv(ctx.successor, block=i)
             dk[:, a:b] += got["dK"]
             dv[:, a:b] += got["dV"]
-        ctx.compute(carry.close, dq, scale)
+        ctx.compute(carry.close, dq)
         ctx.close_round()
     return dq, dk, dv
 
@@ -369,7 +369,7 @@ def head_parallel_forward(ctx: WorkerContext, shards: ShardSpec, q_i: np.ndarray
         first = [ctx.recv(w, block=k) for w in range(n)]
         for (a, b), got in zip(shards.q_ranges, first):
             q[:, a:b] = got["Q"]
-        carry = SoftmaxCarry.start(q)
+        carry = ctx.compute(SoftmaxCarry.start, q, scale)
         done = 0
         for w, pieces in enumerate(sources):
             for p, (a, b) in enumerate(pieces):
@@ -422,7 +422,7 @@ def head_parallel_backward(ctx: WorkerContext, shards: ShardSpec, q_i: np.ndarra
         q, do = q_full[head], do_full[head]
         d_head = attention_row_stats(AttentionState(O=st.O[head], L=st.L[head]), do)
         dq, dk, dv = (np.zeros(t[head].shape, out_dt) for t in (q_full, k_full, v_full))
-        carry = GradientCarry.start(q)
+        carry = ctx.compute(GradientCarry.start, q, st.L[head], d_head, do, scale)
         sent = 0
         for t0, t1 in tile_pieces(0, k_full.shape[1]):
             ctx.compute(blockwise_attention_backward, q, k_full[head, t0:t1],
@@ -432,7 +432,7 @@ def head_parallel_backward(ctx: WorkerContext, shards: ShardSpec, q_i: np.ndarra
                 w, a, b = early[sent]
                 ctx.send(w, {"dK": dk[:, a:b], "dV": dv[:, a:b]}, block=k)
                 sent += 1
-        ctx.compute(carry.close, dq, scale)
+        ctx.compute(carry.close, dq)
         for w, ((qa, qb), pieces) in enumerate(zip(shards.q_ranges, dests)):
             a, b = pieces[-1]
             ctx.send(w, {"dQ": dq[:, qa:qb], "dK": dk[:, a:b], "dV": dv[:, a:b]}, block=k)

@@ -14,11 +14,10 @@ and D row statistics). Its rows are those of one block along its `axis`:
 |q_j| or |kv_j| for block j, indices mod n, b bytes per element. On worker
 i the hop fires as its `when` says:
 
-  ROUND     in each round r with first <= r < n + stop, where
-            (first, stop) = `rounds`, it sends block i - direction*r + offset
-            to worker i + direction: the successor for direction +1, the
-            predecessor for -1. stop <= 0, so no hop fires after the n
-            ring rounds
+  ROUND     in each of the n ring rounds but its last `skip`, round r,
+            it sends block i - direction*r + offset to worker
+            i + direction: the successor for direction +1, the predecessor
+            for -1
   OWN       an all-to-all in round 0: to every other worker, worker i's own
             rows of h/n heads
   PEER      an all-to-all in round 0: to every other worker w, w's rows of
@@ -68,23 +67,23 @@ class Hop:
     axis: str                       # "q" or "kv"
     when: str                       # ROUND, OWN or PEER
     offset: int = 0
-    rounds: tuple[int, int] = (0, 0)    # (first, stop), for a ROUND hop
+    skip: int = 0                       # final rounds a ROUND hop skips
     direction: int = 1                  # +1 successor, -1 predecessor, for a ROUND hop
 
 
 HOPS = {
     # lvx: the read-only part leaves while r < n-1, the accumulator in every
     # round, so the round n-1 accumulator sends are the homecoming hops
-    ("lvx", "forward"): (Hop(("Q",), "q", ROUND, rounds=(0, -1)),
+    ("lvx", "forward"): (Hop(("Q",), "q", ROUND, skip=1),
                          Hop(("O", "L"), "q", ROUND)),
-    ("lvx", "backward"): (Hop(("Q", "dO", "L", "D"), "q", ROUND, rounds=(0, -1)),
+    ("lvx", "backward"): (Hop(("Q", "dO", "L", "D"), "q", ROUND, skip=1),
                           Hop(("dQ",), "q", ROUND)),
-    ("ring", "forward"): (Hop(("K", "V"), "kv", ROUND, rounds=(0, -1)),),
+    ("ring", "forward"): (Hop(("K", "V"), "kv", ROUND, skip=1),),
     # the backward starts from block i+1, which the forward ended with, and
     # its accumulator of block j starts at worker j-1 and ends at its owner
-    ("ring", "backward"): (Hop(("K", "V"), "kv", ROUND, offset=1, rounds=(0, -2),
+    ("ring", "backward"): (Hop(("K", "V"), "kv", ROUND, offset=1, skip=2,
                                direction=-1),
-                           Hop(("dK", "dV"), "kv", ROUND, offset=1, rounds=(0, -1),
+                           Hop(("dK", "dV"), "kv", ROUND, offset=1, skip=1,
                                direction=-1)),
     ("head", "forward"): (Hop(("Q",), "q", OWN), Hop(("K", "V"), "kv", OWN),
                           Hop(("O", "L"), "q", PEER)),
@@ -106,8 +105,7 @@ def _transfers(strategy: str, phase: str, i: int, r: int, q_sizes, kv_sizes, h: 
     n = len(q_sizes)
     for hop in HOPS[(strategy, phase)]:
         rows = q_sizes if hop.axis == "q" else kv_sizes
-        first, stop = hop.rounds
-        if hop.when == ROUND and first <= r < n + stop:
+        if hop.when == ROUND and r < n - hop.skip:
             block = (i - hop.direction * r + hop.offset) % n
             yield hop, (i + hop.direction) % n, block, (0, rows[block]), h
         elif hop.when in (OWN, PEER) and r == 0:

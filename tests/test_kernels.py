@@ -5,8 +5,9 @@ import pytest
 
 from lvxattn.kernels import (DEFAULT_TILE_ROWS, AttentionState, GradientCarry, SoftmaxCarry,
                              blockwise_attention, blockwise_attention_backward,
-                             dense_attention, dense_attention_backward, empty_state,
-                             merge_states, project, project_backward, tile_pieces)
+                             default_scale, dense_attention, dense_attention_backward,
+                             empty_state, merge_states, project, project_backward,
+                             tile_pieces)
 from lvxattn.tensorio import seeded_random_tensor
 from lvxattn.verify import (gradient_oracle, max_norm_error,
                             untiled_backward_reference)
@@ -399,6 +400,48 @@ class TestF32Path:
         assert max_norm_error(st.L, oracle.L) <= 1e-4
 
 
+def _oracle_inputs(d, large, dtype, s_q=5, s_kv=600, seed=70):
+    """Q, K, V, dO with the dense forward's L and D, rounded to dtype; the
+    oracle then runs on the rounded values in float64. Large inputs scale Q
+    so that the largest score is 50 and dO by 50, so L and D are large."""
+    Q, K, V = rand_qkv(2, s_q, s_kv, d, seed=seed)
+    dO = seeded_random_tensor(seed, (2, s_q, d), stream=3)
+    if large:
+        Q *= 50 / np.abs(default_scale(d) * (Q @ K.transpose(0, 2, 1))).max()
+        dO *= 50
+    Q, K, V, dO = (t.astype(dtype) for t in (Q, K, V, dO))
+    st = dense_attention(*(t.astype(np.float64) for t in (Q, K, V)))
+    D = np.sum(dO.astype(np.float64) * st.O, axis=2)
+    return Q, K, V, dO, st.L.astype(dtype), D.astype(dtype)
+
+
+class TestFoldedOperandsOnOracle:
+    """The forward scales Q once and the backward folds L and D into its
+    GEMMs; both stay on the dense oracle where 1/sqrt(d) is not a power of
+    two, and where large scores make L and D large."""
+
+    @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-4)])
+    @pytest.mark.parametrize("d,large", [(2, False), (8, False), (32, False),
+                                         (8, True), (32, True)])
+    @pytest.mark.parametrize("tile_rows", [7, 256])
+    def test_forward_and_backward_match_oracle(self, d, large, dtype, tol, tile_rows):
+        Q, K, V, dO, L, D = _oracle_inputs(d, large, dtype)
+        if large:
+            assert np.abs(L.astype(np.float64)).max() >= 40
+            assert np.abs(D.astype(np.float64)).max() >= 40
+        f64 = [t.astype(np.float64) for t in (Q, K, V, dO)]
+        oracle = dense_attention(*f64[:3])
+        st = blockwise_attention(Q, K, V, tile_rows=tile_rows)
+        assert st.O.dtype == dtype
+        assert max_norm_error(st.O, oracle.O) <= tol
+        assert max_norm_error(st.L, oracle.L) <= tol
+        ref = gradient_oracle(*f64)
+        got = blockwise_attention_backward(Q, K, V, L, D, dO, tile_rows=tile_rows)
+        for g, r in zip(got, (ref.dQ, ref.dK, ref.dV)):
+            assert g.dtype == dtype
+            assert max_norm_error(g, r) <= tol
+
+
 def test_attention_state_invariants():
     with pytest.raises(ValueError):
         AttentionState(O=np.zeros((1, 2, 3)), L=np.zeros((1, 3)))
@@ -436,35 +479,40 @@ def _pieces(sizes):
 
 
 class TestCarry:
+    # at d = 4 the default scale 1/2 is a power of two; at d = 3 scaling Q
+    # rounds, and the pieces must still round as the one-shot walk does
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("tile_rows,s_kv,sizes", CARRY_CASES)
     def test_forward_pieces_match_one_shot_bitwise(self, dtype, tile_rows, s_kv, sizes):
-        Q, K, V = (t.astype(dtype) for t in rand_qkv(2, 5, s_kv, 4, seed=60))
-        one_shot = blockwise_attention(Q, K, V, tile_rows=tile_rows)
-        carry = SoftmaxCarry.start(Q)
-        for a, b in _pieces(sizes):
-            assert blockwise_attention(Q, K[:, a:b], V[:, a:b], tile_rows=tile_rows,
-                                       carry=carry) is carry
-        got = carry.state(dtype)
-        assert got.O.dtype == dtype
-        assert got.O.tobytes() == one_shot.O.tobytes()
-        assert got.L.tobytes() == one_shot.L.tobytes()
+        for d in (4, 3):
+            Q, K, V = (t.astype(dtype) for t in rand_qkv(2, 5, s_kv, d, seed=60))
+            one_shot = blockwise_attention(Q, K, V, tile_rows=tile_rows)
+            carry = SoftmaxCarry.start(Q)
+            for a, b in _pieces(sizes):
+                assert blockwise_attention(Q, K[:, a:b], V[:, a:b], tile_rows=tile_rows,
+                                           carry=carry) is carry
+            got = carry.state(dtype)
+            assert got.O.dtype == dtype
+            assert got.O.tobytes() == one_shot.O.tobytes()
+            assert got.L.tobytes() == one_shot.L.tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("tile_rows,s_kv,sizes", CARRY_CASES)
     def test_backward_pieces_match_one_shot_bitwise(self, dtype, tile_rows, s_kv, sizes):
-        Q, K, V, L, D, dO = (t.astype(dtype) for t in
-                             backward_block_inputs(5, s_kv, seed=61))
-        one_shot = blockwise_attention_backward(Q, K, V, L, D, dO, 0.3, tile_rows)
-        dq, dk, dv = (np.zeros_like(t) for t in (Q, K, V))
-        carry = GradientCarry.start(Q)
-        for a, b in _pieces(sizes):
-            blockwise_attention_backward(Q, K[:, a:b], V[:, a:b], L, D, dO, 0.3, tile_rows,
-                                         out=(dq, dk[:, a:b], dv[:, a:b]), carry=carry)
-        assert not dq.any()         # dQ waits for the carry to close
-        carry.close(dq, 0.3)
-        for got, ref in zip((dq, dk, dv), one_shot):
-            assert got.dtype == dtype and got.tobytes() == ref.tobytes()
+        for d, scale in ((4, 0.3), (3, None)):
+            Q, K, V, L, D, dO = (t.astype(dtype) for t in
+                                 backward_block_inputs(5, s_kv, seed=61, d=d))
+            one_shot = blockwise_attention_backward(Q, K, V, L, D, dO, scale, tile_rows)
+            dq, dk, dv = (np.zeros_like(t) for t in (Q, K, V))
+            carry = GradientCarry.start(Q, L, D, dO, scale)
+            for a, b in _pieces(sizes):
+                blockwise_attention_backward(Q, K[:, a:b], V[:, a:b], L, D, dO, scale,
+                                             tile_rows, out=(dq, dk[:, a:b], dv[:, a:b]),
+                                             carry=carry)
+            assert not dq.any()         # dQ waits for the carry to close
+            carry.close(dq)
+            for got, ref in zip((dq, dk, dv), one_shot):
+                assert got.dtype == dtype and got.tobytes() == ref.tobytes()
 
     def test_carry_without_rows_is_the_empty_state(self):
         Q, K, V = rand_qkv(2, 3, 0, 4, seed=62)
@@ -476,3 +524,12 @@ class TestCarry:
         Q, K, V = rand_qkv(2, 3, 8, 4, seed=63)
         with pytest.raises(ValueError, match="carry rows"):
             blockwise_attention(Q, K, V, carry=SoftmaxCarry.start(Q[:, :2]))
+        with pytest.raises(ValueError, match="the carry's scale"):
+            blockwise_attention(Q, K, V, 0.3, carry=SoftmaxCarry.start(Q))
+        L, D = np.zeros((2, 3)), np.zeros((2, 3))
+        with pytest.raises(ValueError, match="carry rows"):
+            blockwise_attention_backward(Q, K, V, L, D, Q, carry=GradientCarry.start(
+                Q[:, :2], L[:, :2], D[:, :2], Q[:, :2]))
+        with pytest.raises(ValueError, match="the carry's scale"):
+            blockwise_attention_backward(Q, K, V, L, D, Q, 0.3,
+                                         carry=GradientCarry.start(Q, L, D, Q))

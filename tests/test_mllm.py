@@ -5,8 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from lvxattn.kernels import (default_scale, dense_attention, dense_attention_backward,
-                             project, project_backward)
+from lvxattn.kernels import (blockwise_attention, default_scale, dense_attention,
+                             dense_attention_backward, project, project_backward)
 from lvxattn.mllm import (TOY_CONFIG, ActivationPolicy, ModelParams, OpCounter,
                           ToyMllmConfig, analytic_ledger, max_frames_under_budget,
                           measured_activation_bytes, mllm_backward, mllm_forward,
@@ -289,6 +289,20 @@ class TestRowBlocks:
         for name in store:
             assert store[name].dtype == np.float32, name
             assert np.array_equal(store[name], recompute[name]), name
+
+    @pytest.mark.parametrize("dtype", ["f64", "f32"])
+    def test_layer_state_is_one_blockwise_call(self, dtype):
+        # the layer walks its y blocks on one carry, as a worker walks its
+        # pieces: the state is the one-shot call's over all the rows it saved
+        cfg = replace(self.BLOCKED, dtype=dtype)
+        params, x0, y, _ = build(cfg)
+        _, saved, _ = mllm_forward(x0, y, params, cfg, "store")
+        for blk, entry in saved.ca.items():
+            q = project(entry["x"], params.ca[blk].w_q, cfg.h).astype(np.float64)
+            st = blockwise_attention(q, entry["K"], entry["V"], default_scale(cfg.d))
+            assert entry["O"].dtype == entry["L"].dtype == cfg.np_dtype
+            assert entry["O"].tobytes() == st.O.astype(cfg.np_dtype).tobytes(), blk
+            assert entry["L"].tobytes() == st.L.astype(cfg.np_dtype).tobytes(), blk
 
     @pytest.mark.parametrize("policy", list(ActivationPolicy))
     def test_memory_above_ledger_does_not_grow_with_frames(self, policy):
