@@ -108,9 +108,9 @@ def _numeric_working_set(strategy: str, s_q: int, s_kv: int, h: int, d: int,
     hold six O- and L-shaped float64 arrays (the forward's scaled Q, running
     O and its update, and merge temporaries; the backward's folded
     [scale Q | L] and [dO | D], dQ sum and its tile update), four K/V tiles
-    per worker (K and V staged, each a column wider in the backward, a
-    gradient tile and its rounding) and one score tile per worker in the
-    forward, two in the backward. A score tile is
+    per worker, one more than they use (K and V staged, each a column wider
+    in the backward, and a gradient tile), and one score tile per worker in
+    the forward, two in the backward. A score tile is
     [h, query rows, min(DEFAULT_TILE_ROWS, KV rows)], with KV blocks of
     ceil(S_KV / n) rows on `lvx` and `ring`, all S_KV rows of h/n heads on
     `head`, and `single` counted as `ring` at n = 1. Python objects (the

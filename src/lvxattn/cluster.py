@@ -35,8 +35,9 @@ later receive on its link would have read it.
 The transport is the one accounting path: each worker context adds the bytes
 per class that `Cluster.send` counted, and the modeled time of every message
 it receives, to its open round, so protocol round traces and the link
-counters cannot disagree: a worker's wait, summed over its rounds and
-epilogues, is the modeled time of the links into it.
+counters cannot disagree: a worker's wait, summed over its rounds, is the
+modeled time of the links into it. Every send, receive and kernel call
+falls in a round: a phase that ends with a round still open is refused.
 """
 
 from __future__ import annotations
@@ -252,16 +253,13 @@ class RoundTrace:
     strategy: str
     phase: str
     rounds: list[RoundRecord] = field(default_factory=list)
-    epilogue_bytes_by_class: dict[str, int] = field(default_factory=dict)
-    epilogue_comm_seconds: float = 0.0
 
     @property
     def num_rounds(self) -> int:
         return len(self.rounds)
 
     def total_sent_bytes(self) -> int:
-        return (sum(r.sent_bytes for r in self.rounds)
-                + sum(self.epilogue_bytes_by_class.values()))
+        return sum(r.sent_bytes for r in self.rounds)
 
     def compute_only_seconds(self) -> float:
         return sum(r.compute_seconds for r in self.rounds)
@@ -275,8 +273,9 @@ class RoundTrace:
                  "comm_seconds": r.comm_seconds, "sent_bytes": r.sent_bytes_by_class}
                 for r in self.rounds
             ],
-            "epilogue_sent_bytes": self.epilogue_bytes_by_class,
-            "epilogue_comm_seconds": self.epilogue_comm_seconds,
+            # always empty: nothing follows a phase's last round; the key
+            # stays only because perfbench/workloads.py reads it
+            "epilogue_sent_bytes": {},
         }
 
 
@@ -299,6 +298,7 @@ class WorkerContext:
         self._sent: dict[str, int] = {}
         self._waited = 0.0
         self._computed = 0.0
+        self._open = False      # a send, recv or compute since the last close_round
 
     @property
     def n(self) -> int:
@@ -317,9 +317,11 @@ class WorkerContext:
             self._sent[cls] = self._sent.get(cls, 0) + nbytes
 
     def send(self, dst: int, payload: dict, block: int | None = None) -> None:
+        self._open = True
         self._count(self.cluster.send(self.rank, dst, payload, block=block))
 
     def recv(self, src: int, block: int | None = None) -> dict:
+        self._open = True
         msg = self.cluster.recv(self.rank, src)
         self._waited += msg.modeled_seconds
         if block is not None and msg.block != block:
@@ -329,6 +331,7 @@ class WorkerContext:
 
     def compute(self, kernel, *args, **kwargs):
         """Run kernel(*args, **kwargs); add its wall seconds to the open round."""
+        self._open = True
         t0 = time.perf_counter()
         out = kernel(*args, **kwargs)
         self._computed += time.perf_counter() - t0
@@ -340,16 +343,17 @@ class WorkerContext:
                                         compute_seconds=self._computed,
                                         comm_seconds=self._waited,
                                         sent_bytes_by_class=self._sent))
-        self._sent, self._waited, self._computed = {}, 0.0, 0.0
+        self._sent, self._waited, self._computed, self._open = {}, 0.0, 0.0, False
 
     def close_phase(self, strategy: str, phase: str) -> RoundTrace:
         """End a protocol phase, which began where the previous one ended (or
-        at the context's start): its closed rounds, with what is still open
-        as the epilogue."""
-        trace = RoundTrace(strategy=strategy, phase=phase, rounds=self._rounds,
-                           epilogue_bytes_by_class=self._sent,
-                           epilogue_comm_seconds=self._waited)
-        self._rounds, self._sent, self._waited, self._computed = [], {}, 0.0, 0.0
+        at the context's start), and return its closed rounds. A send, recv or
+        compute after the last `close_round` is refused."""
+        if self._open:
+            raise ClusterError(f"worker {self.rank} {strategy} {phase}: a send, recv or "
+                               f"compute follows the phase's last close_round")
+        trace = RoundTrace(strategy=strategy, phase=phase, rounds=self._rounds)
+        self._rounds = []
         return trace
 
 

@@ -150,13 +150,11 @@ def _stage(buf: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return tile
 
 
-def _add_rounded(acc: np.ndarray, grad: np.ndarray, buf: np.ndarray | None) -> None:
-    """acc += grad. A narrower accumulator gets the float64 grad rounded to
-    its dtype first, in the flat buffer buf, so it rounds exactly as adding a
-    separately returned gradient of that dtype would."""
-    if buf is not None:
-        grad = _stage(buf, grad)
-    acc += grad
+def _add_rounded(acc: np.ndarray, grad: np.ndarray) -> None:
+    """acc += grad in acc's dtype: a narrower accumulator gets the float64
+    grad rounded to its dtype first, in one pass, so it rounds exactly as
+    adding a separately returned gradient of that dtype would."""
+    np.add(acc, grad, out=acc, dtype=acc.dtype, casting="same_kind")
 
 
 @dataclass
@@ -343,8 +341,7 @@ class GradientCarry:
         """Scale the sum and add it, rounded to dQ's dtype, into the
         accumulator dQ; it consumes the carry."""
         self.dQ *= self.scale
-        _add_rounded(dQ, self.dQ, (None if dQ.dtype == np.float64
-                                   else np.empty(dQ.size, dtype=dQ.dtype)))
+        _add_rounded(dQ, self.dQ)
 
 
 def _stage_folded(buf: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -427,7 +424,6 @@ def blockwise_attention_backward(Q_block: np.ndarray, K_block: np.ndarray,
     kv_buf[..., d] = -1.0
     k_buf, v_buf = kv_buf[0], kv_buf[1]
     g_buf = np.empty(h * tile * d)
-    r_buf = None if dK_acc.dtype == np.float64 else np.empty(h * tile * d, dtype=dK_acc.dtype)
     p_buf = np.empty(h * s_q * tile)
     ds_buf = np.empty(h * s_q * tile)
     dq_tile = np.empty((h, s_q, d))
@@ -441,12 +437,12 @@ def blockwise_attention_backward(Q_block: np.ndarray, K_block: np.ndarray,
         np.matmul(QL, Kt.transpose(0, 2, 1), out=P)
         np.exp(P, out=P)
         np.matmul(P.transpose(0, 2, 1), dOf, out=G)
-        _add_rounded(dV_acc[:, t0:t1], G, r_buf)
+        _add_rounded(dV_acc[:, t0:t1], G)
         np.matmul(dOD, Vt.transpose(0, 2, 1), out=dS)
         dS *= P
         carry.dQ += np.matmul(dS, Kt[..., :d], out=dq_tile)
         np.matmul(dS.transpose(0, 2, 1), Qs, out=G)
-        _add_rounded(dK_acc[:, t0:t1], G, r_buf)
+        _add_rounded(dK_acc[:, t0:t1], G)
     if one_shot:
         carry.close(dQ_acc)
     return out

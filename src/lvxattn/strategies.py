@@ -6,8 +6,8 @@ Four strategies, all exact:
           the query blocks travel around the ring toward the successor, each
           as a read-only part and an accumulator, in both phases: the
           read-only part (Q; Q, dO, L, D) leaves before the round's kernel,
-          the accumulator ((O, L); dQ) after it, and the accumulator sent
-          in round n-1 is the homecoming.
+          the accumulator ((O, L); dQ) after it, and round n-1 ends with
+          the homecoming. One loop, `_query_rotation`, runs both phases.
   ring    kv rotation: Q, O, L stay resident, and (K, V) blocks travel
           toward the successor n-1 times in the pieces of
           `volumes.kv_messages`, each fed to the kernel as it lands. The
@@ -48,8 +48,9 @@ tests and the benchmark hold the protocols to.
 A body runs its kernels through `ctx.compute` and closes each round on its
 worker context; the round's kernel seconds, bytes and modeled wait come from
 those calls and the messages it sent and received (see
-`cluster.WorkerContext`). Bodies pass the kernels by their module-level names,
-looked up at call time, so a wrapper installed on this module sees every call,
+`cluster.WorkerContext`), and its last round ends its phase. Bodies pass the
+kernels by their module-level names, looked up at call time, so a wrapper
+installed on this module sees every call,
 one per piece where K/V travels in pieces. Every kernel call keeps the
 default KV tile, and a piece starts at a tile boundary of its walk, so a
 walk continued piece by piece (`carry=`) gives the one-shot call's bits.
@@ -141,76 +142,79 @@ class ShardSpec:
         return [b - a for a, b in self.kv_ranges]
 
 
-def lvx_forward(ctx: WorkerContext, shards: ShardSpec, q_i: np.ndarray,
-                k_i: np.ndarray, v_i: np.ndarray, scale: float) -> AttentionState:
-    """Query-rotation forward for one worker; collective over all n: each
-    query block rotates once around the ring as two messages, its Q and its
-    running (O, L) state, and every worker merges in its K/V block's part.
+def _query_rotation(ctx: WorkerContext, read_only: dict, step: Callable,
+                    fold: Callable) -> dict:
+    """The `lvx` rounds of one worker in either phase; collective over all
+    n: each query block rotates once around the ring toward the successor
+    as two messages, its read-only part and its accumulator.
 
-    Round r handles block j = i-r: Q goes to the successor before the
-    kernel, except in round n-1, and the kernel's state of block j merges
-    into the state of block j that arrives from the predecessor; round 0
-    takes the kernel's state as it is. The merged state leaves under id j,
-    so the round's transfers overlap its kernel. The round n-1 state sends
-    deliver each block's state to its owner, so the final receive, checked
-    to be block (i - n) mod n = i, is the homecoming."""
+    Round r handles block j = i-r. Its read-only part leaves before the
+    kernel, except in round n-1, whose successor owns the block.
+    `step(read_only)` runs the kernel through `ctx.compute` and returns the
+    block's accumulator, into which, from round 1 on, `fold(arrived, acc)`
+    adds the one arriving from the predecessor. The result leaves under id
+    j, so the round's transfers overlap its kernel, and the round ends by
+    receiving the next read-only part, block j-1, or in round n-1 the
+    homecoming, checked to be block (i - n) mod n = i, which is returned."""
     n, i = ctx.n, ctx.rank
-    q = q_i
     for r in range(n):
         j = (i - r) % n
         if r < n - 1:
-            ctx.send(ctx.successor, {"Q": q}, block=j)
-        state = ctx.compute(blockwise_attention, q, k_i, v_i, scale)
+            ctx.send(ctx.successor, read_only, block=j)
+        acc = step(read_only)
         if r:
-            got = ctx.recv(ctx.predecessor, block=j)
-            state = merge_states(AttentionState(O=got["O"], L=got["L"]), state)
-        ctx.send(ctx.successor, {"O": state.O, "L": state.L}, block=j)
+            acc = fold(ctx.recv(ctx.predecessor, block=j), acc)
+        ctx.send(ctx.successor, acc, block=j)
         if r < n - 1:
-            q = ctx.recv(ctx.predecessor, block=(j - 1) % n)["Q"]
+            read_only = ctx.recv(ctx.predecessor, block=(j - 1) % n)
+        else:
+            acc = ctx.recv(ctx.predecessor, block=i)
         ctx.close_round()
-    got = ctx.recv(ctx.predecessor, block=i)
-    return AttentionState(O=got["O"], L=got["L"])
+    return acc
+
+
+def lvx_forward(ctx: WorkerContext, shards: ShardSpec, q_i: np.ndarray,
+                k_i: np.ndarray, v_i: np.ndarray, scale: float) -> AttentionState:
+    """Query-rotation forward for one worker (`_query_rotation`): the
+    read-only part is Q and the accumulator the running (O, L) state. The
+    kernel's state of block j merges into the state that arrives; round 0
+    takes the kernel's state as it is."""
+    def step(ro):
+        state = ctx.compute(blockwise_attention, ro["Q"], k_i, v_i, scale)
+        return {"O": state.O, "L": state.L}
+
+    def fold(arrived, acc):
+        state = merge_states(AttentionState(**arrived), AttentionState(**acc))
+        return {"O": state.O, "L": state.L}
+
+    return AttentionState(**_query_rotation(ctx, {"Q": q_i}, step, fold))
 
 
 def lvx_backward(ctx: WorkerContext, shards: ShardSpec, q_i: np.ndarray,
                  k_i: np.ndarray, v_i: np.ndarray, state: AttentionState,
                  do_i: np.ndarray, scale: float):
-    """Query-rotation backward: each query block rotates once around the ring
-    as two messages, its read-only part (Q, dO, L, D) and its dQ accumulator;
-    every worker adds its K/V block's contribution, accumulating dK/dV into
-    its one local pair and dQ into the accumulator of the block in hand.
-
-    Round r handles block j = i-r: the read-only part goes to the successor
-    before the kernel, the kernel writes dQ into a fresh zeroed block, and
-    then the accumulator of block j arrives from the predecessor, is added
-    into that block, and the block leaves under the same id as the new
-    accumulator. So the round's transfers overlap its kernel. In round 0
-    the block is the worker's own, and the fresh block is its accumulator
-    from the start. The round n-1 accumulator sends deliver each dQ to its
-    owner, so the final receive, checked to be block (i - n) mod n = i, is
-    the homecoming; the read-only part, which the owner already holds,
-    stays put in round n-1. Returns (dQ_i, dK_i, dV_i)."""
-    n, i = ctx.n, ctx.rank
-    dtype = q_i.dtype
-
-    d_own = attention_row_stats(state, do_i).astype(dtype)
-    ro = {"Q": q_i, "dO": do_i, "L": state.L, "D": d_own}
+    """Query-rotation backward (`_query_rotation`): the read-only part is
+    (Q, dO, L, D) and the accumulator dQ. The kernel accumulates dK/dV into
+    the worker's one local pair and writes dQ into a fresh zeroed block, to
+    which the arriving accumulator is then added; in round 0 the fresh
+    block is the worker's own accumulator from the start. Returns (dQ_i,
+    dK_i, dV_i)."""
+    d_own = attention_row_stats(state, do_i).astype(q_i.dtype)
     dk = np.zeros_like(k_i)
     dv = np.zeros_like(v_i)
-    for r in range(n):
-        j = (i - r) % n
-        if r < n - 1:
-            ctx.send(ctx.successor, ro, block=j)
+
+    def step(ro):
         dq = np.zeros_like(ro["Q"])
         ctx.compute(blockwise_attention_backward, ro["Q"], k_i, v_i, ro["L"], ro["D"],
                     ro["dO"], scale, out=(dq, dk, dv))
-        if r:
-            dq += ctx.recv(ctx.predecessor, block=j)["dQ"]
-        ctx.send(ctx.successor, {"dQ": dq}, block=j)
-        if r < n - 1:
-            ro = ctx.recv(ctx.predecessor, block=(j - 1) % n)
-        ctx.close_round()
-    return ctx.recv(ctx.predecessor, block=i)["dQ"], dk, dv
+        return {"dQ": dq}
+
+    def fold(arrived, acc):
+        acc["dQ"] += arrived["dQ"]
+        return acc
+
+    ro = {"Q": q_i, "dO": do_i, "L": state.L, "D": d_own}
+    return _query_rotation(ctx, ro, step, fold)["dQ"], dk, dv
 
 
 def _round_pieces(ctx: WorkerContext, shards: ShardSpec, k_i: np.ndarray, v_i: np.ndarray,

@@ -292,6 +292,30 @@ def test_compute_seconds_are_the_rounds_kernel_calls():
         assert trace.rounds[1].compute_seconds == 0.0
 
 
+@pytest.mark.parametrize("activity", ["send", "recv", "compute"])
+def test_close_phase_refuses_an_open_round(activity):
+    # nothing may follow a phase's last close_round; on the instant link a
+    # receive waits 0 s, so the refusal cannot rest on the modeled wait
+    def body(ctx):
+        ctx.send(0, {"x": np.zeros(1)})
+        ctx.send(0, {"x": np.zeros(1)})
+        ctx.recv(0)
+        ctx.close_round()
+        if activity == "send":
+            ctx.send(0, {"x": np.zeros(1)})
+        elif activity == "recv":
+            ctx.recv(0)
+        else:
+            ctx.compute(int)
+        return ctx.close_phase("test", "backward")
+
+    with pytest.raises(WorkerFailed) as info:
+        spawn_cluster(ClusterSpec(1), body)
+    assert type(info.value.cause) is ClusterError
+    assert str(info.value.cause) == ("worker 0 test backward: a send, recv or compute "
+                                     "follows the phase's last close_round")
+
+
 def test_throttled_validation():
     with pytest.raises(ValueError, match="bandwidth"):
         Throttled(bandwidth=0.0)

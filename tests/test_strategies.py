@@ -155,9 +155,9 @@ class TestVolumes:
             assert res.stats.bytes_sent_by(i) == expected
 
     def test_ring_backward_even_shards_match_spec_formula(self):
-        # blocks of 600 rows travel as three pieces; no epilogue hop. The
-        # backward starts from the block the forward ended with: a worker
-        # sends (K, V) in rounds 0..n-3 and (dK, dV) in rounds 0..n-2,
+        # blocks of 600 rows travel as three pieces; no hop follows the last
+        # round. The backward starts from the block the forward ended with: a
+        # worker sends (K, V) in rounds 0..n-3 and (dK, dV) in rounds 0..n-2,
         # 2(n - 2) + 2(n - 1) = 4n - 6 K/V-sized blocks
         n, h, d, b = 3, 2, 5, 8
         s_q, s_kv = 6, 1800
@@ -167,7 +167,6 @@ class TestVolumes:
         res = run_distributed("ring", Q, K, V, dO=dO, spec=ClusterSpec(n))
         for i in range(n):
             assert res.traces_backward[i].total_sent_bytes() == expected
-            assert res.traces_backward[i].epilogue_bytes_by_class == {}
         assert volumes.bytes_by_worker("ring", "backward", [s_q // n] * n, [kv] * n,
                                        h, d, b) == [expected] * n
 
@@ -259,11 +258,27 @@ class TestTraces:
         for trace in res.traces_backward:
             assert trace.rounds[0].comm_seconds == 0.0
             assert trace.rounds[-1].comm_seconds > 0.0
-            assert trace.epilogue_bytes_by_class == {}
-            assert trace.epilogue_comm_seconds == 0.0
             sent = {cls for record in trace.rounds
                     for cls, nbytes in record.sent_bytes_by_class.items() if nbytes}
             assert sent == ({"dK", "dV"} if n == 2 else {"K", "V", "dK", "dV"})
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_lvx_last_round_waits_for_the_homecoming(self, n):
+        # round n-1 receives the accumulator of block i+1, then the
+        # homecoming, block i's: (O, L) in the forward, dQ in the backward.
+        # Query blocks of 4, 3 (n = 2) and 3, 2, 2 (n = 3) rows
+        h, d, b = 2, 3, 8
+        Q, K, V, dO = rand_problem(h, 7, 9, d, seed=39)
+        link = Throttled(bandwidth=1e9, latency=1e-5)
+        res = run_distributed("lvx", Q, K, V, dO=dO, spec=ClusterSpec(n, link))
+        q = res.shards.q_sizes
+        for phase, traces, cols in (("forward", res.traces_forward, d + 1),
+                                    ("backward", res.traces_backward, d)):
+            for i, trace in enumerate(traces):
+                incoming = sum(link.message_seconds(q[j] * h * cols * b)
+                               for j in ((i + 1) % n, i))
+                assert trace.rounds[n - 1].comm_seconds == pytest.approx(
+                    incoming, rel=1e-12), (phase, i)
 
     def test_trace_class_bytes(self):
         h, d, n, b = 2, 5, 2, 8
@@ -274,13 +289,12 @@ class TestTraces:
             last = record.index == n - 1
             assert set(record.sent_bytes_by_class) == ({"O", "L"} if last else {"O", "L", "Q"})
             assert record.sent_bytes_by_class["L"] * d == record.sent_bytes_by_class["O"]
-        assert trace.epilogue_bytes_by_class == {}
 
     def test_head_round_records_modeled_wait(self):
         # one wait rule for every protocol: a round waits for the modeled time
         # of each message it receives, so a worker's wait over both phases'
-        # rounds and epilogues is the modeled time of the links into it. K/V
-        # blocks of 1100 / n rows travel in two or more pieces
+        # rounds is the modeled time of the links into it. K/V blocks of
+        # 1100 / n rows travel in two or more pieces
         Q, K, V, dO = rand_problem(12, 7, 1100, 2, seed=27)
         link = Throttled(bandwidth=1e9, latency=1e-5)
         for strategy, protocol in strategies.PROTOCOLS.items():
@@ -289,8 +303,7 @@ class TestTraces:
                     continue
                 res = run_distributed(strategy, Q, K, V, dO=dO, spec=ClusterSpec(n, link))
                 for i, traces in enumerate(zip(res.traces_forward, res.traces_backward)):
-                    waited = sum(sum(r.comm_seconds for r in t.rounds) + t.epilogue_comm_seconds
-                                 for t in traces)
+                    waited = sum(r.comm_seconds for t in traces for r in t.rounds)
                     incoming = sum(res.stats.link(w, i).modeled_time_seconds
                                    for w in range(n) if w != i)
                     assert (incoming > 0) == (n > 1), (strategy, n, i)
@@ -316,7 +329,6 @@ def test_every_round_matches_hop_table(strategy, n, s_q, s_kv):
                 for record in trace.rounds:
                     assert record.sent_bytes_by_class == volumes.sent_by_class(
                         strategy, phase, i, record.index, *sizes, h, d, b), (phase, i)
-                assert trace.epilogue_bytes_by_class == {}, (phase, i)
 
 
 @pytest.mark.parametrize("backward", [False, True])
@@ -566,8 +578,7 @@ def test_ring_sends_only_gradients_its_kernel_wrote(monkeypatch, n):
 
 
 def _largest_message(trace):
-    return max([r.sent_bytes for r in trace.rounds]
-               + [sum(trace.epilogue_bytes_by_class.values())])
+    return max(r.sent_bytes for r in trace.rounds)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -804,8 +815,8 @@ def _relabeled_failure(monkeypatch, strategy, backward, index, s_kv, n=3, link=(
 
 # (strategy, backward, index, receive, round, expected, n, src): with
 # S_KV = 8 every K/V block is one piece. Each row rewrites the block id of
-# message `index` on link src->1, which worker 1 reads at `receive`. A
-# receive after the phase's n rounds falls in round n.
+# message `index` on link src->1, which worker 1 reads at `receive`. Every
+# receive falls in one of the phase's rounds 0..n-1.
 #
 # lvx and the ring forward use link 0->1. An lvx round, forward or
 # backward, sends the read-only part before the kernel, except in the last
@@ -813,11 +824,13 @@ def _relabeled_failure(monkeypatch, strategy, backward, index, s_kv, n=3, link=(
 # forward sends the Q of blocks 0, 2 as messages 0, 2 and the (O, L) of
 # blocks 0, 2, 1 as 1, 3, 4, the last one home; the backward sends
 # (Q, dO, L, D) of blocks 0, 2 as 5, 7 and the dQ of blocks 0, 2, 1 as 6,
-# 8, 9. Worker 1 reads an accumulator in the round after it was sent and a
-# read-only part at the end of the round it was sent in. With n = 4 the lvx
-# backward starts at message 7 and sends the read-only part of blocks 0, 3,
-# 2 as messages 7, 9, 11, so a read-only part also lands in a round after
-# the first. The ring forward sends messages 0-1 on link 0->1 at n = 3.
+# 8, 9. Worker 1 reads a read-only part at the end of the round it was
+# sent in, and an accumulator in the round after, except the homecoming,
+# which it reads at the end of the round it was sent in, n - 1. With n = 4
+# the lvx backward starts at message 7 and sends the read-only part of
+# blocks 0, 3, 2 as messages 7, 9, 11, so a read-only part also lands in a
+# round after the first. The ring forward sends messages 0-1 on link 0->1 at
+# n = 3.
 #
 # The ring backward sends to the predecessor, so its rows use link 2->1,
 # which no ring forward at n >= 3 uses. Worker 2 handles block 3 + r in
@@ -835,12 +848,12 @@ def _relabeled_failure(monkeypatch, strategy, backward, index, s_kv, n=3, link=(
 @pytest.mark.parametrize("strategy,backward,index,receive,round_index,expected,n,src", [
     ("lvx", False, 0, "worker 1 round 0", 0, 0, 3, 0),
     ("lvx", False, 1, "worker 1 round 1, O and L", 1, 0, 3, 0),
-    ("lvx", False, 4, "worker 1 homecoming, O and L", 3, 1, 3, 0),
+    ("lvx", False, 4, "worker 1 homecoming, O and L", 2, 1, 3, 0),
     ("lvx", True, 5, "worker 1 backward round 0", 0, 0, 3, 0),
     ("lvx", True, 6, "worker 1 backward round 1, dQ", 1, 0, 3, 0),
     ("lvx", True, 7, "worker 1 backward round 1", 1, 2, 3, 0),
     ("lvx", True, 8, "worker 1 backward round 2, dQ", 2, 2, 3, 0),
-    ("lvx", True, 9, "worker 1 backward homecoming, dQ", 3, 1, 3, 0),
+    ("lvx", True, 9, "worker 1 backward homecoming, dQ", 2, 1, 3, 0),
     ("lvx", True, 11, "worker 1 backward round 2", 2, 2, 4, 0),
     ("ring", False, 0, "worker 1 round 1", 1, 0, 3, 0),
     ("ring", True, 0, "worker 1 backward round 1, saved K and V", 1, 0, 3, 2),
